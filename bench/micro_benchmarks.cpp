@@ -14,6 +14,8 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "util/buffer.hpp"
+#include "util/codec/lz.hpp"
+#include "util/rng.hpp"
 #include "util/simd/simd.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/interp.hpp"
@@ -573,6 +575,52 @@ void BM_DatatypePackContiguous(benchmark::State& state) {
 BENCHMARK(BM_DatatypePackStridedDispatch);
 BENCHMARK(BM_DatatypePackStridedScalar);
 BENCHMARK(BM_DatatypePackContiguous);
+
+// --- LZ checkpoint codec ---------------------------------------------------
+//
+// lz_compress on 1 MB of two shapes of checkpoint bytes. The narrow-int
+// column is an SFV2 column of 32-bit values below 2^20: it almost never
+// repeats a 4-byte window, so nearly every position's chain walk would find
+// nothing. The structured input is compressible records: almost every
+// window was seen before, so the matcher's presence filter can rarely skip
+// a walk and the row shows what the filter costs.
+
+enum class LzBenchInput { kNarrowColumn, kStructured };
+
+util::Bytes lz_bench_input(LzBenchInput kind) {
+  constexpr size_t kBytes = 1 << 20;
+  util::Rng rng(0x12c0de);
+  util::Bytes b;
+  if (kind == LzBenchInput::kNarrowColumn) {
+    util::Writer w(b);
+    for (size_t i = 0; i < kBytes; i += 4) w.u32(static_cast<uint32_t>(rng.below(1u << 20)));
+    return b;
+  }
+  // 32-byte records: a little-endian record counter, then one of 16 random
+  // 28-byte templates.
+  constexpr size_t kRecord = 32, kTemplates = 16;
+  b.resize(kBytes);
+  util::Bytes templates(kTemplates * (kRecord - 4));
+  for (auto& x : templates) x = static_cast<std::byte>(rng.next() & 0xff);
+  for (size_t rec = 0; rec * kRecord < kBytes; ++rec) {
+    std::byte* r = b.data() + rec * kRecord;
+    for (size_t k = 0; k < 4; ++k) r[k] = static_cast<std::byte>((rec >> (8 * k)) & 0xff);
+    std::memcpy(r + 4, templates.data() + rng.below(kTemplates) * (kRecord - 4), kRecord - 4);
+  }
+  return b;
+}
+
+void BM_LzCompress(benchmark::State& state, LzBenchInput kind) {
+  const util::Bytes raw = lz_bench_input(kind);
+  for (auto _ : state) {
+    auto frame = util::codec::lz_compress(util::as_bytes_view(raw));
+    benchmark::DoNotOptimize(frame.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(raw.size()));
+}
+BENCHMARK_CAPTURE(BM_LzCompress, narrow_column, LzBenchInput::kNarrowColumn);
+BENCHMARK_CAPTURE(BM_LzCompress, structured, LzBenchInput::kStructured);
 
 }  // namespace
 

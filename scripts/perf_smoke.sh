@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Engine hot-path regression smoke: runs the engine/fiber/channel micro
 # benches plus the SIMD data-plane benches (fingerprint, image conversion,
-# datatype pack) in a Release tree and compares host time per benchmark against the
-# committed baseline (scripts/perf_baseline.json), then runs the sharded
+# datatype pack) and the LZ codec benches in a Release tree and compares
+# host time per benchmark against the committed baseline
+# (scripts/perf_baseline.json), then runs the sharded
 # engine's thread-scaling workload (bench/scaling_nodes --threads 1,4) and
 # compares sequential simulator throughput against the same baseline plus
 # threaded-vs-sequential side by side. A >20% slowdown prints a WARNING per
@@ -16,7 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=build-bench
-FILTER='BM_Engine|BM_Fiber|BM_Channel|BM_Vm|BM_Fingerprint|BM_ImageConvert|BM_DatatypePack'
+FILTER='BM_Engine|BM_Fiber|BM_Channel|BM_Vm|BM_Fingerprint|BM_ImageConvert|BM_DatatypePack|BM_Lz'
 BASELINE=scripts/perf_baseline.json
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -87,8 +87,10 @@ util::Result<util::Bytes> decode_payload(PayloadCodec codec, util::BytesView enc
                                          util::BytesView base, uint64_t max_bytes, obs::Hub* hub);
 
 /// Structural + checksum validation without reconstructing the payload and
-/// without the base: frame sanity, literal bounds, fingerprints. A frame
-/// that verifies clean decodes clean against its matching base.
+/// without the base: frame sanity, literal bounds, fingerprints. A kDeltaLz
+/// frame is LZ-decompressed in full to parse its inner delta frame; the
+/// other codecs verify without decoding. A frame that verifies clean
+/// decodes clean against its matching base.
 util::Status verify_payload(PayloadCodec codec, util::BytesView encoded);
 
 /// The raw payload size a coded frame announces (header peek; trivially

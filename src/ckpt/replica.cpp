@@ -238,7 +238,8 @@ bool ReplicaStore::recoverable_locked(const CkptKey& key) const {
     if (it == entries_.end() || it->second.holders.empty()) return false;
     const Image& img = it->second.image;
     // A surviving but corrupt copy cannot rebuild state — structural codec
-    // verification (fingerprint pass, no decode) disqualifies it here.
+    // verification disqualifies it here (a fingerprint pass, except that a
+    // delta+lz copy is LZ-decompressed in full to parse its inner delta).
     if (!verify_payload(img.codec, util::as_bytes_view(img.payload)).ok()) return false;
     if (img.incremental) {
       at.epoch = img.base_epoch;

@@ -295,8 +295,10 @@ bool CheckpointStore::disk_chain_complete_locked(const CkptKey& key) const {
     auto it = images_.find(at);
     if (it == images_.end()) return false;
     const Image& img = it->second;
-    // A stored-but-corrupt link is as unrecoverable as a missing one; the
-    // structural verify is a fingerprint pass, no decode.
+    // A stored-but-corrupt link is as unrecoverable as a missing one. The
+    // structural verify is a fingerprint pass for lz and delta links, but a
+    // delta+lz link is LZ-decompressed in full to parse its inner delta
+    // frame, so latest_recoverable decodes every delta+lz link it walks.
     if (!verify_payload(img.codec, util::as_bytes_view(img.payload)).ok()) return false;
     if (img.incremental) {
       at.epoch = img.base_epoch;

@@ -21,6 +21,7 @@ namespace {
 constexpr size_t kMinMatch = 4;
 constexpr size_t kShortMatchMax = 17;  // low nibble 14 -> 3 + 14
 constexpr int kHashBits = 14;
+constexpr int kSeenBitsMax = 19;  // presence bitmap of a full block: 2^19 bits, 64 KB
 constexpr int kChainCap = 16;
 constexpr size_t kBlockHeaderBytes = 1 + 4 + 4 + 8;
 constexpr size_t kFrameHeaderBytes = 4 + 1 + 8 + 4;
@@ -32,7 +33,15 @@ uint32_t load_le32(const std::byte* p) {
   return v;
 }
 
-uint32_t hash4(uint32_t v) { return (v * 2654435761u) >> (32 - kHashBits); }
+/// The top `bits` bits of a multiplicative hash of a 4-byte window.
+uint32_t hash4(uint32_t v, int bits) { return (v * 2654435761u) >> (32 - bits); }
+
+/// log2 of the presence bitmap's size for an n-byte block: 8 bits per
+/// byte, so at most an eighth of them are set, and a small block clears a
+/// small bitmap.
+int seen_bits(size_t n) {
+  return std::clamp(static_cast<int>(std::bit_width(n)) + 3, 6, kSeenBitsMax);
+}
 
 void put_ext(Bytes& out, size_t v) {
   while (v >= 255) {
@@ -47,13 +56,32 @@ Error codec_error(const std::string& what) { return Error::make("codec", "lz: " 
 /// Token-compresses one block. Returns false (and an undefined `out`
 /// prefix beyond `out_start`) when the tokens would not beat the raw
 /// block, in which case the caller emits a stored block instead.
+///
+/// `seen` has one bit per hash4(window, seen_bits(n)) slot, set for every
+/// window inserted into the chains. A clear bit proves no chain holds the
+/// window, so the walk, which only accepts candidates equal to it, is
+/// skipped: the tokens are the same as with every walk taken. A set bit may
+/// be a collision; the walk decides.
 bool compress_block(const std::byte* p, size_t n, Bytes& out, size_t out_start,
-                    std::vector<int32_t>& head, std::vector<int32_t>& prev) {
+                    std::vector<int32_t>& head, std::vector<int32_t>& prev,
+                    std::vector<uint64_t>& seen) {
   const simd::Ops& simd = simd::ops();
   std::fill(head.begin(), head.end(), -1);
-  prev.assign(n, -1);
+  const int slot_bits = seen_bits(n);
+  std::fill_n(seen.begin(), size_t{1} << (slot_bits - 6), uint64_t{0});
+  // No reset: a position's link is written when it is inserted, before any
+  // chain can reach it.
+  prev.resize(n);
   size_t pos = 0;
   size_t lit_start = 0;
+
+  auto insert = [&](size_t q, uint32_t v) {
+    const uint32_t h = hash4(v, kHashBits);
+    prev[q] = head[h];
+    head[h] = static_cast<int32_t>(q);
+    const uint32_t s = hash4(v, slot_bits);
+    seen[s >> 6] |= uint64_t{1} << (s & 63);
+  };
 
   auto emit_seq = [&](size_t lit_len, size_t match_len, size_t offset) {
     const size_t lit_code = lit_len < 15 ? lit_len : 15;
@@ -77,11 +105,11 @@ bool compress_block(const std::byte* p, size_t n, Bytes& out, size_t out_start,
 
   while (pos + kMinMatch <= n) {
     const uint32_t here = load_le32(p + pos);
-    const uint32_t h = hash4(here);
+    const uint32_t s = hash4(here, slot_bits);
     size_t best_len = 0;
     size_t best_off = 0;
     const size_t max_len = n - pos;
-    int32_t cand = head[h];
+    int32_t cand = (seen[s >> 6] >> (s & 63)) & 1 ? head[hash4(here, kHashBits)] : -1;
     for (int depth = 0; cand >= 0 && depth < kChainCap; ++depth, cand = prev[cand]) {
       if (load_le32(p + static_cast<size_t>(cand)) != here) continue;
       // Self-referential overlap (cand + i >= pos) is fine: the decoder
@@ -97,17 +125,12 @@ bool compress_block(const std::byte* p, size_t n, Bytes& out, size_t out_start,
     if (best_len >= kMinMatch) {
       emit_seq(pos - lit_start, best_len, best_off);
       const size_t end = pos + best_len;
-      for (size_t q = pos; q < end && q + kMinMatch <= n; ++q) {
-        const uint32_t hq = hash4(load_le32(p + q));
-        prev[q] = head[hq];
-        head[hq] = static_cast<int32_t>(q);
-      }
+      for (size_t q = pos; q < end && q + kMinMatch <= n; ++q) insert(q, load_le32(p + q));
       pos = end;
       lit_start = pos;
       if (out.size() - out_start >= n) return false;  // not profitable, bail early
     } else {
-      prev[pos] = head[h];
-      head[h] = static_cast<int32_t>(pos);
+      insert(pos, here);
       ++pos;
     }
   }
@@ -229,12 +252,13 @@ Bytes lz_compress(BytesView raw) {
 
   std::vector<int32_t> head(size_t{1} << kHashBits);
   std::vector<int32_t> prev;
+  std::vector<uint64_t> seen(size_t{1} << (seen_bits(std::min(raw.size(), kLzBlockBytes)) - 6));
   Bytes tokens;
   for (uint64_t b = 0; b < n_blocks; ++b) {
     const size_t off = static_cast<size_t>(b) * kLzBlockBytes;
     const size_t len = std::min(kLzBlockBytes, raw.size() - off);
     tokens.clear();
-    const bool lz = compress_block(raw.data() + off, len, tokens, 0, head, prev);
+    const bool lz = compress_block(raw.data() + off, len, tokens, 0, head, prev, seen);
     const BytesView enc = lz ? as_bytes_view(tokens) : raw.subspan(off, len);
     w.u8(lz ? 1 : 0);
     w.u32(static_cast<uint32_t>(len));

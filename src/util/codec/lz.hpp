@@ -9,7 +9,12 @@
 // machines). The matcher is a fixed-parameter greedy hash-chain search with
 // no heuristics keyed on timing, addresses or ISA; the hot copy/compare
 // loops route through the util/simd dispatch table, whose kernels are
-// bit-identical across levels by contract.
+// bit-identical across levels by contract. A per-block presence bitmap
+// (8 bits per block byte, indexed by a hash of the 4-byte window) skips
+// chain walks that cannot match: inserting a window into the chains always
+// sets its bit, so a clear bit proves no chain holds the window, and the
+// walk only accepts candidates equal to it. The filter changes speed,
+// never tokens.
 //
 // Frame layout (all little-endian, independent blocks of 64 KB raw):
 //   u32 magic "SLZ1"   u8 version   u64 raw_len   u32 n_blocks

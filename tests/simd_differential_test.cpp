@@ -9,8 +9,9 @@
 // layouts under each forced level.
 //
 // The whole binary is registered twice with ctest: once normally and once
-// with STARFISH_SIMD=scalar (SimdDifferentialScalarForced), so the image
-// and datatype goldens are also re-checked under a scalar-forced dispatch.
+// with STARFISH_SIMD=scalar (SimdDifferentialScalarForced), so the image,
+// datatype and LZ frame goldens are also re-checked under a scalar-forced
+// dispatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "ckpt/image.hpp"
 #include "mpi/datatype.hpp"
 #include "sim/machine.hpp"
+#include "util/codec/lz.hpp"
 #include "util/rng.hpp"
 #include "util/simd/simd.hpp"
 #include "vm/value.hpp"
@@ -421,6 +423,111 @@ TEST(SimdDifferential, DatatypePackBytesInvariantAcrossLevels) {
       auto repacked = dt.pack(scattered);
       ASSERT_TRUE(repacked.ok());
       EXPECT_EQ(repacked.value(), want.value()) << "unpack/pack round trip, iter=" << iter;
+    }
+  }
+}
+
+// ------------------------------------------------------- lz frames ----
+
+enum class LzInput { kZeros, kRandom, kRunHeavy, kStructured, kNarrowColumn };
+
+/// The corpus input of one kind and size; seeded by both, so every input
+/// is fixed independently of the others.
+util::Bytes lz_input(LzInput kind, size_t n) {
+  util::Rng rng(0x12c0de00 + static_cast<uint64_t>(kind) * 1000003 + n);
+  util::Bytes b(n, std::byte{0});
+  switch (kind) {
+    case LzInput::kZeros:
+      break;
+    case LzInput::kRandom:
+      b = random_bytes(rng, n);
+      break;
+    case LzInput::kRunHeavy:
+      for (size_t i = 0; i < n;) {
+        const size_t len = std::min<size_t>(1 + rng.below(300), n - i);
+        std::fill_n(b.begin() + static_cast<ptrdiff_t>(i), len,
+                    static_cast<std::byte>(rng.below(4) * 0x55));
+        i += len;
+      }
+      break;
+    case LzInput::kStructured:
+      // Repeating 32-byte records with a counter field.
+      for (size_t i = 0; i < n; ++i) {
+        const size_t rec = i / 32;
+        const size_t field = i % 32;
+        b[i] = static_cast<std::byte>(field < 4 ? (rec >> (8 * field)) & 0xff : field * 7);
+      }
+      break;
+    case LzInput::kNarrowColumn:
+      // An SFV2 column of narrowed integers: 32-bit little-endian values
+      // below 2^20, which almost never repeat a 4-byte window.
+      for (size_t i = 0; i < n; i += 4) {
+        const uint64_t v = rng.below(uint64_t{1} << 20);
+        for (size_t k = 0; k < 4 && i + k < n; ++k) {
+          b[i + k] = static_cast<std::byte>((v >> (8 * k)) & 0xff);
+        }
+      }
+      break;
+  }
+  return b;
+}
+
+TEST(SimdDifferential, LzFrameBytesInvariantAcrossLevels) {
+  // Fingerprints of lz_compress frames, recorded from the plain hash-chain
+  // matcher (no presence filter), so a filter that changed any token fails
+  // here. The frames must stay byte-identical on every host and ISA level:
+  // checkpoint content hashes and replica copies are compared across
+  // machines.
+  struct Golden {
+    LzInput kind;
+    size_t n;
+    uint64_t frame_fingerprint;
+  };
+  static constexpr Golden kGoldens[] = {
+      {LzInput::kZeros, 0, 0xfdb867cf608fe1d6},
+      {LzInput::kZeros, 1, 0xb845137d8589c521},
+      {LzInput::kZeros, 4, 0x97fa55a3d6278130},
+      {LzInput::kZeros, 65535, 0x9fd975d17516956c},
+      {LzInput::kZeros, 65536, 0x1202c94b2adc84c6},
+      {LzInput::kZeros, 65537, 0x040923129003860a},
+      {LzInput::kZeros, 200001, 0x0f7c3e6a57d1d40a},
+      {LzInput::kRandom, 0, 0xfdb867cf608fe1d6},
+      {LzInput::kRandom, 1, 0xe344cbc9c0e42aab},
+      {LzInput::kRandom, 4, 0x45f0125ac938d4c0},
+      {LzInput::kRandom, 65535, 0xd781a83ff8d47271},
+      {LzInput::kRandom, 65536, 0xd2bdacf5d053adc3},
+      {LzInput::kRandom, 65537, 0xfc61edafbef85704},
+      {LzInput::kRandom, 200001, 0xf0359fe621142aa5},
+      {LzInput::kRunHeavy, 0, 0xfdb867cf608fe1d6},
+      {LzInput::kRunHeavy, 1, 0x2672b3183faf31b8},
+      {LzInput::kRunHeavy, 4, 0x2268088ae2ad0de6},
+      {LzInput::kRunHeavy, 65535, 0xa6334b4c556ca725},
+      {LzInput::kRunHeavy, 65536, 0xb31812f9db945783},
+      {LzInput::kRunHeavy, 65537, 0xe0b97522a55275c1},
+      {LzInput::kRunHeavy, 200001, 0x3c6bceedb3a13a6b},
+      {LzInput::kStructured, 0, 0xfdb867cf608fe1d6},
+      {LzInput::kStructured, 1, 0xb845137d8589c521},
+      {LzInput::kStructured, 4, 0x97fa55a3d6278130},
+      {LzInput::kStructured, 65535, 0x2c8ae4b0c7bd4094},
+      {LzInput::kStructured, 65536, 0x368f4d0af0511a70},
+      {LzInput::kStructured, 65537, 0x0759375c6604e999},
+      {LzInput::kStructured, 200001, 0x7e66d357ad079048},
+      {LzInput::kNarrowColumn, 0, 0xfdb867cf608fe1d6},
+      {LzInput::kNarrowColumn, 1, 0x59ac9875f2b9c565},
+      {LzInput::kNarrowColumn, 4, 0x6c7dab10971edbe7},
+      {LzInput::kNarrowColumn, 65535, 0x131d9a407596bfac},
+      {LzInput::kNarrowColumn, 65536, 0xc11becc1f6131299},
+      {LzInput::kNarrowColumn, 65537, 0xf889e77e22b305bc},
+      {LzInput::kNarrowColumn, 200001, 0x127c6023127db3db},
+  };
+  ForceGuard guard;
+  for (Isa isa : simd::available()) {
+    simd::force(isa);
+    for (const Golden& g : kGoldens) {
+      const util::Bytes raw = lz_input(g.kind, g.n);
+      const util::Bytes frame = util::codec::lz_compress(util::as_bytes_view(raw));
+      EXPECT_EQ(simd::fingerprint(frame.data(), frame.size()), g.frame_fingerprint)
+          << simd::isa_name(isa) << " kind=" << static_cast<int>(g.kind) << " n=" << g.n;
     }
   }
 }
