@@ -276,9 +276,10 @@ BENCHMARK(BM_IncrementalEncodeHashed);
 //
 // The VM is the compute substrate of fig4/table2: every simulated
 // application instruction goes through Interpreter::run. These benches pin
-// the three shapes that dominate real programs — a tight arithmetic loop
-// (the canonical accumulate/increment/compare/branch idiom), call-heavy
-// recursion, and the syscall round-trip into the host and back.
+// the shapes that dominate real programs — a tight arithmetic loop (the
+// canonical accumulate/increment/compare/branch idiom), call-heavy
+// recursion, the syscall round-trip into the host and back, and a stencil
+// sweep over a heap array.
 
 vm::Program must_assemble_bench(const std::string& src) {
   auto r = vm::assemble(src);
@@ -409,6 +410,88 @@ done:
   state.SetItemsProcessed(state.iterations() * 1000);  // round-trips
 }
 BENCHMARK(BM_VmSyscallRoundtrip);
+
+// The stencil16_vm inner loop over an 8k-cell array: fill a[i], then one
+// sweep a[i] = (a[i-1] + a[i] + a[i+1]) mod P — indexed loads off locals,
+// int arithmetic on loaded cells, astore through locals.
+void BM_VmArraySweep(benchmark::State& state) {
+  vm::Program prog = must_assemble_bench(R"(
+func main 0 2
+  push_int 8192
+  new_array
+  store_local 0
+  push_int 0
+  store_local 1
+fill:
+  load_local 1
+  push_int 8192
+  lt
+  jmp_if_false filled
+  load_local 0
+  load_local 1
+  load_local 1
+  push_int 7919
+  mul
+  push_int 1000003
+  mod
+  astore
+  load_local 1
+  push_int 1
+  add
+  store_local 1
+  jmp fill
+filled:
+  push_int 1
+  store_local 1
+sweep:
+  load_local 1
+  push_int 8191
+  lt
+  jmp_if_false swept
+  load_local 0
+  load_local 1
+  load_local 0
+  load_local 1
+  push_int 1
+  sub
+  aload
+  load_local 0
+  load_local 1
+  aload
+  add
+  load_local 0
+  load_local 1
+  push_int 1
+  add
+  aload
+  add
+  push_int 1000003
+  mod
+  astore
+  load_local 1
+  push_int 1
+  add
+  store_local 1
+  jmp sweep
+swept:
+  load_local 0
+  push_int 4096
+  aload
+  halt
+)");
+  uint64_t steps = 0;
+  for (auto _ : state) {
+    vm::Interpreter interp(prog, sim::default_machine());
+    interp.start();
+    auto r = interp.run();
+    if (r.status != vm::RunStatus::kHalted) abort();
+    steps = interp.state().steps_executed;
+    benchmark::DoNotOptimize(interp.state().stack.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(steps));
+}
+BENCHMARK(BM_VmArraySweep);
 
 void BM_GcsWireRoundtrip(benchmark::State& state) {
   gcs::WireMsg msg;

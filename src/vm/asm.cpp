@@ -204,8 +204,13 @@ util::Result<Program> assemble(const std::string& source) {
 // so execution histories — and the checkpoint images portable_encode cuts
 // from them — are indistinguishable from the unfused interpreter's.
 //
-// Fusion requires every component to be verifier-fast: the superinstruction
-// bodies elide the same checks the components' fast forms elide.
+// Fusion requires every component to be verifier-proven: the
+// superinstruction bodies have no guards, so a component the fast loop
+// runs only behind an inline guard (int arithmetic on an operand of
+// unproven tag) keeps its own entry. The one exception is the array load
+// that ends the two array idioms: its ref/index tags are proven, and the
+// fused body keeps its dangling/kind/bounds guards, escaping to the
+// checked step (which then retires the idiom singly) when one fails.
 
 namespace {
 
@@ -223,9 +228,15 @@ void peephole_fuse(const Function& fn, const FunctionFacts& facts,
   auto fast_run = [&](size_t p, size_t len) {
     if (p + len > n) return false;
     for (size_t k = p; k < p + len; ++k) {
-      if (!facts.fast[k]) return false;
+      if (facts.fast[k] != kFactProven) return false;
     }
     return true;
+  };
+  // `len - 1` proven components followed by a guarded-fast aload.
+  auto array_idiom = [&](size_t p, size_t len) {
+    return fast_run(p, len - 1) && p + len <= n &&
+           fn.code[p + len - 1].op == Op::kALoad &&
+           facts.fast[p + len - 1] != kFactChecked;
   };
 
   for (size_t p = 0; p < n; ++p) {
@@ -285,6 +296,34 @@ void peephole_fuse(const Function& fn, const FunctionFacts& facts,
         code[p] = d;
         continue;
       }
+    }
+
+    // load_local r, load_local i, aload  ->  kFusedLoadLoadALoad
+    if (op0 == Op::kLoadLocal && array_idiom(p, 3) &&
+        fn.code[p + 1].op == Op::kLoadLocal) {
+      DecodedInstr d;
+      d.op = XOp::kFusedLoadLoadALoad;
+      d.len = 3;
+      d.b = static_cast<uint32_t>(fn.code[p].imm_i);
+      d.c = static_cast<uint32_t>(fn.code[p + 1].imm_i);
+      code[p] = d;
+      continue;
+    }
+
+    // load_local r, load_local i, push_int c, add|sub, aload
+    //   ->  kFusedLoadOffsetALoad (the add|sub proven => local i is Int)
+    if (op0 == Op::kLoadLocal && array_idiom(p, 5) &&
+        fn.code[p + 1].op == Op::kLoadLocal && fn.code[p + 2].op == Op::kPushInt &&
+        (fn.code[p + 3].op == Op::kAdd || fn.code[p + 3].op == Op::kSub)) {
+      DecodedInstr d;
+      d.op = XOp::kFusedLoadOffsetALoad;
+      d.len = 5;
+      d.aux = static_cast<uint8_t>(fn.code[p + 3].op);
+      d.b = static_cast<uint32_t>(fn.code[p].imm_i);
+      d.c = static_cast<uint32_t>(fn.code[p + 1].imm_i);
+      d.imm.i = code[p + 2].imm.i;  // pre-wrapped by prepare_program
+      code[p] = d;
+      continue;
     }
 
     // <cmp>, jmp_if_false t  ->  kFusedCmpBr

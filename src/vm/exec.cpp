@@ -23,7 +23,7 @@ PreparedProgram prepare_program(const Program& program, const ProgramFacts& fact
     for (size_t pc = 0; pc < fn.code.size(); ++pc) {
       const Instr& in = fn.code[pc];
       DecodedInstr d;
-      if (!ff.analyzed || ff.fast[pc] == 0) {
+      if (!ff.analyzed || ff.fast[pc] == kFactChecked) {
         d.op = XOp::kChecked;  // defer to the original single-step
       } else {
         d.op = static_cast<XOp>(in.op);

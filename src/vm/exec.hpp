@@ -13,7 +13,11 @@
 //
 // Which entries may elide runtime checks is decided by the verifier
 // (`vm::analyze`): an instruction whose stack depth and operand tags are
-// proven at load time is lowered to its unchecked XOp; anything unproven
+// proven at load time is lowered to its unchecked XOp; one whose depth is
+// proven but whose data-dependent preconditions are not (heap ops' bounds,
+// array kind and dangling ref; int arithmetic on an operand of unproven
+// tag) is lowered to its XOp too, whose body re-checks those inline and
+// escapes to the checked step before mutating anything; anything else
 // (or proven to trap) is lowered to XOp::kChecked, which defers to the
 // original fully-checked single-step — preserving every trap message.
 #pragma once
@@ -53,6 +57,8 @@ enum class XOp : uint8_t {
   kFusedLoadCmpBr,      ///< load_local i, push_int c, <compare>, jmp_if_false t
   kFusedLoadLoadArith,  ///< load_local a, load_local b, add|sub|mul
   kFusedLoadLoadArithSt,///< load_local a, load_local b, add|sub|mul, store_local d
+  kFusedLoadLoadALoad,  ///< load_local r, load_local i, aload
+  kFusedLoadOffsetALoad,///< load_local r, load_local i, push_int c, add|sub, aload
   kCount,
 };
 
@@ -63,7 +69,9 @@ constexpr size_t kBaseOpCount = static_cast<size_t>(Op::kSyscall) + 1;
 ///  - base fast ops: `imm.i` / `imm.f` carry the original immediate
 ///    (push_int immediates are pre-wrapped to the interpreter's machine
 ///    word); compares and neg carry the verifier-proven operand tag class in
-///    `aux`.
+///    `aux`. Int arithmetic re-checks both operand tags (and div/mod the
+///    divisor) inline; aload/astore/alen have their ref/index tags proven
+///    and re-check dangling ref, array kind and bounds inline.
 ///  - kChecked: no operands; the escape re-fetches the original Instr.
 ///  - kFusedIncLocal: b = source slot, c = destination slot (b == c for
 ///    the canonical increment), imm.i = pre-wrapped constant, aux = Op
@@ -73,9 +81,12 @@ constexpr size_t kBaseOpCount = static_cast<size_t>(Op::kSyscall) + 1;
 ///    aux = compare Op, c = branch target (operands proven Int).
 ///  - kFusedLoadLoadArith[St]: b/c = source slots, aux = arithmetic Op,
 ///    imm.i = destination slot (St form only).
+///  - kFusedLoadLoadALoad: b = array ref slot, c = index slot.
+///  - kFusedLoadOffsetALoad: b = array ref slot, c = index slot,
+///    imm.i = pre-wrapped index offset, aux = Op (kAdd or kSub).
 struct DecodedInstr {
   XOp op = XOp::kChecked;
-  uint8_t len = 1;  ///< original instructions covered (fused: 2..4)
+  uint8_t len = 1;  ///< original instructions covered (fused: 2..5)
   uint8_t aux = 0;  ///< inner Op / proven Tag, per the table above
   uint8_t pad = 0;
   uint32_t b = 0;
@@ -106,8 +117,9 @@ PreparedProgram prepare_program(const Program& program, const ProgramFacts& fact
                                 const sim::Machine& machine, bool fuse = true);
 
 /// Assembler-level peephole pass (vm/asm.cpp): rewrites `code[pc]` with
-/// superinstruction entries where a hot idiom's components are all
-/// fast-eligible. Never touches the Program itself, so checkpoint images
+/// superinstruction entries where a hot idiom's components are all proven
+/// (an array load, the last component of the two array idioms, need only
+/// be guarded-fast). Never touches the Program itself, so checkpoint images
 /// decode back to the original sequence untouched.
 void peephole_fuse(const Function& fn, const FunctionFacts& facts,
                    std::vector<DecodedInstr>& code);

@@ -34,6 +34,18 @@ inline int64_t fast_int_arith(Op op, int64_t a, int64_t b) {
   }
 }
 
+/// The element `ref[idx]` when the checked aload/astore would not trap on
+/// it (ref not dangling, an array, idx in bounds), else nullptr.
+inline Value* array_slot(std::vector<HeapObject>& heap, HeapIndex ref, int64_t idx) {
+  if (ref >= heap.size()) return nullptr;
+  HeapObject& obj = heap[ref];
+  if (obj.kind != HeapObject::Kind::kArray ||
+      static_cast<uint64_t>(idx) >= obj.fields.size()) {
+    return nullptr;
+  }
+  return &obj.fields[static_cast<size_t>(idx)];
+}
+
 }  // namespace
 
 Interpreter::Interpreter(const Program& program, sim::Machine machine,
@@ -45,8 +57,7 @@ Interpreter::Interpreter(const Program& program, sim::Machine machine,
       // the shift pair is 32 there and the identity (0) on 64-bit machines.
       wrap_shift_(machine_.word_bytes >= 8 ? 0u : 32u) {
   if (dispatch_ != Dispatch::kChecked) {
-    facts_ = analyze(program_);
-    prepared_ = prepare_program(program_, facts_, machine_,
+    prepared_ = prepare_program(program_, analyze(program_), machine_,
                                 dispatch_ == Dispatch::kFast);
     if (!prepared_.any_fast) dispatch_ = Dispatch::kChecked;
   }
@@ -88,35 +99,55 @@ void Interpreter::set_state(VmState s) {
   state_fast_ok_ = dispatch_ != Dispatch::kChecked && restored_state_fast_ok();
 }
 
-// The verifier's depth facts hold for states *this interpreter* produced,
-// but set_state() accepts arbitrary images (a corrupt checkpoint, a
-// hand-built test state). Vet the restored state against the facts before
+// The verifier's depth and tag facts hold for states *this interpreter*
+// produced, but set_state() accepts arbitrary images (a corrupt checkpoint,
+// a hand-built test state). Vet the restored state against the facts before
 // letting the fast loop elide checks on it: every frame must sit in an
-// analyzed function at a reachable pc with the right locals count, and the
-// facts' stack depths must add up to the actual operand stack (each
-// non-top frame is parked after a call, so it contributes depth-at-pc
-// minus the callee result that is not there yet). Anything inconsistent
-// runs on the checked loop, which re-validates per instruction.
+// analyzed function at a reachable pc with the right locals count, the
+// facts' stack depths must add up to the actual operand stack, and every
+// local and stack slot must carry the tag the facts proved for it. A
+// non-top frame is parked right after a call, so it owns depth-at-pc minus
+// the callee result that is not on the stack yet. Anything inconsistent
+// runs on the checked loop, which re-validates per instruction. The facts
+// are recomputed here rather than kept: a restore is rare, and per-pc tags
+// would cost every interpreter memory for its whole life.
 bool Interpreter::restored_state_fast_ok() const {
-  size_t expected = 0;
+  const ProgramFacts facts = analyze(program_);
+  const auto tag_ok = [](uint8_t proven, const Value& v) {
+    return proven == kTagUnknown || proven == static_cast<uint8_t>(v.tag);
+  };
+  size_t base = 0;  // first stack slot the current frame owns
   for (size_t i = 0; i < state_.frames.size(); ++i) {
     const Frame& fr = state_.frames[i];
     if (fr.function >= program_.functions.size()) return false;
     const Function& fn = program_.functions[fr.function];
-    const FunctionFacts& ff = facts_.functions[fr.function];
+    const FunctionFacts& ff = facts.functions[fr.function];
     if (!ff.analyzed) return false;
     if (fr.locals.size() != fn.n_locals) return false;
     if (fr.pc >= ff.depth.size()) return false;
     const int32_t dep = ff.depth[fr.pc];
     if (dep < 0) return false;  // pc the dataflow proved unreachable
-    if (i + 1 == state_.frames.size()) {
-      expected += static_cast<size_t>(dep);
-    } else {
-      if (dep < 1) return false;
-      expected += static_cast<size_t>(dep) - 1;
+    size_t own = static_cast<size_t>(dep);
+    if (i + 1 != state_.frames.size()) {
+      // Parked right after a reachable call, whose result slot (unknown tag
+      // in the facts) the callee's ret will push.
+      if (fr.pc == 0 || fn.code[fr.pc - 1].op != Op::kCall ||
+          ff.depth[fr.pc - 1] < 0 || dep < 1) {
+        return false;
+      }
+      --own;
     }
+    if (base + own > state_.stack.size()) return false;
+    const SlotTags& tags = ff.tags[fr.pc];
+    for (size_t k = 0; k < own; ++k) {
+      if (!tag_ok(tags.stack[k], state_.stack[base + k])) return false;
+    }
+    for (size_t k = 0; k < fr.locals.size(); ++k) {
+      if (!tag_ok(tags.locals[k], fr.locals[k])) return false;
+    }
+    base += own;
   }
-  return expected == state_.stack.size();
+  return base == state_.stack.size();
 }
 
 void Interpreter::set_obs(obs::Hub* hub) {
@@ -610,9 +641,15 @@ Interpreter::StepOutcome Interpreter::step_checked_one(RunResult& out) {
 //    produces.
 //  - any entry the verifier could not prove runs through
 //    step_checked_one(), i.e. the original code with original messages.
+//  - guard-then-escape: a guarded body (heap ops; int arithmetic, div/mod
+//    zero) tests everything the facts leave open — dangling ref, array
+//    kind, bounds, int tags, zero divisor — BEFORE mutating anything, and on
+//    any failure jumps to the checked escape, which un-charges the fetch
+//    and re-runs the entry's first original instruction through the checked
+//    step, producing the identical trap, stack and step count.
 //  - int/bool compares convert through double exactly like the checked
-//    loop (observable for |int| > 2^53), and div/mod keep their zero
-//    guards; only proven underflow/type checks are gone.
+//    loop (observable for |int| > 2^53); only proven underflow/type checks
+//    are gone.
 
 RunResult Interpreter::run_fast(uint64_t max_steps) {
   RunResult out;
@@ -621,6 +658,7 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
 
   std::vector<Value>& stack = state_.stack;
   std::vector<Frame>& frames = state_.frames;
+  std::vector<HeapObject>& heap = state_.heap;
 
   uint64_t left = max_steps;  // local countdown, flushed in batches
   uint64_t fast_done = 0;     // fast instructions retired since last flush
@@ -644,15 +682,14 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
       &&op_And, &&op_Or, &&op_Not,
       &&op_I2F, &&op_F2I,
       &&op_Jmp, &&op_JmpIfFalse, &&op_Call, &&op_Ret, &&op_Halt,
-      &&op_Checked,  // kNewArray: heap ops always run checked
-      &&op_Checked,  // kALoad
-      &&op_Checked,  // kAStore
-      &&op_Checked,  // kALen
-      &&op_Checked,  // kNewBytes
+      &&op_Checked,  // kNewArray: allocation always runs checked
+      &&op_ALoad, &&op_AStore, &&op_ALen,  // guarded: bounds/kind/dangling
+      &&op_Checked,  // kNewBytes: allocation always runs checked
       &&op_Syscall,
       &&op_Checked,
       &&op_FusedIncLocal, &&op_FusedCmpBr, &&op_FusedLoadCmpBr,
       &&op_FusedLoadLoadArith, &&op_FusedLoadLoadArithSt,
+      &&op_FusedLoadLoadALoad, &&op_FusedLoadOffsetALoad,
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kXOpCount,
                 "dispatch table out of sync with XOp");
@@ -679,14 +716,6 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
     note_fast(fast_done, fused_done);   \
     fast_done = 0;                      \
     fused_done = 0;                     \
-  } while (0)
-
-#define VM_TRAP_EXIT(msg)                 \
-  do {                                    \
-    fr->pc = static_cast<uint32_t>(pc);   \
-    VM_FLUSH_STEPS();                     \
-    out = trap(msg);                      \
-    return out;                           \
   } while (0)
 
 #ifdef STARFISH_VM_CGOTO
@@ -789,44 +818,27 @@ load_frame:
     VM_NEXT();
   }
 
-  VM_OP(Add) {
-    const int64_t b = stack.back().i;
-    stack.pop_back();
-    stack.back() = Value::integer(wrap(stack.back().i + b));
-    VM_NEXT();
+// Int arithmetic: depth proven; both tags re-checked inline whether or not
+// the verifier proved them (two byte compares), plus the zero divisor for
+// div/mod. Plain block, see VM_COMPARE.
+#define VM_INT_ARITH(expr, zero_guard)                          \
+  {                                                             \
+    Value* top = &stack.back();                                 \
+    if (top[0].tag != Tag::kInt || top[-1].tag != Tag::kInt ||  \
+        (zero_guard && top[0].i == 0)) {                        \
+      goto checked_escape;                                      \
+    }                                                           \
+    const int64_t a = top[-1].i, b = top[0].i;                  \
+    top[-1] = Value::integer(expr);                             \
+    stack.pop_back();                                           \
+    VM_NEXT();                                                  \
   }
-  VM_OP(Sub) {
-    const int64_t b = stack.back().i;
-    stack.pop_back();
-    stack.back() = Value::integer(wrap(stack.back().i - b));
-    VM_NEXT();
-  }
-  VM_OP(Mul) {
-    const int64_t b = stack.back().i;
-    stack.pop_back();
-    stack.back() = Value::integer(wrap(stack.back().i * b));
-    VM_NEXT();
-  }
-  VM_OP(Div) {
-    // Both operands come off before the zero check, exactly like the
-    // checked pop2_ints path, so a trapped state is byte-identical.
-    const int64_t b = stack.back().i;
-    stack.pop_back();
-    const int64_t a = stack.back().i;
-    stack.pop_back();
-    if (b == 0) VM_TRAP_EXIT("division by zero");
-    stack.push_back(Value::integer(wrap(a / b)));
-    VM_NEXT();
-  }
-  VM_OP(Mod) {
-    const int64_t b = stack.back().i;
-    stack.pop_back();
-    const int64_t a = stack.back().i;
-    stack.pop_back();
-    if (b == 0) VM_TRAP_EXIT("modulo by zero");
-    stack.push_back(Value::integer(wrap(a % b)));
-    VM_NEXT();
-  }
+
+  VM_OP(Add) VM_INT_ARITH(wrap(a + b), false);
+  VM_OP(Sub) VM_INT_ARITH(wrap(a - b), false);
+  VM_OP(Mul) VM_INT_ARITH(wrap(a * b), false);
+  VM_OP(Div) VM_INT_ARITH(wrap(a / b), true);
+  VM_OP(Mod) VM_INT_ARITH(wrap(a % b), true);
   VM_OP(Neg) {
     Value& t = stack.back();
     if (d->aux == static_cast<uint8_t>(Tag::kInt)) {
@@ -889,18 +901,8 @@ load_frame:
   VM_OP(Gt) VM_COMPARE(>);
   VM_OP(Ge) VM_COMPARE(>=);
 
-  VM_OP(And) {
-    const int64_t b = stack.back().i;
-    stack.pop_back();
-    stack.back() = Value::integer(stack.back().i & b);  // not wrapped, as checked
-    VM_NEXT();
-  }
-  VM_OP(Or) {
-    const int64_t b = stack.back().i;
-    stack.pop_back();
-    stack.back() = Value::integer(stack.back().i | b);
-    VM_NEXT();
-  }
+  VM_OP(And) VM_INT_ARITH(a & b, false);  // not wrapped, as checked
+  VM_OP(Or) VM_INT_ARITH(a | b, false);
   VM_OP(Not) {
     Value& t = stack.back();
     t = Value::boolean(t.i == 0);
@@ -975,18 +977,45 @@ load_frame:
     return out;
   }
 
+  // Heap ops: the ref/index tags are proven, the rest is guarded.
+  VM_OP(ALoad) {
+    Value* top = &stack.back();
+    const Value* slot = array_slot(heap, top[-1].ref, top[0].i);
+    if (slot == nullptr) goto checked_escape;
+    top[-1] = *slot;
+    stack.pop_back();
+    VM_NEXT();
+  }
+  VM_OP(AStore) {
+    Value* top = &stack.back();
+    Value* slot = array_slot(heap, top[-2].ref, top[-1].i);
+    if (slot == nullptr) goto checked_escape;
+    *slot = top[0];
+    stack.resize(stack.size() - 3);
+    VM_NEXT();
+  }
+  VM_OP(ALen) {
+    Value& t = stack.back();
+    if (t.ref >= heap.size()) goto checked_escape;
+    const HeapObject& obj = heap[t.ref];
+    const size_t n = obj.kind == HeapObject::Kind::kArray ? obj.fields.size()
+                                                          : obj.bytes.size();
+    t = Value::integer(static_cast<int64_t>(n));
+    VM_NEXT();
+  }
+
 #ifndef STARFISH_VM_CGOTO
   VM_OP(NewArray)
-  VM_OP(ALoad)
-  VM_OP(AStore)
-  VM_OP(ALen)
   VM_OP(NewBytes)
 #endif
-  VM_OP(Checked) {
-    // Escape hatch: heap ops and anything the verifier could not prove run
-    // through the original fully-checked single-step. Undo the speculative
-    // fetch charge (the checked step does its own pc/step accounting), then
-    // resynchronize the cached frame pointers, which the step may move.
+  VM_OP(Checked)
+  checked_escape: {
+    // Escape hatch: allocation, anything the verifier could not prove, and
+    // every failed guard run through the original fully-checked
+    // single-step (for a fused entry, its first component). Undo the
+    // speculative fetch charge (the checked step does its own pc/step
+    // accounting), then resynchronize the cached frame pointers, which the
+    // step may move.
     pc -= d->len;
     left += d->len;
     fast_done -= d->len;
@@ -1049,6 +1078,24 @@ load_frame:
     ++fused_done;
     VM_NEXT();
   }
+  VM_OP(FusedLoadLoadALoad) {  // load_local b (Ref), load_local c (Int), aload
+    const Value* slot = array_slot(heap, locals[d->b].ref, locals[d->c].i);
+    if (slot == nullptr) goto checked_escape;
+    stack.push_back(*slot);
+    ++fused_done;
+    VM_NEXT();
+  }
+  VM_OP(FusedLoadOffsetALoad) {  // load_local b, load_local c, push_int imm,
+                                 // add|sub aux, aload
+    const int64_t i = locals[d->c].i;
+    const int64_t idx = wrap(d->aux == static_cast<uint8_t>(Op::kAdd) ? i + d->imm.i
+                                                                      : i - d->imm.i);
+    const Value* slot = array_slot(heap, locals[d->b].ref, idx);
+    if (slot == nullptr) goto checked_escape;
+    stack.push_back(*slot);
+    ++fused_done;
+    VM_NEXT();
+  }
 
 #ifndef STARFISH_VM_CGOTO
       case XOp::kCount:  // never emitted by prepare_program
@@ -1073,8 +1120,9 @@ partial_fused:
   // The budget expires inside a superinstruction (1 <= left < d->len).
   // Retire the remaining budget one ORIGINAL instruction at a time through
   // the checked step so the pause lands on exactly the same instruction and
-  // step count as the unfused interpreter. Fused components are
-  // verifier-fast loads/pushes/arith/compares, so each step continues.
+  // step count as the unfused interpreter. Every component but the last is
+  // a proven load/push/arith/compare, and the last never runs here, so each
+  // step continues.
   fr->pc = static_cast<uint32_t>(pc);
   VM_FLUSH_STEPS();
   while (left > 0) {
@@ -1089,10 +1137,10 @@ partial_fused:
 
 #undef VM_FETCH
 #undef VM_FLUSH_STEPS
-#undef VM_TRAP_EXIT
 #undef VM_OP
 #undef VM_NEXT
 #undef VM_COMPARE
+#undef VM_INT_ARITH
 }
 
 }  // namespace starfish::vm

@@ -10,11 +10,13 @@
 // Execution engine (DESIGN.md section 12): programs the verifier can
 // analyze run on a direct-threaded fast loop (computed goto where the
 // compiler supports it, a portable switch otherwise) over prepared code
-// with proven underflow/type checks elided and hot idioms fused into
-// superinstructions. Anything unproven — and any program that fails
-// analysis outright — executes through the original fully-checked
-// single-step, so observable behavior (state, traps, step counts,
-// checkpoint images) is bit-identical across all dispatch configurations.
+// with proven underflow/type checks elided, data-dependent checks (heap
+// bounds, tags of loaded values) done inline in front of an escape, and hot
+// idioms fused into superinstructions. Anything unproven — and any program
+// that fails analysis outright — executes through the original
+// fully-checked single-step, so observable behavior (state, traps, step
+// counts, checkpoint images) is bit-identical across all dispatch
+// configurations.
 #pragma once
 
 #include <string>
@@ -89,8 +91,8 @@ class Interpreter {
   VmState& mutable_state() { return state_; }
   /// Installs a restored state; arithmetic continues under this
   /// interpreter's machine (which may differ from the saving machine).
-  /// The state is vetted against the verifier's depth facts before the
-  /// fast loop will touch it; anything inconsistent (corrupt or
+  /// The state is vetted against the verifier's depth and tag facts before
+  /// the fast loop will touch it; anything inconsistent (corrupt or
   /// hand-crafted images) runs on the checked loop, which re-validates
   /// everything per instruction.
   void set_state(VmState s);
@@ -156,7 +158,6 @@ class Interpreter {
   Dispatch dispatch_ = Dispatch::kChecked;
   bool state_fast_ok_ = true;
   unsigned wrap_shift_ = 0;
-  ProgramFacts facts_;
   PreparedProgram prepared_;
   std::string host_trap_;
   ExecStats stats_;

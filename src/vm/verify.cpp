@@ -149,12 +149,11 @@ util::Status validate(const Program& program) {
 // depth tracked *exactly* (relative to function entry). The lattice per
 // slot is Tag < Unknown, so the fixpoint is reached after at most one
 // widening per slot. Everything here errs toward "keep the runtime check":
-// an instruction is marked fast only when the facts prove the checked
-// implementation could not trap on its stack depth or operand tags.
+// an instruction is marked proven only when the facts prove the checked
+// implementation could not trap on its stack depth or operand tags, and
+// guarded only when its fast body re-checks everything the facts leave open.
 
 namespace {
-
-constexpr uint8_t kTagUnknown = 0xff;
 
 inline uint8_t tag_of(Tag t) { return static_cast<uint8_t>(t); }
 inline bool is_known(uint8_t t) { return t != kTagUnknown; }
@@ -162,14 +161,18 @@ inline bool may_be(uint8_t t, Tag want) {
   return t == kTagUnknown || t == tag_of(want);
 }
 
-struct AbsState {
-  std::vector<uint8_t> stack;
-  std::vector<uint8_t> locals;
-};
+/// Facts of a function nothing could be proven about: every pc checked.
+FunctionFacts unanalyzed(size_t n) {
+  FunctionFacts facts;
+  facts.fast.assign(n, kFactChecked);
+  facts.operand_tag.assign(n, 0);
+  facts.depth.assign(n, -1);
+  return facts;
+}
 
 /// Joins src into dst; depths must agree (the depth is exact, not a range).
 /// Returns false on a depth mismatch; sets `changed` if dst widened.
-bool join_into(AbsState& dst, const AbsState& src, bool& changed) {
+bool join_into(SlotTags& dst, const SlotTags& src, bool& changed) {
   if (dst.stack.size() != src.stack.size()) return false;
   for (size_t i = 0; i < dst.stack.size(); ++i) {
     if (dst.stack[i] != src.stack[i] && dst.stack[i] != kTagUnknown) {
@@ -219,17 +222,14 @@ SyscallEffect syscall_effect(int64_t id) {
 FunctionFacts analyze_function(const Program& prog, const Function& fn,
                                std::vector<uint32_t>& call_targets) {
   const size_t n = fn.code.size();
-  FunctionFacts facts;
-  facts.fast.assign(n, 0);
-  facts.operand_tag.assign(n, 0);
-  facts.depth.assign(n, -1);
+  FunctionFacts facts = unanalyzed(n);
   if (n == 0) {
     facts.analyzed = true;  // nothing to prove; first fetch traps pc-oob
     return facts;
   }
 
-  std::vector<std::optional<AbsState>> in(n);
-  AbsState entry;
+  std::vector<std::optional<SlotTags>> in(n);
+  SlotTags entry;
   entry.locals.assign(fn.n_locals, tag_of(Tag::kUnit));
   for (uint32_t a = 0; a < fn.n_args && a < fn.n_locals; ++a) {
     entry.locals[a] = kTagUnknown;  // caller-provided, any tag
@@ -252,13 +252,14 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
     const size_t pc = work.back();
     work.pop_back();
     queued[pc] = 0;
-    AbsState st = *in[pc];
+    SlotTags st = *in[pc];
     const Instr& instr = fn.code[pc];
 
     facts.depth[pc] = static_cast<int32_t>(st.stack.size());
     facts.max_stack = std::max<uint32_t>(facts.max_stack,
                                          static_cast<uint32_t>(st.stack.size()));
-    bool fast = false;
+    bool fast = false;     // kFactProven
+    bool guarded = false;  // kFactGuarded (when not fast)
     uint8_t operand_tag = 0;
     bool flows_next = false;   // falls through to pc+1
     int64_t extra_succ = -1;   // branch target, when taken
@@ -365,9 +366,11 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
           definite_trap = true;
           break;
         }
-        // Div/mod stay guarded against a zero divisor even on the fast
-        // path; only the underflow/type checks are elided.
+        // Div/mod keep their zero-divisor guard on the fast path. Operands
+        // of unproven tag (a heap load, a received value) still run fast:
+        // the body checks both tags before it pops.
         fast = is_known(a) && is_known(b);
+        guarded = true;
         push(tag_of(Tag::kInt));
         flows_next = true;
         break;
@@ -492,8 +495,14 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
       }
       case Op::kRet:
         // A ret at relative depth 0 pops (or not) depending on the caller's
-        // absolute stack — unprovable from here.
+        // absolute stack — unprovable from here. Above depth 1 the values
+        // under the result stay on the caller's stack, where the caller's
+        // facts (one result per call) would mistype every slot below it.
         if (!need(1)) break;
+        if (st.stack.size() != 1) {
+          failed = true;
+          break;
+        }
         fast = true;
         break;
       case Op::kHalt:
@@ -508,8 +517,8 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
           definite_trap = true;
           break;
         }
-        // Heap ops keep their dynamic checks (length sign, bounds, kind);
-        // the fast loop runs them through the checked step.
+        // Allocation (length sign, heap growth) always runs through the
+        // checked step.
         push(tag_of(Tag::kRef));
         flows_next = true;
         break;
@@ -521,6 +530,9 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
           definite_trap = true;
           break;
         }
+        // With both tags proven the fast body guards the rest: dangling
+        // ref, array kind, bounds.
+        guarded = is_known(ref) && is_known(idx);
         push(kTagUnknown);
         flows_next = true;
         break;
@@ -533,6 +545,7 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
           definite_trap = true;
           break;
         }
+        guarded = is_known(ref) && is_known(idx);
         flows_next = true;
         break;
       }
@@ -543,6 +556,7 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
           definite_trap = true;
           break;
         }
+        guarded = is_known(ref);  // dangling ref guarded in the fast body
         push(tag_of(Tag::kInt));
         flows_next = true;
         break;
@@ -563,13 +577,13 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
     }
 
     if (failed) break;
-    facts.fast[pc] = fast ? 1 : 0;
+    facts.fast[pc] = fast ? kFactProven : guarded ? kFactGuarded : kFactChecked;
     facts.operand_tag[pc] = operand_tag;
     facts.max_stack = std::max<uint32_t>(facts.max_stack,
                                          static_cast<uint32_t>(st.stack.size()));
     if (definite_trap) continue;  // no successors: flow dies here
 
-    auto propagate = [&](size_t succ, const AbsState& out) {
+    auto propagate = [&](size_t succ, const SlotTags& out) {
       if (!in[succ]) {
         in[succ] = out;
         enqueue(succ);
@@ -587,12 +601,10 @@ FunctionFacts analyze_function(const Program& prog, const Function& fn,
     // flows_next with pc+1 == n: the next fetch traps pc-out-of-range.
   }
 
-  if (failed) {
-    facts = FunctionFacts{};
-    facts.fast.assign(n, 0);
-    facts.operand_tag.assign(n, 0);
-    facts.depth.assign(n, -1);
-    return facts;
+  if (failed) return unanalyzed(n);
+  facts.tags.resize(n);
+  for (size_t pc = 0; pc < n; ++pc) {
+    if (in[pc]) facts.tags[pc] = std::move(*in[pc]);
   }
   facts.analyzed = true;
   return facts;
@@ -621,11 +633,7 @@ ProgramFacts analyze(const Program& program) {
       if (!out.functions[i].analyzed) continue;
       for (uint32_t callee : calls[i]) {
         if (!out.functions[callee].analyzed) {
-          FunctionFacts demoted;
-          demoted.fast.assign(out.functions[i].fast.size(), 0);
-          demoted.operand_tag.assign(out.functions[i].fast.size(), 0);
-          demoted.depth.assign(out.functions[i].fast.size(), -1);
-          out.functions[i] = std::move(demoted);
+          out.functions[i] = unanalyzed(out.functions[i].fast.size());
           changed = true;
           break;
         }

@@ -5,10 +5,10 @@
 // boundaries, and byte-identical portable checkpoint images at every pause.
 //
 // Random programs are generated from seeded fragments (verifier-friendly
-// loops, arithmetic, calls) mixed with raw random instructions (programs
-// that trap or defeat analysis), then driven through all three dispatch
-// configurations in lockstep under an identical slice schedule, with the
-// host servicing syscalls identically.
+// loops, arithmetic, array traffic, calls) mixed with raw random
+// instructions (programs that trap or defeat analysis), then driven through
+// all three dispatch configurations in lockstep under an identical slice
+// schedule, with the host servicing syscalls identically.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -41,12 +41,73 @@ void emit(std::vector<Instr>& code, Op op, int64_t imm_i = 0, double imm_f = 0.0
   code.push_back(in);
 }
 
+/// Array fragment: local `arr` holds a fresh array for the fragment's
+/// duration (an Int again at its end, so later fragments keep their facts);
+/// the next local is the index.
+void emit_array_fragment(Rng& rng, std::vector<Instr>& code, uint32_t n_locals,
+                         int64_t arr) {
+  const int64_t idx = (arr + 1) % n_locals;
+  const int64_t len = rnd_int(rng, 2, 6);
+  emit(code, Op::kPushInt, len);
+  emit(code, Op::kNewArray);
+  emit(code, Op::kStoreLocal, arr);
+  emit(code, Op::kPushInt, rnd_int(rng, -1, len));  // out of range at the ends
+  emit(code, Op::kStoreLocal, idx);
+  // a[i] = v and a[i + 1] = v'
+  emit(code, Op::kLoadLocal, arr);
+  emit(code, Op::kLoadLocal, idx);
+  emit(code, Op::kPushInt, rnd_int(rng, -50, 50));
+  emit(code, Op::kAStore);
+  emit(code, Op::kLoadLocal, arr);
+  emit(code, Op::kLoadLocal, idx);
+  emit(code, Op::kPushInt, 1);
+  emit(code, Op::kAdd);
+  emit(code, Op::kPushInt, rnd_int(rng, -50, 50));
+  emit(code, Op::kAStore);
+  switch (rnd_int(rng, 0, 2)) {
+    case 0:  // fused: a[i] <arith> a[i +- c], stored into the index local
+      emit(code, Op::kLoadLocal, arr);
+      emit(code, Op::kLoadLocal, idx);
+      emit(code, Op::kALoad);
+      emit(code, Op::kLoadLocal, arr);
+      emit(code, Op::kLoadLocal, idx);
+      emit(code, Op::kPushInt, rnd_int(rng, 0, 1));
+      emit(code, rnd_int(rng, 0, 1) ? Op::kAdd : Op::kSub);
+      emit(code, Op::kALoad);
+      emit(code, static_cast<Op>(rnd_int(rng, static_cast<int64_t>(Op::kAdd),
+                                         static_cast<int64_t>(Op::kMod))));
+      emit(code, Op::kStoreLocal, idx);
+      break;
+    case 1:  // unfused: constant index off the stack, then alen
+      emit(code, Op::kLoadLocal, arr);
+      emit(code, Op::kPushInt, rnd_int(rng, -1, len));
+      emit(code, Op::kALoad);
+      emit(code, Op::kLoadLocal, arr);
+      emit(code, Op::kALen);
+      emit(code, Op::kMul);
+      emit(code, Op::kPop);
+      break;
+    default:  // read-modify-write: a[i] = a[i] * 3
+      emit(code, Op::kLoadLocal, arr);
+      emit(code, Op::kLoadLocal, idx);
+      emit(code, Op::kLoadLocal, arr);
+      emit(code, Op::kLoadLocal, idx);
+      emit(code, Op::kALoad);
+      emit(code, Op::kPushInt, 3);
+      emit(code, Op::kMul);
+      emit(code, Op::kAStore);
+      break;
+  }
+  emit(code, Op::kPushInt, 0);
+  emit(code, Op::kStoreLocal, arr);
+}
+
 /// Appends one well-formed fragment (keeps the abstract stack balanced and
 /// local/jump operands valid) so generated programs execute long enough to
 /// exercise the fast loop and its fusion patterns.
 void emit_fragment(Rng& rng, std::vector<Instr>& code, uint32_t n_locals,
                    size_t n_functions) {
-  const int64_t kind = rnd_int(rng, 0, 7);
+  const int64_t kind = rnd_int(rng, 0, 8);
   const int64_t l0 = rnd_int(rng, 0, n_locals - 1);
   const int64_t l1 = rnd_int(rng, 0, n_locals - 1);
   switch (kind) {
@@ -95,7 +156,7 @@ void emit_fragment(Rng& rng, std::vector<Instr>& code, uint32_t n_locals,
                                          static_cast<int64_t>(Op::kFDiv))));
       emit(code, Op::kPop);
       break;
-    case 5:  // heap traffic (always takes the checked escape)
+    case 5:  // heap traffic off the stack (new_array checked, astore/alen guarded)
       emit(code, Op::kPushInt, rnd_int(rng, 1, 4));
       emit(code, Op::kNewArray);
       emit(code, Op::kDup);
@@ -125,6 +186,11 @@ void emit_fragment(Rng& rng, std::vector<Instr>& code, uint32_t n_locals,
           emit(code, Op::kPop);
           break;
       }
+      break;
+    case 8:  // array in a local: fused and unfused indexed loads, astore
+             // through locals, arithmetic on loaded cells; indices may be
+             // out of range and cells may be unset (unit), so some trap
+      emit_array_fragment(rng, code, n_locals, l0);
       break;
     default:  // call a random function (recursion is budget-bounded)
       if (n_functions > 1) {
@@ -300,6 +366,36 @@ TEST(VmDifferential, UnfusedMatchesCheckedOnRandomPrograms) {
   }
 }
 
+/// Runs `src` under all three dispatch configurations in lockstep at every
+/// slice length 1..11, comparing the portable image at each pause, and
+/// checks the final top of stack against `want`.
+void expect_identical_images_at_every_slice(const char* src, const Value& want) {
+  auto assembled = assemble(src);
+  ASSERT_TRUE(assembled.ok());
+  const Program prog = assembled.value();
+  for (uint64_t slice = 1; slice <= 11; ++slice) {
+    Interpreter checked(prog, kM32, Interpreter::Dispatch::kChecked);
+    Interpreter fast(prog, kM32, Interpreter::Dispatch::kFast);
+    Interpreter nofuse(prog, kM32, Interpreter::Dispatch::kFastNoFuse);
+    checked.start();
+    fast.start();
+    nofuse.start();
+    for (;;) {
+      RunResult rc = checked.run(slice);
+      RunResult rf = fast.run(slice);
+      RunResult rn = nofuse.run(slice);
+      ASSERT_EQ(static_cast<int>(rc.status), static_cast<int>(rf.status));
+      ASSERT_EQ(static_cast<int>(rc.status), static_cast<int>(rn.status));
+      const util::Bytes img = image_of(checked, kM32);
+      ASSERT_EQ(img, image_of(fast, kM32)) << "slice " << slice;
+      ASSERT_EQ(img, image_of(nofuse, kM32)) << "slice " << slice;
+      if (rc.status == RunStatus::kHalted) break;
+      ASSERT_EQ(rc.status, RunStatus::kRunning);
+    }
+    EXPECT_EQ(checked.state().stack.back(), want);
+  }
+}
+
 TEST(VmDifferential, MidLoopCheckpointImagesAreByteIdentical) {
   // The acceptance pin: cut portable images inside a hot (fused) loop at
   // awkward slice boundaries — including budgets that expire in the middle
@@ -328,30 +424,91 @@ done:
   load_local 0
   halt
 )";
-  auto assembled = assemble(src);
-  ASSERT_TRUE(assembled.ok());
-  const Program prog = assembled.value();
-  for (uint64_t slice = 1; slice <= 11; ++slice) {
-    Interpreter checked(prog, kM32, Interpreter::Dispatch::kChecked);
-    Interpreter fast(prog, kM32, Interpreter::Dispatch::kFast);
-    Interpreter nofuse(prog, kM32, Interpreter::Dispatch::kFastNoFuse);
-    checked.start();
-    fast.start();
-    nofuse.start();
-    for (;;) {
-      RunResult rc = checked.run(slice);
-      RunResult rf = fast.run(slice);
-      RunResult rn = nofuse.run(slice);
-      ASSERT_EQ(static_cast<int>(rc.status), static_cast<int>(rf.status));
-      ASSERT_EQ(static_cast<int>(rc.status), static_cast<int>(rn.status));
-      const util::Bytes img = image_of(checked, kM32);
-      ASSERT_EQ(img, image_of(fast, kM32)) << "slice " << slice;
-      ASSERT_EQ(img, image_of(nofuse, kM32)) << "slice " << slice;
-      if (rc.status == RunStatus::kHalted) break;
-      ASSERT_EQ(rc.status, RunStatus::kRunning);
-    }
-    EXPECT_EQ(checked.state().stack.back(), Value::integer(20100));  // sum 1..200
-  }
+  expect_identical_images_at_every_slice(src, Value::integer(20100));  // sum 1..200
+}
+
+TEST(VmDifferential, MidLoopStencilImagesAreByteIdentical) {
+  // The stencil sweep a[i] = (a[i-1] + a[i] + a[i+1]) mod P: budgets expire
+  // inside the 3- and 5-instruction array superinstructions and right
+  // before the guarded arithmetic and astore.
+  const char* src = R"(
+func main 0 3
+  push_int 24
+  new_array
+  store_local 0
+  push_int 0
+  store_local 1
+fill:
+  load_local 1
+  push_int 24
+  lt
+  jmp_if_false filled
+  load_local 0
+  load_local 1
+  load_local 1
+  push_int 13
+  mul
+  push_int 97
+  mod
+  astore
+  load_local 1
+  push_int 1
+  add
+  store_local 1
+  jmp fill
+filled:
+  push_int 3
+  store_local 2
+step:
+  push_int 1
+  store_local 1
+sweep:
+  load_local 1
+  push_int 23
+  lt
+  jmp_if_false swept
+  load_local 0
+  load_local 1
+  load_local 0
+  load_local 1
+  push_int 1
+  sub
+  aload
+  load_local 0
+  load_local 1
+  aload
+  add
+  load_local 0
+  load_local 1
+  push_int 1
+  add
+  aload
+  add
+  push_int 97
+  mod
+  astore
+  load_local 1
+  push_int 1
+  add
+  store_local 1
+  jmp sweep
+swept:
+  load_local 2
+  push_int 1
+  sub
+  store_local 2
+  load_local 2
+  push_int 0
+  gt
+  jmp_if_false done
+  jmp step
+done:
+  load_local 0
+  push_int 11
+  aload
+  halt
+)";
+  expect_identical_images_at_every_slice(src, Value::integer(24));
 }
 
 TEST(VmDifferential, RestoredImageResumesIdenticallyOnBothDispatchers) {

@@ -855,6 +855,430 @@ TEST(Interp, RestoredStateFailingDepthVettingFallsBackToChecked) {
   EXPECT_EQ(c.state().stack.back(), Value::integer(3));
 }
 
+/// Runs `p` to its first syscall, completes it, and returns the state
+/// parked on the instruction after it.
+VmState state_after_first_syscall(const Program& p) {
+  Interpreter a(p, kM32);
+  a.start();
+  EXPECT_EQ(a.run().status, RunStatus::kSyscall);
+  a.complete_syscall();
+  return a.state();
+}
+
+/// Installs `s` into each dispatcher and runs it to the end: restore
+/// vetting must reject the state for the fast loop, and every dispatcher
+/// must trap with `want`.
+void expect_vetting_rejects(const Program& p, const VmState& s, const std::string& want) {
+  for (auto mode : {Interpreter::Dispatch::kFast, Interpreter::Dispatch::kFastNoFuse,
+                    Interpreter::Dispatch::kChecked}) {
+    Interpreter b(p, kM32, mode);
+    b.set_state(s);
+    EXPECT_FALSE(b.fast_dispatch()) << "mode " << static_cast<int>(mode);
+    auto r = b.run();
+    EXPECT_EQ(r.status, RunStatus::kTrap) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(r.trap, want) << "mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(Interp, RestoredStateWithMistypedLocalFallsBackToChecked) {
+  // The depths match the facts, but local 0 — proven Int at the resume pc
+  // — now holds a float: the fast loop must not trust the elided tag check.
+  Program p = must_assemble(R"(
+func main 0 1
+  push_int 5
+  store_local 0
+  syscall barrier
+  load_local 0
+  push_int 1
+  add
+  halt
+)");
+  VmState s = state_after_first_syscall(p);
+  {
+    Interpreter good(p, kM32);
+    good.set_state(s);
+    EXPECT_TRUE(good.fast_dispatch());
+  }
+  s.frames[0].locals[0] = Value::real(2.5);
+  expect_vetting_rejects(p, s, "type error: expected two ints");
+}
+
+TEST(Interp, RestoredStateWithMistypedRefLocalFallsBackToChecked) {
+  // Local 0 is proven Ref in front of a fused array load; the restored state
+  // turns it into an Int whose stale ref field still names the live array,
+  // so only the tag tells the two apart.
+  Program p = must_assemble(R"(
+func main 0 2
+  push_int 4
+  new_array
+  store_local 0
+  push_int 2
+  store_local 1
+  syscall barrier
+  load_local 0
+  load_local 1
+  aload
+  halt
+)");
+  VmState s = state_after_first_syscall(p);
+  Value bogus = Value::integer(0);
+  bogus.ref = s.frames[0].locals[0].ref;
+  s.frames[0].locals[0] = bogus;
+  expect_vetting_rejects(p, s, "aload: bad operands");
+}
+
+TEST(Interp, RestoredCallerFrameIsVettedBelowTheCalleeResult) {
+  // main is parked after `call helper` with one value of its own below the
+  // pending result: its proven Int must be checked, the result slot not.
+  Program p = must_assemble(R"(
+func main 0 0
+  push_int 40
+  call helper
+  add
+  halt
+func helper 0 0
+  syscall barrier
+  push_int 2
+  ret
+)");
+  Interpreter a(p, kM32);
+  a.start();
+  ASSERT_EQ(a.run().status, RunStatus::kSyscall);
+  VmState s = a.state();
+  {
+    Interpreter b(p, kM32);
+    b.set_state(s);
+    EXPECT_TRUE(b.fast_dispatch());
+    ASSERT_EQ(b.run().status, RunStatus::kSyscall);
+    b.complete_syscall();
+    ASSERT_EQ(b.run().status, RunStatus::kHalted);
+    EXPECT_EQ(b.state().stack.back(), Value::integer(42));
+  }
+  s.stack[0] = Value::boolean(true);
+  Interpreter c(p, kM32);
+  c.set_state(s);
+  EXPECT_FALSE(c.fast_dispatch());
+  // A caller frame not parked right after a call is rejected too.
+  s = a.state();
+  s.frames[0].pc = 1;
+  c.set_state(s);
+  EXPECT_FALSE(c.fast_dispatch());
+}
+
+TEST(Verifier, RetLeavingValuesBehindForfeitsFacts) {
+  // helper returns with an extra Int under its result, which stays on
+  // main's stack where main's facts expect the Bool it pushed: trusting
+  // them would take the branch instead of trapping.
+  Program p = must_assemble(R"(
+func main 0 0
+  push_bool 1
+  call helper
+  pop
+  jmp_if_false out
+out:
+  halt
+func helper 0 0
+  push_int 0
+  push_int 7
+  ret
+)");
+  ProgramFacts facts = analyze(p);
+  EXPECT_FALSE(facts.functions[1].analyzed);
+  EXPECT_FALSE(facts.functions[0].analyzed);
+  for (auto mode : {Interpreter::Dispatch::kFast, Interpreter::Dispatch::kChecked}) {
+    Interpreter interp(p, kM32, mode);
+    interp.start();
+    auto r = interp.run();
+    EXPECT_EQ(r.status, RunStatus::kTrap);
+    EXPECT_EQ(r.trap, "jmp_if_false on non-bool");
+  }
+}
+
+struct HeapGuardCase {
+  const char* name;
+  const char* src;
+  const char* trap;
+};
+
+TEST(Interp, HeapGuardTrapsIdenticalAcrossDispatchers) {
+  // Each failing guard in a fast heap op (or in int arithmetic on a loaded
+  // cell) must escape before mutating anything, so the checked step
+  // reproduces the trap, the stack and the step count exactly.
+  const HeapGuardCase cases[] = {
+      {"aload out of bounds", R"(
+func main 0 0
+  push_int 3
+  new_array
+  push_int 3
+  aload
+  halt
+)", "aload: index out of bounds"},
+      {"astore out of bounds", R"(
+func main 0 1
+  push_int 3
+  new_array
+  store_local 0
+  load_local 0
+  push_int 9
+  push_int 1
+  astore
+  halt
+)", "astore: index out of bounds"},
+      {"aload negative index", R"(
+func main 0 0
+  push_int 3
+  new_array
+  push_int -1
+  aload
+  halt
+)", "aload: index out of bounds"},
+      {"astore negative index", R"(
+func main 0 0
+  push_int 3
+  new_array
+  push_int -2
+  push_int 5
+  astore
+  halt
+)", "astore: index out of bounds"},
+      {"fused aload out of bounds", R"(
+func main 0 2
+  push_int 3
+  new_array
+  store_local 0
+  push_int 3
+  store_local 1
+  push_int 7
+  load_local 0
+  load_local 1
+  aload
+  halt
+)", "aload: index out of bounds"},
+      {"fused offset aload negative index", R"(
+func main 0 2
+  push_int 3
+  new_array
+  store_local 0
+  push_int 0
+  store_local 1
+  push_int 7
+  load_local 0
+  load_local 1
+  push_int 1
+  sub
+  aload
+  halt
+)", "aload: index out of bounds"},
+      {"aload on a byte object", R"(
+func main 0 0
+  push_int 4
+  new_bytes
+  push_int 0
+  aload
+  halt
+)", "aload: not an array"},
+      {"fused aload on a byte object", R"(
+func main 0 2
+  push_int 4
+  new_bytes
+  store_local 0
+  push_int 1
+  store_local 1
+  load_local 0
+  load_local 1
+  aload
+  halt
+)", "aload: not an array"},
+      {"astore on a byte object", R"(
+func main 0 0
+  push_int 4
+  new_bytes
+  push_int 0
+  push_int 1
+  astore
+  halt
+)", "astore: not an array"},
+      {"add on a never-stored cell", R"(
+func main 0 2
+  push_int 2
+  new_array
+  store_local 0
+  push_int 1
+  store_local 1
+  push_int 5
+  load_local 0
+  load_local 1
+  aload
+  add
+  halt
+)", "type error: expected two ints"},
+      {"increment of a never-stored cell held in a local", R"(
+func main 0 1
+  push_int 2
+  new_array
+  push_int 1
+  aload
+  store_local 0
+  load_local 0
+  push_int 1
+  add
+  store_local 0
+  halt
+)", "type error: expected two ints"},
+      {"mod by a loaded zero", R"(
+func main 0 1
+  push_int 2
+  new_array
+  store_local 0
+  load_local 0
+  push_int 0
+  push_int 0
+  astore
+  push_int 5
+  load_local 0
+  push_int 0
+  aload
+  mod
+  halt
+)", "modulo by zero"},
+  };
+  for (const HeapGuardCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Program p = must_assemble(c.src);
+    Interpreter fast(p, kM32, Interpreter::Dispatch::kFast);
+    Interpreter nofuse(p, kM32, Interpreter::Dispatch::kFastNoFuse);
+    Interpreter checked(p, kM32, Interpreter::Dispatch::kChecked);
+    ASSERT_TRUE(fast.fast_dispatch());
+    RunResult results[3];
+    Interpreter* interps[3] = {&fast, &nofuse, &checked};
+    for (int k = 0; k < 3; ++k) {
+      interps[k]->start();
+      results[k] = interps[k]->run();
+    }
+    EXPECT_EQ(results[2].status, RunStatus::kTrap);
+    EXPECT_EQ(results[2].trap, c.trap);
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_EQ(results[k].status, results[2].status) << "dispatcher " << k;
+      EXPECT_EQ(results[k].trap, results[2].trap) << "dispatcher " << k;
+      EXPECT_EQ(interps[k]->state().steps_executed, checked.state().steps_executed)
+          << "dispatcher " << k;
+      EXPECT_EQ(interps[k]->state().stack, checked.state().stack) << "dispatcher " << k;
+      EXPECT_EQ(interps[k]->state().heap, checked.state().heap) << "dispatcher " << k;
+    }
+  }
+}
+
+TEST(Interp, RestoredByteObjectWithStrayFieldsIsNotReadAsArray) {
+  // Restore vetting checks tags, not heap objects: a byte object carrying
+  // array fields in a restored image must still fail the fast aload's kind
+  // guard rather than expose the fields.
+  Program p = must_assemble(R"(
+func main 0 1
+  push_int 4
+  new_bytes
+  store_local 0
+  syscall barrier
+  load_local 0
+  push_int 0
+  aload
+  halt
+)");
+  VmState s = state_after_first_syscall(p);
+  s.heap[0].fields.push_back(Value::integer(9));
+  for (auto mode : {Interpreter::Dispatch::kFast, Interpreter::Dispatch::kChecked}) {
+    Interpreter b(p, kM32, mode);
+    b.set_state(s);
+    EXPECT_EQ(b.fast_dispatch(), mode == Interpreter::Dispatch::kFast);
+    auto r = b.run();
+    EXPECT_EQ(r.status, RunStatus::kTrap);
+    EXPECT_EQ(r.trap, "aload: not an array");
+  }
+}
+
+TEST(Interp, StencilSweepRunsCheckedOnlyForAllocation) {
+  // The stencil's inner loop — fused array loads, int arithmetic on loaded
+  // cells, astore through locals — stays on the fast loop end to end; only
+  // the one new_array takes the checked step.
+  Program p = must_assemble(R"(
+func main 0 4
+  push_int 64
+  new_array
+  store_local 0
+  push_int 0
+  store_local 1
+fill:
+  load_local 1
+  push_int 64
+  lt
+  jmp_if_false filled
+  load_local 0
+  load_local 1
+  load_local 1
+  push_int 7
+  mul
+  push_int 101
+  mod
+  astore
+  load_local 1
+  push_int 1
+  add
+  store_local 1
+  jmp fill
+filled:
+  push_int 1
+  store_local 1
+sweep:
+  load_local 1
+  push_int 63
+  lt
+  jmp_if_false swept
+  load_local 0
+  load_local 1
+  load_local 0
+  load_local 1
+  push_int 1
+  sub
+  aload
+  load_local 0
+  load_local 1
+  aload
+  add
+  load_local 0
+  load_local 1
+  push_int 1
+  add
+  aload
+  add
+  push_int 101
+  mod
+  astore
+  load_local 1
+  push_int 1
+  add
+  store_local 1
+  jmp sweep
+swept:
+  load_local 0
+  alen
+  load_local 0
+  push_int 62
+  aload
+  add
+  halt
+)");
+  Interpreter fast(p, kM64);
+  Interpreter checked(p, kM64, Interpreter::Dispatch::kChecked);
+  fast.start();
+  checked.start();
+  ASSERT_EQ(fast.run().status, RunStatus::kHalted);
+  ASSERT_EQ(checked.run().status, RunStatus::kHalted);
+  EXPECT_EQ(fast.state(), checked.state());
+  const auto& stats = fast.exec_stats();
+  EXPECT_EQ(stats.checked_instrs, 1u);  // the new_array
+  EXPECT_EQ(stats.fast_instrs + stats.checked_instrs, fast.state().steps_executed);
+  EXPECT_GT(stats.fused_hits, 2u * 61u);  // both array idioms, every sweep step
+}
+
 TEST(Disassemble, RendersSyscallsAndCallsByName) {
   Program p = must_assemble(R"(
 func main 0 0
