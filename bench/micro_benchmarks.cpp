@@ -5,12 +5,17 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "ckpt/image.hpp"
 #include "ckpt/incremental.hpp"
+#include "gcs/endpoint.hpp"
 #include "gcs/wire.hpp"
 #include "mpi/datatype.hpp"
 #include "mpi/frame.hpp"
+#include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "util/buffer.hpp"
@@ -507,6 +512,44 @@ void BM_GcsWireRoundtrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GcsWireRoundtrip);
+
+// The flat control plane at cluster scale: a founding group whose members
+// heartbeat all-to-all while one member multicasts every 5 ms — the shape
+// of ring64_control's daemon group. One iteration advances one virtual
+// second of an already warm group. A fault-free group delivers every beat,
+// so the `heartbeats` counter (per iteration) is n(n-1) beats per period;
+// host time per heartbeat is real_time / heartbeats.
+void BM_GcsFlatGroup(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  sim::Engine eng(/*seed=*/1);
+  net::Network net(eng);
+  gcs::GroupConfig config;
+  config.topology = gcs::Topology::kFlat;
+  std::vector<net::NetAddr> founders;
+  for (size_t i = 0; i < n; ++i) {
+    founders.push_back({net.add_host("node" + std::to_string(i))->id(), config.control_port});
+  }
+  std::vector<std::unique_ptr<gcs::GroupEndpoint>> eps;
+  for (size_t i = 0; i < n; ++i) {
+    eps.push_back(std::make_unique<gcs::GroupEndpoint>(
+        net, *net.host(static_cast<sim::HostId>(i)), config, gcs::Callbacks{}));
+  }
+  for (auto& ep : eps) ep->start_founding(founders);
+  gcs::GroupEndpoint* sender = eps[1].get();  // not the sequencer: ORDER_REQ hop included
+  net.host(1)->spawn("sender", [sender, &eng] {
+    for (;;) {
+      eng.sleep(sim::milliseconds(5));
+      sender->multicast(util::Bytes(64, std::byte{0x5a}));
+    }
+  });
+  eng.run_for(sim::seconds(1));  // warm-up: first beats, log at steady state
+  for (auto _ : state) eng.run_for(sim::seconds(1));
+  const double beats = static_cast<double>(n * (n - 1)) *
+                       static_cast<double>(sim::seconds(1) / config.heartbeat_period);
+  state.counters["heartbeats"] = beats;
+  state.SetItemsProcessed(static_cast<int64_t>(static_cast<double>(state.iterations()) * beats));
+}
+BENCHMARK(BM_GcsFlatGroup)->Arg(16)->Arg(64);
 
 // --- SIMD data-plane kernels: dispatched vs forced-scalar ----------------
 //

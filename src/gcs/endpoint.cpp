@@ -145,7 +145,7 @@ void GroupEndpoint::leave() {
   }
   WireMsg msg = base_msg(MsgKind::kLeaveReq);
   msg.view_id = view_.view_id;  // lets the coordinator discard stale copies
-  send_to_member(view_.coordinator(), msg);
+  send_to_member(view_.coordinator(), msg.encode());
   // tick_loop() re-sends every beat until the view without us installs, so
   // a LEAVE_REQ lost on the wire cannot wedge the departure forever.
 }
@@ -158,7 +158,7 @@ void GroupEndpoint::multicast(util::Bytes payload) {
     WireMsg msg = base_msg(MsgKind::kOrderReq);
     msg.msg_id = id;
     msg.payload = std::move(payload);
-    send_to_member(view_.coordinator(), msg);
+    send_to_member(view_.coordinator(), msg.encode());
   }
   // Otherwise held; resend_pending() submits it after the next install.
 }
@@ -171,6 +171,8 @@ void GroupEndpoint::rx_loop() {
     if (!r.ok()) return;  // endpoint closed: shutdown or host crash
     auto decoded = WireMsg::decode(r.value->payload);
     if (!decoded.ok()) {
+      obs_refresh();
+      if (obs_decode_errors_ != nullptr) obs_decode_errors_->add(1);
       STARFISH_LOG(kWarn, kLog) << self_.to_string()
                                 << " dropping undecodable control message: "
                                 << decoded.error().to_string();
@@ -188,9 +190,9 @@ void GroupEndpoint::tick_loop() {
 
     if (!in_view_) {
       if (!join_seeds_.empty() && !leaving_) {
-        WireMsg msg = base_msg(MsgKind::kJoinReq);
+        const util::SharedBytes req = base_msg(MsgKind::kJoinReq).encode();
         for (const auto& seed : join_seeds_) {
-          if (seed != addr()) send_to(seed, msg);
+          if (seed != addr()) send_to(seed, req);
         }
       }
       continue;
@@ -198,17 +200,19 @@ void GroupEndpoint::tick_loop() {
 
     // Heartbeats advertising our view and delivery progress so peers can
     // garbage-collect stable messages (and so laggards notice a view they
-    // missed). Flat: all-to-all. Tree: one aggregated summary up to the
-    // nearest live ancestor plus the full table down to each child, so the
-    // coordinator sees O(k) streams instead of O(n).
+    // missed). Flat: all-to-all, one encoding shared by every peer. Tree:
+    // one aggregated summary up to the nearest live ancestor plus the full
+    // table down to each child, so the coordinator sees O(k) streams
+    // instead of O(n).
     WireMsg hb = base_msg(MsgKind::kHeartbeat);
     hb.view_id = view_.view_id;
     hb.delivered = delivered_gseq_;
     if (topology_ == Topology::kTree && view_.size() > 1) {
       send_tree_heartbeats(hb);
     } else {
+      const util::SharedBytes beat = hb.encode();
       for (const auto& m : view_.members) {
-        if (m.id != self_) send_to_member(m, hb);
+        if (m.id != self_) send_to_member(m, beat);
       }
     }
     check_failures();
@@ -219,7 +223,7 @@ void GroupEndpoint::tick_loop() {
     if (leaving_ && in_view_ && !is_coordinator() && phase_ == Phase::kNormal) {
       WireMsg lv = base_msg(MsgKind::kLeaveReq);
       lv.view_id = view_.view_id;
-      send_to_member(view_.coordinator(), lv);
+      send_to_member(view_.coordinator(), lv.encode());
     }
 
     // A multicast outstanding for multiple beats means its ORDER_REQ was
@@ -239,8 +243,9 @@ void GroupEndpoint::tick_loop() {
       prep.attempt = change_attempt_;
       prep.members = proposed_members_;
       prep.coord_delivered = delivered_gseq_;
+      const util::SharedBytes bytes = prep.encode();
       for (const auto& m : view_.members) {
-        if (flush_waiting_.contains(m.id)) send_to_member(m, prep);
+        if (flush_waiting_.contains(m.id)) send_to_member(m, bytes);
       }
     }
 
@@ -363,8 +368,9 @@ void GroupEndpoint::initiate_change() {
   prep.attempt = change_attempt_;
   prep.members = proposed_members_;
   prep.coord_delivered = delivered_gseq_;
+  const util::SharedBytes prep_bytes = prep.encode();
   for (const auto& m : view_.members) {
-    if (flush_waiting_.contains(m.id)) send_to_member(m, prep);
+    if (flush_waiting_.contains(m.id)) send_to_member(m, prep_bytes);
   }
   STARFISH_LOG(kInfo, kLog) << self_.to_string() << " initiating view "
                             << change_view_id_ << " attempt " << change_attempt_;
@@ -393,23 +399,21 @@ void GroupEndpoint::finish_change_if_ready() {
   inst.view_id = change_view_id_;
   inst.attempt = change_attempt_;
   inst.members = proposed_members_;
-  inst.retransmit = retransmit;
+  inst.retransmit = std::move(retransmit);
   last_install_ = inst;  // kept to re-teach members whose copy is lost
 
   // Old members (and leavers) get the plain install; joiners also receive
-  // the replicated-state snapshot.
-  util::Bytes state;
-  if (!change_joiners_.empty() && callbacks_.get_state) state = callbacks_.get_state();
+  // the replicated-state snapshot. Each variant is encoded once.
+  const util::SharedBytes plain = inst.encode();
+  util::SharedBytes with_state;
+  if (!change_joiners_.empty()) {
+    inst.has_state = true;
+    if (callbacks_.get_state) inst.state = callbacks_.get_state();
+    with_state = inst.encode();
+  }
   for (const auto& m : proposed_members_) {
     if (m.id == self_) continue;
-    if (change_joiners_.contains(m.id)) {
-      WireMsg with_state = inst;
-      with_state.has_state = true;
-      with_state.state = state;
-      send_to_member(m, with_state);
-    } else {
-      send_to_member(m, inst);
-    }
+    send_to_member(m, change_joiners_.contains(m.id) ? with_state : plain);
   }
   // Every old-view member missing from the new view — graceful leaver or
   // suspect — is taught the install that excludes it. For a real crash the
@@ -419,7 +423,7 @@ void GroupEndpoint::finish_change_if_ready() {
   // singleton view and never trigger the auto-rejoin path.
   const View next_view{change_view_id_, proposed_members_};
   for (const auto& m : view_.members) {
-    if (m.id != self_ && !next_view.contains(m.id)) send_to_member(m, inst);
+    if (m.id != self_ && !next_view.contains(m.id)) send_to_member(m, plain);
   }
 
   for (const auto& [id, a] : change_joiners_) joiners_.erase(id);
@@ -498,7 +502,7 @@ void GroupEndpoint::handle_heartbeat(const WireMsg& msg) {
     } else if (now - behind_since_ >= config_.heartbeat_period) {
       WireMsg req = base_msg(MsgKind::kInstallReq);
       req.view_id = view_.view_id;
-      send_to(msg.from_addr, req);
+      send_to(msg.from_addr, req.encode());
       behind_since_ = now;
     }
     return;  // the sender's gseq space is not ours: no stability / repair
@@ -569,7 +573,7 @@ void GroupEndpoint::note_progress_and_repair(MemberId from, uint64_t advertised)
         order.payload = it->second.payload;
         order.view_id = view_.view_id;
         if (topology_ == Topology::kTree) order.delivered = delivered_gseq_;
-        send_to_member(*m, order);
+        send_to_member(*m, order.encode());
       }
       if (resent > 0 && obs_repairs_ != nullptr) obs_repairs_->add(resent);
     }
@@ -579,13 +583,22 @@ void GroupEndpoint::note_progress_and_repair(MemberId from, uint64_t advertised)
 }
 
 void GroupEndpoint::gc_stable() {
+  // Early out: a peer whose advertised delivered gseq is at or below the
+  // log's oldest entry pins `stable` there, so lower_bound(stable) is
+  // begin() and nothing can be pruned. Returning at the first such peer
+  // prunes exactly what the full minimum would; in steady state that peer
+  // is found within a few lookups instead of one per view member per beat.
+  if (delivered_.empty()) return;
+  const uint64_t oldest = delivered_.begin()->first;
   uint64_t stable = delivered_gseq_;
   for (const auto& m : view_.members) {
     if (m.id == self_) continue;
     auto it = peer_delivered_.find(m.id);
-    stable = std::min(stable, it == peer_delivered_.end() ? 0 : it->second);
+    const uint64_t advertised = it == peer_delivered_.end() ? 0 : it->second;
+    if (advertised <= oldest) return;
+    stable = std::min(stable, advertised);
   }
-  if (stable > 0) delivered_.erase(delivered_.begin(), delivered_.lower_bound(stable));
+  delivered_.erase(delivered_.begin(), delivered_.lower_bound(stable));
 }
 
 bool GroupEndpoint::merge_hb_entry(const HbEntry& e) {
@@ -676,11 +689,13 @@ void GroupEndpoint::sequence_and_fanout(MemberId origin, uint64_t msg_id, util::
     // path as everyone else) plus our direct children, who relay onward —
     // O(k) wire messages at the sequencer instead of O(n).
     order.delivered = delivered_gseq_;
-    send_to(endpoint_->addr(), order);
-    for (const auto& c : tree_children_) send_to_member(c, order);
+    const util::SharedBytes bytes = order.encode();
+    send_to(endpoint_->addr(), bytes);
+    for (const auto& c : tree_children_) send_to_member(c, bytes);
     if (obs_seq_sends_ != nullptr) obs_seq_sends_->add(1 + tree_children_.size());
   } else {
-    for (const auto& m : view_.members) send_to_member(m, order);
+    const util::SharedBytes bytes = order.encode();
+    for (const auto& m : view_.members) send_to_member(m, bytes);
     if (obs_seq_sends_ != nullptr) obs_seq_sends_->add(view_.members.size());
   }
 }
@@ -693,7 +708,8 @@ void GroupEndpoint::forward_order(const WireMsg& msg) {
   // Piggybacked ack: our delivered gseq rides every relayed ORDER, so
   // stability advances along the tree without dedicated ack messages.
   relay.delivered = delivered_gseq_;
-  for (const auto& c : tree_children_) send_to_member(c, relay);
+  const util::SharedBytes bytes = relay.encode();
+  for (const auto& c : tree_children_) send_to_member(c, bytes);
   if (obs_tree_forwards_ != nullptr) obs_tree_forwards_->add(tree_children_.size());
 }
 
@@ -750,7 +766,7 @@ void GroupEndpoint::handle_prepare(const WireMsg& msg) {
     // change — it may even have been excluded by it. Re-teach it the current
     // view instead of letting it propose ever-higher attempts forever.
     if (phase_ == Phase::kNormal && last_install_.view_id == view_.view_id) {
-      send_to(msg.from_addr, last_install_);
+      send_to(msg.from_addr, last_install_.encode());
     }
     return;
   }
@@ -760,7 +776,7 @@ void GroupEndpoint::handle_prepare(const WireMsg& msg) {
     // Ask for the INSTALL we missed instead of answering.
     WireMsg req = base_msg(MsgKind::kInstallReq);
     req.view_id = view_.view_id;
-    send_to(msg.from_addr, req);
+    send_to(msg.from_addr, req.encode());
     return;
   }
   const auto incoming = marker(msg.view_id, msg.attempt);
@@ -793,7 +809,7 @@ void GroupEndpoint::handle_prepare(const WireMsg& msg) {
   for (const auto& [gseq, om] : holdback_) {
     if (gseq > msg.coord_delivered) flush.buffered.push_back(om);
   }
-  send_to(msg.from_addr, flush);
+  send_to(msg.from_addr, flush.encode());
 }
 
 void GroupEndpoint::handle_flush_ok(const WireMsg& msg) {
@@ -867,7 +883,7 @@ void GroupEndpoint::handle_install_req(const WireMsg& msg) {
   if (!in_view_ || phase_ != Phase::kNormal) return;
   if (msg.view_id >= view_.view_id) return;  // requester is not behind us
   if (last_install_.view_id != view_.view_id) return;
-  send_to(msg.from_addr, last_install_);
+  send_to(msg.from_addr, last_install_.encode());
 }
 
 void GroupEndpoint::install_view(const View& v, const std::vector<OrderedMsg>&) {
@@ -924,14 +940,14 @@ void GroupEndpoint::resend_pending() {
     WireMsg msg = base_msg(MsgKind::kOrderReq);
     msg.msg_id = id;
     msg.payload = payload;
-    send_to_member(view_.coordinator(), msg);
+    send_to_member(view_.coordinator(), msg.encode());
   }
 }
 
 // ------------------------------------------------------------- helpers ----
 
-void GroupEndpoint::send_to(const net::NetAddr& addr, const WireMsg& msg) {
-  endpoint_->send(addr, msg.encode());
+void GroupEndpoint::send_to(const net::NetAddr& addr, util::SharedBytes bytes) {
+  endpoint_->send(addr, std::move(bytes));
 }
 
 WireMsg GroupEndpoint::base_msg(MsgKind kind) const {
@@ -1040,10 +1056,11 @@ void GroupEndpoint::send_tree_heartbeats(const WireMsg& hb) {
     WireMsg m = hb;
     m.hb_entries.reserve(hb_table_.size());
     for (const auto& [id, e] : hb_table_) m.hb_entries.push_back(e);
+    const util::SharedBytes bytes = m.encode();
     uint64_t sent = 0;
     for (const auto& mem : view_.members) {
       if (mem.id == self_ || suspects_.contains(mem.id)) continue;
-      send_to_member(mem, m);
+      send_to_member(mem, bytes);
       ++sent;
     }
     if (sent > 0 && obs_hb_down_ != nullptr) obs_hb_down_->add(sent);
@@ -1057,17 +1074,18 @@ void GroupEndpoint::send_tree_heartbeats(const WireMsg& hb) {
         m.hb_entries.push_back(it->second);
       }
     }
-    send_to_member(*up, m);
+    send_to_member(*up, m.encode());
     if (obs_hb_up_ != nullptr) obs_hb_up_->add(1);
   }
   if (!tree_children_.empty()) {
     WireMsg m = hb;
     m.hb_entries.reserve(hb_table_.size());
     for (const auto& [id, e] : hb_table_) m.hb_entries.push_back(e);
+    const util::SharedBytes bytes = m.encode();
     uint64_t sent = 0;
     for (const auto& c : tree_children_) {
       if (suspects_.contains(c.id)) continue;  // dead child: nothing to teach
-      send_to_member(c, m);
+      send_to_member(c, bytes);
       ++sent;
     }
     if (sent > 0 && obs_hb_down_ != nullptr) obs_hb_down_->add(sent);
@@ -1087,6 +1105,7 @@ void GroupEndpoint::obs_refresh() {
     obs_hb_down_ = nullptr;
     obs_repairs_ = nullptr;
     obs_install_retransmit_ = nullptr;
+    obs_decode_errors_ = nullptr;
     return;
   }
   obs_delivered_ = &hub->metrics.counter("gcs.messages_delivered");
@@ -1098,6 +1117,7 @@ void GroupEndpoint::obs_refresh() {
   obs_hb_down_ = &hub->metrics.counter("gcs.tree.hb_down_msgs");
   obs_repairs_ = &hub->metrics.counter("gcs.seq.order_repairs");
   obs_install_retransmit_ = &hub->metrics.counter("gcs.install_retransmit_msgs");
+  obs_decode_errors_ = &hub->metrics.counter("gcs.decode_errors");
 }
 
 }  // namespace starfish::gcs

@@ -7,10 +7,16 @@
 //    global sequence number and fans out ORDER to all members; members
 //    deliver in sequence order. FIFO links (the fabric guarantees per-pair
 //    ordering) make each member's received sequence a prefix.
-//  * Heartbeats all-to-all feed a timeout failure detector. The simulated
-//    fabric neither drops nor delays control traffic beyond its model, so a
-//    suspicion implies a real crash (no false suspicion); this is the
-//    classic synchronous-cluster assumption and is documented in DESIGN.md.
+//  * Heartbeats feed a timeout failure detector: all-to-all under
+//    Topology::kFlat, aggregated up and down the dissemination tree under
+//    kTree. Each beat also advertises the sender's delivered gseq, which
+//    prunes the retransmission log (gc_stable) and lets the sequencer
+//    repair a member stalled behind a lost ORDER.
+//  * Suspicion can be false: the fault injector (net/faults.hpp) drops,
+//    delays and partitions control traffic, and tree gossip lags by up to a
+//    beat per level. A falsely suspected member is still excluded; the
+//    INSTALL that excludes it is sent to it as well, so it rejoins under
+//    the same incarnation instead of wedging (finish_change_if_ready).
 //  * View change: coordinator sends PREPARE; members stop acquiring new
 //    orderings, reply FLUSH_OK carrying their delivered sequence number and
 //    any sequenced messages the coordinator is missing; the coordinator
@@ -20,6 +26,11 @@
 //  * Senders keep unacknowledged multicasts and re-submit them to the new
 //    coordinator after a view change; per-origin message ids make
 //    re-sequencing idempotent.
+//  * Every fan-out (heartbeats, ORDER, tree relays, PREPARE, INSTALL) is
+//    encoded once and the same util::SharedBytes is handed to each
+//    recipient's send. The buffer is shared and immutable from then on: a
+//    layer that wants to alter one recipient's copy (a future `corrupt`
+//    fault, say) must copy it before flipping bits.
 #pragma once
 
 #include <cstdint>
@@ -135,8 +146,12 @@ class GroupEndpoint {
   void finish_change_if_ready();
   void install_view(const View& v, const std::vector<OrderedMsg>& retransmit);
   void resend_pending();
-  void send_to(const net::NetAddr& addr, const WireMsg& msg);
-  void send_to_member(const Member& m, const WireMsg& msg) { send_to(m.addr, msg); }
+  /// The one send path: callers encode a WireMsg once and hand the bytes
+  /// to every recipient of a fan-out (see the file comment on sharing).
+  void send_to(const net::NetAddr& addr, util::SharedBytes bytes);
+  void send_to_member(const Member& m, util::SharedBytes bytes) {
+    send_to(m.addr, std::move(bytes));
+  }
   WireMsg base_msg(MsgKind kind) const;
   const Member* member_by_id(MemberId id) const;
   bool self_is_change_coordinator() const;
@@ -257,6 +272,7 @@ class GroupEndpoint {
   obs::Counter* obs_hb_down_ = nullptr;
   obs::Counter* obs_repairs_ = nullptr;
   obs::Counter* obs_install_retransmit_ = nullptr;
+  obs::Counter* obs_decode_errors_ = nullptr;  ///< control datagrams dropped undecoded
 };
 
 }  // namespace starfish::gcs

@@ -1,8 +1,22 @@
 #include "gcs/wire.hpp"
 
+#include <string>
+
 namespace starfish::gcs {
 
 namespace {
+
+/// Flags are encoded as exactly 0 or 1; any other byte is corruption, not
+/// "true" (Reader::boolean would accept it and re-encode it differently).
+util::Result<bool> get_flag(util::Reader& r, const char* what) {
+  auto v = r.u8();
+  if (!v) return v.error();
+  if (v.value() > 1) {
+    return util::Error::make("decode", std::string("gcs flag ") + what + " is " +
+                                           std::to_string(v.value()) + ", not 0/1");
+  }
+  return v.value() == 1;
+}
 
 void put_member_id(util::Writer& w, const MemberId& id) {
   w.u32(id.host);
@@ -92,7 +106,7 @@ util::Result<HbEntry> get_hb_entry(util::Reader& r) {
   auto heard_at = r.u64();
   if (!heard_at) return heard_at.error();
   e.heard_at = heard_at.value();
-  auto suspected = r.boolean();
+  auto suspected = get_flag(r, "suspected");
   if (!suspected) return suspected.error();
   e.suspected = suspected.value();
   return e;
@@ -132,6 +146,11 @@ util::Result<WireMsg> WireMsg::decode(util::BytesView bytes) {
   WireMsg m;
   auto kind = r.u8();
   if (!kind) return kind.error();
+  if (kind.value() < static_cast<uint8_t>(MsgKind::kHeartbeat) ||
+      kind.value() > static_cast<uint8_t>(MsgKind::kInstallReq)) {
+    return util::Error::make("decode",
+                             "unknown gcs message kind " + std::to_string(kind.value()));
+  }
   m.kind = static_cast<MsgKind>(kind.value());
   auto from = get_member_id(r);
   if (!from) return from.error();
@@ -191,12 +210,16 @@ util::Result<WireMsg> WireMsg::decode(util::BytesView bytes) {
     if (!om) return om.error();
     m.retransmit.push_back(std::move(om).take());
   }
-  auto has_state = r.boolean();
+  auto has_state = get_flag(r, "has_state");
   if (!has_state) return has_state.error();
   m.has_state = has_state.value();
   auto state = r.bytes();
   if (!state) return state.error();
   m.state = std::move(state).take();
+  if (!r.exhausted()) {
+    return util::Error::make("decode", std::to_string(r.remaining()) +
+                                           " trailing bytes after a gcs message");
+  }
   return m;
 }
 

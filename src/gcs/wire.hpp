@@ -2,8 +2,15 @@
 //
 // One flat tagged union kept deliberately simple: every field of every
 // message kind is a struct member; encode/decode read the `kind` tag first.
-// Control traffic is small and infrequent relative to the MPI data path, so
-// clarity wins over compactness here.
+// Control traffic is not infrequent — flat heartbeats go all-to-all every
+// period, so a 64-daemon cluster can send an order of magnitude more GCS
+// datagrams than MPI frames — but each message is small, so the format
+// favors clarity over compactness and the endpoint saves host time by
+// encoding a fan-out once instead (gcs/endpoint.hpp).
+//
+// decode() fails closed with Error{"decode"}: truncation, an unknown kind,
+// a flag byte other than 0/1 and trailing bytes are all rejected, so any
+// message it accepts re-encodes to exactly the bytes it was given.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +32,7 @@ enum class MsgKind : uint8_t {
   kFlushOk = 7,    ///< view change phase 2
   kInstall = 8,    ///< view change phase 3
   kInstallReq = 9, ///< laggard -> any member: resend the INSTALL I missed
+  // decode() accepts exactly kHeartbeat..kInstallReq: a new kind goes last.
 };
 
 /// A sequenced message as retransmitted during flush.
@@ -45,10 +53,10 @@ struct HbEntry {
   uint64_t view_id = 0;    ///< view the member last advertised
   uint64_t delivered = 0;  ///< its delivered gseq in that view
   uint64_t heard_at = 0;   ///< virtual time someone last heard it directly
-  /// A direct tree neighbor timed the member out. Under the synchronous-
-  /// cluster assumption (no false suspicion on direct beats) the rumor is
-  /// trustworthy, so distant members — the coordinator in particular —
-  /// adopt it instead of waiting out their gossip-lag-scaled timeout.
+  /// A direct tree neighbor timed the member out. Distant members — the
+  /// coordinator in particular — adopt the rumor instead of waiting out
+  /// their gossip-lag-scaled timeout; if lost beats made it false, the
+  /// excluded member is taught its exclusion and rejoins.
   bool suspected = false;
 };
 
@@ -87,7 +95,7 @@ struct WireMsg {
   util::Bytes encode() const;
   /// Accepts any byte window (util::Bytes and util::SharedBytes both convert
   /// implicitly); decoded fields are owned copies — control traffic is off
-  /// the zero-copy fast path by design.
+  /// the zero-copy fast path by design. Fails closed (see above).
   static util::Result<WireMsg> decode(util::BytesView bytes);
 };
 

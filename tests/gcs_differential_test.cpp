@@ -8,8 +8,12 @@
 // pins that equivalence at the GCS layer (fault-free, under seeded ORDER
 // loss, and across a crash-driven view change) and end to end at the
 // cluster layer (same application output, same checkpoint content hash).
+// A golden over every datagram and the retransmission log's prune history
+// pins each topology against its own recorded past as well.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -201,6 +205,171 @@ TEST(GcsDifferential, SameViewEventsAcrossInteriorCrash) {
     EXPECT_EQ(tree.view_events[i], flat.view_events[i]) << "member " << i;
     ASSERT_GE(flat.view_events[i].size(), 2u) << "member " << i;
   }
+}
+
+// ------------------------------------------------ wire and prune golden ----
+//
+// Host-side work the endpoint saves (the stability GC's early-out, encoding
+// a fan-out once) must not move a single datagram or change when the
+// retransmission log is pruned. This golden pins both for a 16-member group
+// per topology: a pass-through fault filter folds every inter-host
+// datagram's (send time, src, dst, payload bytes) into an FNV-1a hash per
+// source host, and a sampler fiber on every host folds its member's
+// retransmission_log_size() into the same hash every 5 ms. The filter runs
+// on the sending host's shard and the sampler on its own host, so each hash
+// is touched by one thread at any shard count.
+//
+// Regenerating (only when the wire format or the protocol changes on
+// purpose):
+//   STARFISH_GOLDEN_DUMP=1 ./gcs_differential_test --gtest_filter='*Golden*'
+// prints the constants to paste below.
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+void fnv_u64(uint64_t& h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffu;
+    h *= kFnvPrime;
+  }
+}
+
+void fnv_bytes(uint64_t& h, util::BytesView bytes) {
+  for (const std::byte b : bytes) {
+    h ^= static_cast<uint8_t>(b);
+    h *= kFnvPrime;
+  }
+}
+
+struct WireGolden {
+  uint64_t datagrams = 0;  ///< inter-host datagrams the filter saw
+  uint64_t digest = 0;     ///< FNV-1a over the per-host hashes, in host order
+};
+
+/// Three senders: a burst of several multicasts per heartbeat period, then a
+/// round-robin trickle of one per period — so the view-wide stable point
+/// often advances by exactly one entry — across a crash of host 2 (an
+/// interior tree node at k=4) and again after the view change.
+WireGolden run_wire_golden(Topology topo, unsigned shards, bool drop_orders) {
+  constexpr size_t kMembers = 16;
+  sim::Engine eng(/*seed=*/5);
+  eng.set_shards(shards);  // before any host registers its node
+  net::Network net(eng);
+  GroupConfig config;
+  config.topology = topo;
+  std::vector<uint64_t> hash(kMembers, kFnvBasis);
+  std::vector<uint64_t> sent(kMembers, 0);
+  std::vector<std::vector<std::string>> delivered(kMembers);
+  std::vector<std::unique_ptr<GroupEndpoint>> eps;
+  std::vector<net::NetAddr> founders;
+  for (size_t i = 0; i < kMembers; ++i) {
+    auto host = net.add_host("node" + std::to_string(i));
+    founders.push_back({host->id(), config.control_port});
+  }
+  for (size_t i = 0; i < kMembers; ++i) {
+    Callbacks cbs;
+    cbs.on_message = [&delivered, i](MemberId origin, const util::Bytes& payload) {
+      delivered[i].push_back(origin.to_string() + ":" + untext(payload));
+    };
+    eps.push_back(std::make_unique<GroupEndpoint>(net, *net.host(static_cast<sim::HostId>(i)),
+                                                  config, std::move(cbs)));
+  }
+  for (auto& ep : eps) ep->start_founding(founders);
+
+  // The dropper's attempt map is shared across hosts, so drop runs stay
+  // sequential.
+  const auto dropper = drop_orders ? order_dropper() : nullptr;
+  net.faults().set_filter([&eng, &hash, &sent, dropper](const net::Packet& p,
+                                                        net::TransportKind kind) {
+    uint64_t& h = hash[p.src.host];
+    fnv_u64(h, static_cast<uint64_t>(eng.now()));
+    fnv_u64(h, (uint64_t{p.src.host} << 32) | p.src.port);
+    fnv_u64(h, (uint64_t{p.dst.host} << 32) | p.dst.port);
+    fnv_u64(h, p.payload.size());
+    fnv_bytes(h, p.payload.view());
+    ++sent[p.src.host];
+    return dropper && dropper(p, kind);
+  });
+  for (size_t i = 0; i < kMembers; ++i) {
+    GroupEndpoint* ep = eps[i].get();
+    uint64_t* h = &hash[i];
+    net.host(static_cast<sim::HostId>(i))->spawn("log-sampler", [ep, h, &eng] {
+      for (;;) {
+        eng.sleep(milliseconds(5));
+        fnv_u64(*h, ep->retransmission_log_size());
+      }
+    });
+  }
+
+  const size_t senders[3] = {0, kMembers / 2, kMembers - 1};
+  for (size_t s = 0; s < 3; ++s) {
+    GroupEndpoint* ep = eps[senders[s]].get();
+    net.host(static_cast<sim::HostId>(senders[s]))->spawn("sender", [ep, s, &eng] {
+      const auto send = [ep, s](const std::string& tag, int k) {
+        ep->multicast(text("s" + std::to_string(s) + "." + tag + std::to_string(k)));
+      };
+      eng.sleep(milliseconds(10 + static_cast<int>(s)));
+      for (int k = 0; k < 5; ++k) {
+        send("b", k);
+        eng.sleep(milliseconds(7));
+      }
+      eng.sleep_until(milliseconds(100 + 60 * static_cast<int>(s)));
+      for (int k = 0; k < 4; ++k) {
+        send("t", k);
+        eng.sleep(milliseconds(180));
+      }
+      eng.sleep_until(milliseconds(1300 + 60 * static_cast<int>(s)));
+      for (int k = 0; k < 2; ++k) {
+        send("l", k);
+        eng.sleep(milliseconds(180));
+      }
+    });
+  }
+  eng.schedule(milliseconds(400), [&net] { net.crash_host(2); });
+  eng.run_for(seconds(3));
+
+  // Sanity, not the golden: every survivor delivered the whole stream in
+  // one order.
+  for (size_t i = 0; i < kMembers; ++i) {
+    if (i == 2) continue;
+    EXPECT_EQ(delivered[i].size(), 33u) << "member " << i;
+    EXPECT_EQ(delivered[i], delivered[0]) << "member " << i;
+  }
+  WireGolden g;
+  g.digest = kFnvBasis;
+  for (size_t i = 0; i < kMembers; ++i) {
+    g.datagrams += sent[i];
+    fnv_u64(g.digest, hash[i]);
+  }
+  return g;
+}
+
+void check_golden(const char* what, const WireGolden& got, const WireGolden& want) {
+  if (std::getenv("STARFISH_GOLDEN_DUMP") != nullptr) {
+    std::printf("%s: {.datagrams = %llu, .digest = %lluull}\n", what,
+                static_cast<unsigned long long>(got.datagrams),
+                static_cast<unsigned long long>(got.digest));
+    return;
+  }
+  EXPECT_EQ(got.datagrams, want.datagrams) << what;
+  EXPECT_EQ(got.digest, want.digest) << what;
+}
+
+TEST(GcsDifferential, GoldenWireBytesAndPruneHistory) {
+  const WireGolden flat = {.datagrams = 13452, .digest = 1652467480351814487ull};
+  const WireGolden tree = {.datagrams = 2229, .digest = 15197812461387100993ull};
+  for (const unsigned shards : {1u, 4u}) {
+    const std::string at = " shards=" + std::to_string(shards);
+    check_golden(("flat" + at).c_str(), run_wire_golden(Topology::kFlat, shards, false), flat);
+    check_golden(("tree" + at).c_str(), run_wire_golden(Topology::kTree, shards, false), tree);
+  }
+}
+
+TEST(GcsDifferential, GoldenWireBytesAndPruneHistoryUnderOrderLoss) {
+  const WireGolden flat = {.datagrams = 13683, .digest = 8455847717673395453ull};
+  const WireGolden tree = {.datagrams = 2616, .digest = 10872428911124204816ull};
+  check_golden("flat drops", run_wire_golden(Topology::kFlat, 1, true), flat);
+  check_golden("tree drops", run_wire_golden(Topology::kTree, 1, true), tree);
 }
 
 // ------------------------------------------------------- cluster level ----

@@ -7,7 +7,9 @@
 
 #include "gcs/endpoint.hpp"
 #include "gcs/lightweight.hpp"
+#include "gcs/wire.hpp"
 #include "net/network.hpp"
+#include "obs/obs.hpp"
 #include "sim/engine.hpp"
 
 namespace starfish::gcs {
@@ -422,6 +424,156 @@ TEST(Group, StabilityGcBoundsRetransmissionLog) {
   c.eng.schedule(milliseconds(1), [&] { c.net.crash_host(0); });
   c.run_for(seconds(2));
   EXPECT_EQ(c.delivered[1], c.delivered[2]);
+}
+
+// -------------------------------------------------------------- wire ----
+
+OrderedMsg ordered(uint64_t gseq, const std::string& body) {
+  return OrderedMsg{gseq, MemberId{3, 1}, 40 + gseq, text(body)};
+}
+
+/// One message of every kind, each with every repeated and blob field
+/// filled, so the decoder walks every branch on every kind.
+std::vector<WireMsg> wire_corpus() {
+  std::vector<WireMsg> corpus;
+  for (uint8_t k = static_cast<uint8_t>(MsgKind::kHeartbeat);
+       k <= static_cast<uint8_t>(MsgKind::kInstallReq); ++k) {
+    WireMsg m;
+    m.kind = static_cast<MsgKind>(k);
+    m.from = MemberId{k, 2};
+    m.from_addr = net::NetAddr{k, 1};
+    m.msg_id = 1000 + k;
+    m.payload = text("payload-" + std::to_string(k));
+    m.gseq = 77;
+    m.origin = MemberId{5, 0};
+    m.view_id = 9;
+    m.attempt = 2;
+    m.members = {Member{MemberId{0, 0}, 0, {0, 1}}, Member{MemberId{4, 3}, 6, {4, 1}}};
+    m.coord_delivered = 70;
+    m.delivered = 71;
+    m.buffered = {ordered(72, "b1"), ordered(73, "")};
+    m.hb_entries = {HbEntry{MemberId{4, 3}, 9, 71, 123456, false},
+                    HbEntry{MemberId{6, 0}, 8, 12, 99, true}};
+    m.retransmit = {ordered(74, "r1")};
+    m.has_state = k % 2 == 0;
+    m.state = text("state-blob");
+    corpus.push_back(std::move(m));
+  }
+  return corpus;
+}
+
+TEST(Wire, DecodeRoundTripsAndFailsClosedOnCorpus) {
+  for (const WireMsg& msg : wire_corpus()) {
+    const auto kind = static_cast<int>(msg.kind);
+    const util::Bytes bytes = msg.encode();
+    auto back = WireMsg::decode(bytes);
+    ASSERT_TRUE(back.ok()) << "kind " << kind << ": " << back.error().to_string();
+    EXPECT_EQ(back.value().kind, msg.kind);
+    EXPECT_EQ(back.value().members, msg.members);
+    EXPECT_EQ(back.value().hb_entries.size(), msg.hb_entries.size());
+    EXPECT_EQ(back.value().buffered.size(), msg.buffered.size());
+    EXPECT_EQ(back.value().retransmit.size(), msg.retransmit.size());
+    EXPECT_EQ(back.value().state, msg.state);
+    EXPECT_EQ(back.value().encode(), bytes) << "kind " << kind;
+
+    for (size_t n = 0; n < bytes.size(); ++n) {
+      auto cut = WireMsg::decode(util::BytesView(bytes.data(), n));
+      ASSERT_FALSE(cut.ok()) << "kind " << kind << " truncated to " << n;
+      EXPECT_EQ(cut.error().code, "decode");
+    }
+    for (int extra = 0; extra < 256; ++extra) {
+      util::Bytes longer = bytes;
+      longer.push_back(static_cast<std::byte>(extra));
+      auto r = WireMsg::decode(longer);
+      ASSERT_FALSE(r.ok()) << "kind " << kind << " with appended byte " << extra;
+      EXPECT_EQ(r.error().code, "decode");
+    }
+    // A flip the decoder accepts must be a different, equally canonical
+    // message: it re-encodes to exactly the flipped bytes. Every third bit
+    // covers each field of every kind.
+    for (size_t bit = 0; bit < bytes.size() * 8; bit += 3) {
+      util::Bytes flipped = bytes;
+      flipped[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      auto r = WireMsg::decode(flipped);
+      if (r.ok()) {
+        EXPECT_EQ(r.value().encode(), flipped) << "kind " << kind << " bit " << bit;
+      } else {
+        EXPECT_EQ(r.error().code, "decode") << "kind " << kind << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(Wire, DecodeRejectsNonCanonicalFields) {
+  const WireMsg hb = wire_corpus().front();
+  const util::Bytes good = hb.encode();
+  // Offsets derive from the layout: the kind tag is byte 0, has_state is
+  // the byte just before the state blob, and the second hb entry's
+  // `suspected` flag precedes the retransmit count.
+  const size_t state_len = hb.state.size();
+  const size_t has_state_at = good.size() - state_len - 4 - 1;
+  const size_t retransmit_bytes = 4 + 8 + 8 + 8 + 4 + hb.retransmit[0].payload.size();
+  const size_t suspected_at = has_state_at - retransmit_bytes - 1;
+  ASSERT_EQ(good[suspected_at], std::byte{1});
+  struct Case {
+    const char* what;
+    size_t at;
+    uint8_t value;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"kind 0", 0, 0, "unknown gcs message kind 0"},
+      {"kind 10", 0, 10, "unknown gcs message kind 10"},
+      {"kind 255", 0, 255, "unknown gcs message kind 255"},
+      {"has_state 2", has_state_at, 2, "has_state"},
+      {"has_state 0x80", has_state_at, 0x80, "has_state"},
+      {"suspected 2", suspected_at, 2, "suspected"},
+  };
+  for (const Case& c : cases) {
+    util::Bytes bad = good;
+    bad[c.at] = static_cast<std::byte>(c.value);
+    auto r = WireMsg::decode(bad);
+    ASSERT_FALSE(r.ok()) << c.what;
+    EXPECT_EQ(r.error().code, "decode") << c.what;
+    EXPECT_NE(r.error().message.find(c.expect), std::string::npos)
+        << c.what << ": " << r.error().message;
+  }
+  util::Bytes trailing = good;
+  trailing.push_back(std::byte{0});
+  auto r = WireMsg::decode(trailing);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("1 trailing bytes"), std::string::npos) << r.error().message;
+}
+
+TEST(Group, UndecodableDatagramsAreCountedAndDropped) {
+  obs::Hub hub;
+  Cluster c(3);
+  c.eng.set_obs(&hub);
+  auto stray = c.net.bind(c.net.host(2)->id(), 77, net::TransportKind::kTcpIp);
+  WireMsg bogus = wire_corpus().front();
+  util::Bytes unknown_kind = bogus.encode();
+  unknown_kind[0] = std::byte{42};
+  util::Bytes trailing = bogus.encode();
+  trailing.push_back(std::byte{0});
+  c.net.host(2)->spawn("stray", [&] {
+    const net::NetAddr target = c.eps[0]->addr();
+    stray->send(target, std::move(unknown_kind));
+    stray->send(target, std::move(trailing));
+    stray->send(target, util::Bytes{});
+  });
+  c.net.host(1)->spawn("tx", [&] {
+    c.eng.sleep(milliseconds(5));
+    c.eps[1]->multicast(text("after-garbage"));
+  });
+  c.run_for(seconds(1));
+  const obs::Counter* errors = hub.metrics.find_counter("gcs.decode_errors");
+  ASSERT_NE(errors, nullptr);
+  EXPECT_EQ(errors->value(), 3u);
+  EXPECT_EQ(c.views[0].size(), 1u);  // garbage neither joins nor suspects
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(c.delivered[i].size(), 1u) << "member " << i;
+    EXPECT_EQ(c.delivered[i][0], c.eps[1]->self().to_string() + ":after-garbage");
+  }
 }
 
 // ------------------------------------------------------- lightweight ----
