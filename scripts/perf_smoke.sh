@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Engine hot-path regression smoke: runs the engine/fiber/channel micro
 # benches plus the SIMD data-plane benches (fingerprint, image conversion,
-# datatype pack), the LZ codec benches and the GCS benches (wire round trip,
+# datatype pack), the portable-image encode and cross-representation decode
+# benches, the LZ codec benches and the GCS benches (wire round trip,
 # flat group heartbeat load) in a Release tree and compares
 # host time per benchmark against the committed baseline
 # (scripts/perf_baseline.json), then runs the sharded
@@ -18,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=build-bench
-FILTER='BM_Engine|BM_Fiber|BM_Channel|BM_Vm|BM_Fingerprint|BM_ImageConvert|BM_DatatypePack|BM_Lz|BM_Gcs'
+FILTER='BM_Engine|BM_Fiber|BM_Channel|BM_Vm|BM_Fingerprint|BM_ImageConvert|BM_PortableImage|BM_DatatypePack|BM_Lz|BM_Gcs'
 BASELINE=scripts/perf_baseline.json
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

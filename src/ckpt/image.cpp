@@ -43,7 +43,7 @@ struct Columns {
 /// pre-pass turns the per-value tag switch + push_back into one dispatch
 /// per run, a bulk std::fill of the run's tag bytes, and a tight
 /// single-tag fill loop with no capacity checks. One streaming pass over
-/// the (32-byte-stride) value array — a second full pass would be
+/// the (16-byte-stride) value array — a second full pass would be
 /// memory-bound, not branch-bound, and cost more than the switch it
 /// saves. The bytes are identical to the naive per-value walk: runs are
 /// processed left to right, so each column keeps value order.
@@ -52,7 +52,7 @@ void put_values(Writer& w, std::span<const Value> vals, uint8_t word_bytes) {
   util::Bytes tags(n);
   Columns c;
   // Runs are capped so the detection scan and the gather that re-reads the
-  // same values stay L2-resident together (4096 values = 128 KB of Value);
+  // same values stay L2-resident together (4096 values = 64 KB of Value);
   // an uncapped run over a multi-MB sequence would stream the array from
   // DRAM twice. Splitting a run changes nothing downstream — the fills and
   // appends are position-exact.

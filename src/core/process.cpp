@@ -143,6 +143,12 @@ void ApplicationProcess::terminate() {
   for (auto& f : owned_fibers_) engine().kill(f);
   owned_fibers_.clear();
   proc_->shutdown();
+  // A retired incarnation never runs bytecode again, so its VM state goes
+  // now rather than with the handle. The handle itself stays parked until
+  // the kill-unwinds land, but those only run destructors — none touches
+  // the interpreter — and terminate() never runs on the app fiber's own
+  // stack (uplinks and link deliveries are scheduled events).
+  interp_.reset();
 }
 
 void ApplicationProcess::set_state_restore(std::function<void(const util::Bytes&)> fn) {
@@ -406,12 +412,7 @@ void ApplicationProcess::service_syscall(vm::Interpreter& interp, vm::Syscall sy
         fail_app("send_to: bad destination rank");
         throw sim::FiberKilled{};  // unwind the app fiber cleanly
       }
-      util::Bytes data;
-      util::Writer w(data);
-      w.u8(static_cast<uint8_t>(v.tag));
-      w.i64(v.i);
-      w.f64(v.f);
-      world().send(static_cast<int>(dest.i), 0, std::move(data));  // may block
+      world().send(static_cast<int>(dest.i), 0, vm::encode_wire_value(v));  // may block
       (void)interp.pop_value();
       (void)interp.pop_value();
       interp.complete_syscall();
@@ -422,13 +423,13 @@ void ApplicationProcess::service_syscall(vm::Interpreter& interp, vm::Syscall sy
       const int from = (src.tag == Tag::kInt && src.i >= 0) ? static_cast<int>(src.i)
                                                             : mpi::kAnySource;
       util::Bytes data = world().recv(from, 0);  // may block indefinitely
-      util::Reader r(util::as_bytes_view(data));
-      Value v;
-      v.tag = static_cast<Tag>(r.u8().value_or(0));
-      v.i = r.i64().value_or(0);
-      v.f = r.f64().value_or(0.0);
+      auto v = vm::decode_wire_value(util::as_bytes_view(data));
+      if (!v.ok()) {
+        fail_app("recv_from: " + v.error().to_string());
+        throw sim::FiberKilled{};
+      }
       (void)interp.pop_value();
-      interp.push_value(v);
+      interp.push_value(v.value());
       interp.complete_syscall();
       return;
     }

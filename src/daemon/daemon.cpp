@@ -772,7 +772,8 @@ void Daemon::retire_locals(AppState& state) {
     if (!proc.handle) continue;
     proc.handle->terminate();
     // Park the handle: kill-unwinds of its fibers land after this call, so
-    // the object must outlive them (freed only with the daemon).
+    // the object must outlive them. terminate() has already released its
+    // VM state; the parked shell goes with the daemon.
     graveyard_.push_back(std::move(proc.handle));
   }
   state.locals.clear();

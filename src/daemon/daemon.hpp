@@ -182,7 +182,8 @@ class Daemon {
   gcs::View last_heavy_view_;
   /// Terminated process handles are parked here instead of destroyed:
   /// fiber kill-unwinds are asynchronous, so a handle must stay alive until
-  /// the simulation drains (destroyed with the daemon).
+  /// the simulation drains (destroyed with the daemon). Only the shell is
+  /// parked: terminate() already freed the incarnation's VM state.
   std::vector<std::unique_ptr<ProcessHandle>> graveyard_;
   uint32_t restarts_performed_ = 0;
   uint32_t next_proc_token_ = 1;

@@ -73,7 +73,7 @@ struct Ops {
   /// Strided gather: dst receives n contiguous 8-byte elements, element i
   /// read from the 8 bytes at src + i*stride (stride >= 8; dst and the
   /// source range must be disjoint). The AoS -> column gather of
-  /// portable-image encode (32-byte Value stride).
+  /// portable-image encode (16-byte Value stride).
   void (*gather64)(std::byte* dst, const std::byte* src, size_t stride, size_t n);
 };
 

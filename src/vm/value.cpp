@@ -13,6 +13,35 @@ std::string Value::to_string() const {
   return "?";
 }
 
+util::Bytes encode_wire_value(const Value& v) {
+  util::Bytes data;
+  util::Writer w(data);
+  w.reserve(kWireValueBytes);
+  w.u8(static_cast<uint8_t>(v.tag));
+  w.i64(v.tag == Tag::kInt || v.tag == Tag::kBool ? v.i : 0);
+  w.f64(v.tag == Tag::kFloat ? v.f : 0.0);
+  return data;
+}
+
+util::Result<Value> decode_wire_value(util::BytesView bytes) {
+  if (bytes.size() != kWireValueBytes) {
+    return util::Error::make("decode", "wire value of " + std::to_string(bytes.size()) +
+                                           " bytes, want " + std::to_string(kWireValueBytes));
+  }
+  util::Reader r(bytes);
+  const uint8_t tag = r.u8().value();
+  const int64_t i = r.i64().value();
+  const double f = r.f64().value();
+  switch (static_cast<Tag>(tag)) {
+    case Tag::kUnit: return Value::unit();
+    case Tag::kInt: return Value::integer(i);
+    case Tag::kFloat: return Value::real(f);
+    case Tag::kBool: return Value::boolean(i != 0);
+    case Tag::kRef: return Value::reference(kNullRef);
+  }
+  return util::Error::make("decode", "bad wire value tag " + std::to_string(tag));
+}
+
 uint64_t VmState::footprint_bytes() const {
   uint64_t total = 0;
   total += (globals.size() + stack.size()) * sizeof(Value);

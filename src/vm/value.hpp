@@ -18,6 +18,7 @@
 
 #include "sim/machine.hpp"
 #include "util/buffer.hpp"
+#include "util/result.hpp"
 
 namespace starfish::vm {
 
@@ -26,21 +27,74 @@ constexpr HeapIndex kNullRef = UINT32_MAX;
 
 enum class Tag : uint8_t { kUnit = 0, kInt = 1, kFloat = 2, kBool = 3, kRef = 4 };
 
+/// One VM value: 16 bytes. Only the payload the tag names is live — `i`
+/// for kInt and kBool, `f` for kFloat, `ref` for kRef — and the factories
+/// keep the rest canonical: the union is zero on kUnit and kRef, `ref` is
+/// kNullRef on every other tag. Equality compares the tag and its live
+/// payload only, with the payload's own `==` (so real(+0.0) == real(-0.0)
+/// and a NaN never equals itself).
 struct Value {
   Tag tag = Tag::kUnit;
-  int64_t i = 0;       ///< kInt (wrapped to machine word) / kBool (0 or 1)
-  double f = 0.0;      ///< kFloat
   HeapIndex ref = kNullRef;  ///< kRef
+  union {
+    int64_t i = 0;  ///< kInt (wrapped to machine word) / kBool (0 or 1)
+    double f;       ///< kFloat
+  };
 
   static Value unit() { return {}; }
-  static Value integer(int64_t v) { return Value{Tag::kInt, v, 0.0, kNullRef}; }
-  static Value real(double v) { return Value{Tag::kFloat, 0, v, kNullRef}; }
-  static Value boolean(bool v) { return Value{Tag::kBool, v ? 1 : 0, 0.0, kNullRef}; }
-  static Value reference(HeapIndex h) { return Value{Tag::kRef, 0, 0.0, h}; }
+  static Value integer(int64_t v) {
+    Value x;
+    x.tag = Tag::kInt;
+    x.i = v;
+    return x;
+  }
+  static Value real(double v) {
+    Value x;
+    x.tag = Tag::kFloat;
+    x.f = v;
+    return x;
+  }
+  static Value boolean(bool v) {
+    Value x;
+    x.tag = Tag::kBool;
+    x.i = v ? 1 : 0;
+    return x;
+  }
+  static Value reference(HeapIndex h) {
+    Value x;
+    x.tag = Tag::kRef;
+    x.ref = h;
+    return x;
+  }
 
-  bool operator==(const Value&) const = default;
+  friend bool operator==(const Value& a, const Value& b) {
+    if (a.tag != b.tag) return false;
+    switch (a.tag) {
+      case Tag::kInt:
+      case Tag::kBool:
+        return a.i == b.i;
+      case Tag::kFloat:
+        return a.f == b.f;
+      case Tag::kRef:
+        return a.ref == b.ref;
+      case Tag::kUnit:
+        break;
+    }
+    return true;
+  }
   std::string to_string() const;
 };
+static_assert(sizeof(Value) == 16, "vm::Value must stay 16 bytes");
+
+/// The application wire form of one value (the send_to/recv_from payload):
+/// u8 tag, i64 integer payload, f64 float payload, little-endian. The
+/// payload a tag does not use is written as zero; a reference's heap index
+/// does not travel (a received kRef is a null reference).
+constexpr size_t kWireValueBytes = 17;
+util::Bytes encode_wire_value(const Value& v);
+/// Fails closed with Error{"decode"} unless `bytes` is exactly one wire
+/// value with a known tag; the result is built through the factories.
+util::Result<Value> decode_wire_value(util::BytesView bytes);
 
 /// Heap object: an array of values or a byte string.
 struct HeapObject {
@@ -72,7 +126,8 @@ struct VmState {
 
   bool operator==(const VmState&) const = default;
 
-  /// Rough in-memory footprint; drives simulated-disk accounting.
+  /// Rough host in-memory footprint of the state (host-side only; the
+  /// simulated disk is charged by image bytes, not by this).
   uint64_t footprint_bytes() const;
 };
 

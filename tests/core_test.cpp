@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,33 @@ TEST(Checkpointing, RestartFromStopAndSyncCheckpointAfterCrash) {
   EXPECT_TRUE(
       output_contains(f.cluster.output("phoenix"), std::to_string(expected_ring_token(4, 40))));
   EXPECT_GE(f.cluster.daemon_at(0).restarts_performed(), 1u);
+}
+
+TEST(Checkpointing, StopAndSyncJobCrashedTwicePrintsGoldenOutput) {
+  // Each restart retires every local incarnation (daemon graveyard) and
+  // frees its VM at terminate; the replacements must not depend on any of
+  // it across two rollbacks.
+  Fixture f(4);
+  auto job = ring_job("twice", 4);
+  job.policy = FtPolicy::kRestart;
+  job.protocol = CrProtocol::kStopAndSync;
+  job.level = CkptLevel::kVm;
+  job.ckpt_interval = milliseconds(50);
+  f.cluster.submit(job);
+  f.cluster.run_for(milliseconds(130));
+  ASSERT_TRUE(f.cluster.store().latest_committed("twice").has_value());
+  f.cluster.crash_node(3);
+  for (int ms = 0; ms < 5000 && f.cluster.daemon_at(0).restarts_performed() == 0; ++ms) {
+    f.cluster.run_for(milliseconds(1));
+  }
+  ASSERT_EQ(f.cluster.daemon_at(0).restarts_performed(), 1u);
+  f.cluster.run_for(milliseconds(60));  // the restarted job runs a while
+  ASSERT_NE(f.cluster.phase("twice"), AppPhase::kCompleted);
+  f.cluster.crash_node(2);
+  ASSERT_TRUE(f.cluster.run_until_done("twice"));
+  EXPECT_TRUE(
+      output_contains(f.cluster.output("twice"), std::to_string(expected_ring_token(4, 40))));
+  EXPECT_GE(f.cluster.daemon_at(0).restarts_performed(), 2u);
 }
 
 TEST(Checkpointing, RestartWithoutAnyCheckpointRestartsFromScratch) {
@@ -554,6 +582,49 @@ func main 0 0
   f.cluster.submit(job);
   EXPECT_FALSE(f.cluster.run_until_done("loopy", seconds(30.0)));
   EXPECT_EQ(f.cluster.phase("loopy"), AppPhase::kFailed);
+}
+
+TEST(Lifecycle, TerminatedVmRankReleasesItsInterpreter) {
+  // A retired incarnation frees its VM state at terminate(); only the
+  // handle stays alive (parked) until the fibers' kill-unwinds land.
+  ClusterOptions opts;
+  opts.nodes = 1;
+  Cluster cluster(opts);
+  cluster.registry().register_vm("hog", R"(
+func main 0 0
+  push_int 1000000
+  new_array
+  store_global 0
+spin:
+  push_int 1000
+  syscall spin
+  jmp spin
+)");
+  Launcher launcher(cluster.network(), cluster.store(), cluster.registry());
+  daemon::LaunchRequest req;
+  req.job.name = "hog";
+  req.job.binary = "hog";
+  req.job.nprocs = 1;
+  std::optional<net::NetAddr> addr;
+  auto handle = launcher.launch(*cluster.network().host(0), req, [&](const daemon::LinkMsg& m) {
+    if (m.kind == daemon::LinkKind::kReady) addr = m.vni_addr;
+  });
+  auto* proc = dynamic_cast<ApplicationProcess*>(handle.get());
+  ASSERT_NE(proc, nullptr);
+  ASSERT_TRUE(addr.has_value());
+  daemon::LinkMsg cfg;
+  cfg.kind = daemon::LinkKind::kConfigure;
+  cfg.world = {*addr};
+  handle->deliver(cfg);
+  cluster.run_for(milliseconds(20));
+  ASSERT_TRUE(proc->is_vm_app());
+  ASSERT_GT(proc->capture_app_state().size(), 1'000'000u);  // the array is live
+
+  handle->terminate();
+  cluster.run_for(milliseconds(20));  // the kill-unwinds land
+  EXPECT_FALSE(handle->alive());
+  EXPECT_FALSE(proc->is_vm_app());
+  EXPECT_TRUE(proc->capture_app_state().empty());
 }
 
 // ------------------------------------------------------- heterogeneity ----

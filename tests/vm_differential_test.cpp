@@ -11,6 +11,9 @@
 // schedule, with the host servicing syscalls identically.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -545,6 +548,135 @@ TEST(VmDifferential, RestoredImageResumesIdenticallyOnBothDispatchers) {
       service_syscall(d, rd.syscall);
     }
   }
+}
+
+// ------------------------------------------------------------- goldens ----
+//
+// Byte goldens for everything the VM's value representation feeds: the SFV2
+// portable image of a fixed mixed-tag state and the 17-byte application
+// wire payload of send_to/recv_from. Recorded before vm::Value shrank to 16
+// bytes; any change to Value's layout must leave them untouched.
+//
+// Regenerating (only for an intentional image or wire format change):
+//   STARFISH_GOLDEN_DUMP=1 ./vm_differential_test --gtest_filter='ValueGolden.*'
+// prints the actuals to paste below.
+
+bool golden_dump() { return std::getenv("STARFISH_GOLDEN_DUMP") != nullptr; }
+
+uint64_t fnv1a(util::BytesView bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const std::byte b : bytes) {
+    h ^= static_cast<uint8_t>(b);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string hex(util::BytesView bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    out += kDigits[static_cast<uint8_t>(b) >> 4];
+    out += kDigits[static_cast<uint8_t>(b) & 0xf];
+  }
+  return out;
+}
+
+/// Globals, a stack holding every tag, two frames, a long heap array of
+/// tag runs (one longer than put_values' 4096-value run cap) and a bytes
+/// object. Integers fit 32 bits so the 32-bit saver narrows nothing.
+VmState golden_state() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  VmState s;
+  s.globals = {Value::integer(42), Value::real(3.5), Value::unit(), Value::boolean(false),
+               Value::reference(1)};
+  s.stack = {Value::unit(),         Value::integer(INT32_MIN), Value::real(-0.0),
+             Value::real(nan),      Value::boolean(true),      Value::reference(0),
+             Value::integer(-7),    Value::integer(INT32_MAX), Value::real(1e300)};
+  s.frames.push_back(Frame{0, 12, {Value::integer(5), Value::reference(0), Value::real(1.25)}});
+  s.frames.push_back(Frame{1, 3, {Value::boolean(true), Value::unit(), Value::integer(-1)}});
+  HeapObject arr;
+  for (int64_t k = 0; k < 9000; ++k) {
+    if (k < 5000) {
+      arr.fields.push_back(Value::integer(k * 7 - 1000));
+    } else if (k < 5100) {
+      arr.fields.push_back(Value::real(static_cast<double>(k) * 0.5));
+    } else if (k < 5200) {
+      arr.fields.push_back(Value::boolean(k % 3 == 0));
+    } else if (k < 5300) {
+      arr.fields.push_back(Value::unit());
+    } else if (k % 97 == 0) {
+      arr.fields.push_back(Value::reference(1));
+    } else {
+      arr.fields.push_back(Value::integer(-k * 131));
+    }
+  }
+  s.heap.push_back(std::move(arr));
+  HeapObject bytes;
+  bytes.kind = HeapObject::Kind::kBytes;
+  for (int k = 0; k < 37; ++k) bytes.bytes.push_back(static_cast<std::byte>(k * 29 + 3));
+  s.heap.push_back(std::move(bytes));
+  s.steps_executed = 123456789;
+  return s;
+}
+
+TEST(ValueGolden, PortableImageBytesAtBothSavers) {
+  const sim::Machine le64 = {"Alpha", "Linux", util::Endian::kLittle, 8};
+  const sim::Machine be32 = {"SPARC", "Solaris", util::Endian::kBig, 4};
+  struct Case {
+    const sim::Machine* saver;
+    size_t size;
+    uint64_t hash;
+  };
+  const Case cases[] = {
+      {&le64, 79570, 14981039077709596008ull},
+      {&be32, 44898, 15247017744969431492ull},
+  };
+  const VmState state = golden_state();
+  for (const Case& c : cases) {
+    const ckpt::Image img = ckpt::portable_encode(*c.saver, state);
+    const uint64_t h = fnv1a(util::as_bytes_view(img.payload));
+    if (golden_dump()) {
+      std::printf("golden image %s: {.size = %zu, .hash = %lluull}\n", c.saver->arch.c_str(),
+                  img.payload.size(), static_cast<unsigned long long>(h));
+      continue;
+    }
+    EXPECT_EQ(img.payload.size(), c.size) << c.saver->arch;
+    EXPECT_EQ(h, c.hash) << c.saver->arch;
+    // Decoding onto the other representation and re-encoding at the same
+    // saver reproduces the bytes (NaN payloads included).
+    auto back = ckpt::portable_decode(img, kM64);
+    ASSERT_TRUE(back.ok()) << back.error().to_string();
+    EXPECT_EQ(ckpt::portable_encode(*c.saver, back.value()).payload, img.payload);
+  }
+  if (golden_dump()) GTEST_SKIP() << "STARFISH_GOLDEN_DUMP set: printed actuals";
+}
+
+TEST(ValueGolden, WireBytesOfEveryTag) {
+  struct Case {
+    const char* name;
+    Value value;
+    const char* bytes;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Case cases[] = {
+      {"integer(INT64_MIN)", Value::integer(INT64_MIN), "0100000000000000800000000000000000"},
+      {"integer(-1)", Value::integer(-1), "01ffffffffffffffff0000000000000000"},
+      {"real(-0.0)", Value::real(-0.0), "0200000000000000000000000000000080"},
+      {"real(NaN)", Value::real(nan), "020000000000000000000000000000f87f"},
+      {"boolean(true)", Value::boolean(true), "0301000000000000000000000000000000"},
+      {"unit()", Value::unit(), "0000000000000000000000000000000000"},
+      {"reference(7)", Value::reference(7), "0400000000000000000000000000000000"},
+  };
+  for (const Case& c : cases) {
+    const std::string got = hex(util::as_bytes_view(encode_wire_value(c.value)));
+    if (golden_dump()) {
+      std::printf("golden wire: {\"%s\", ..., \"%s\"},\n", c.name, got.c_str());
+      continue;
+    }
+    EXPECT_EQ(got, c.bytes) << c.name;
+  }
+  if (golden_dump()) GTEST_SKIP() << "STARFISH_GOLDEN_DUMP set: printed actuals";
 }
 
 }  // namespace

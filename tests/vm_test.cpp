@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "vm/bytecode.hpp"
 #include "vm/interp.hpp"
@@ -28,6 +31,82 @@ Value run_to_halt(const std::string& src, const sim::Machine& machine = kM32) {
   EXPECT_EQ(r.status, RunStatus::kHalted) << r.trap;
   return interp.mutable_state().stack.empty() ? Value::unit()
                                               : interp.mutable_state().stack.back();
+}
+
+// -------------------------------------------------------------- value ----
+
+static_assert(sizeof(Value) == 16);
+
+TEST(Value, EqualityComparesTagAndLivePayload) {
+  EXPECT_NE(Value::integer(0), Value::unit());
+  EXPECT_NE(Value::integer(1), Value::boolean(true));
+  EXPECT_NE(Value::integer(0), Value::real(0.0));
+  EXPECT_NE(Value::reference(3), Value::reference(4));
+  EXPECT_EQ(Value::reference(3), Value::reference(3));
+  EXPECT_EQ(Value::real(+0.0), Value::real(-0.0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(Value::real(nan), Value::real(nan));
+  EXPECT_EQ(Value::boolean(false), Value::boolean(false));
+  EXPECT_EQ(Value::unit(), Value{});
+}
+
+TEST(Value, FactoriesKeepInactivePayloadCanonical) {
+  EXPECT_EQ(Value::unit().i, 0);
+  EXPECT_EQ(Value::unit().ref, kNullRef);
+  EXPECT_EQ(Value::reference(9).i, 0);
+  EXPECT_EQ(Value::integer(-5).ref, kNullRef);
+  EXPECT_EQ(Value::real(2.5).ref, kNullRef);
+  EXPECT_EQ(Value::boolean(true).i, 1);
+  EXPECT_EQ(Value::boolean(true).ref, kNullRef);
+}
+
+TEST(WireValue, EveryTagRoundTrips) {
+  const Value values[] = {Value::unit(),         Value::integer(INT64_MIN),
+                          Value::integer(-1),    Value::real(-0.0),
+                          Value::real(1e-300),   Value::boolean(true),
+                          Value::boolean(false)};
+  for (const Value& v : values) {
+    const util::Bytes wire = encode_wire_value(v);
+    ASSERT_EQ(wire.size(), kWireValueBytes) << v.to_string();
+    auto back = decode_wire_value(util::as_bytes_view(wire));
+    ASSERT_TRUE(back.ok()) << back.error().to_string();
+    EXPECT_EQ(back.value(), v) << v.to_string();
+    if (v.tag == Tag::kFloat) {
+      EXPECT_EQ(std::signbit(back.value().f), std::signbit(v.f));
+    }
+  }
+  // NaN never equals itself; its bits survive.
+  auto nan = decode_wire_value(util::as_bytes_view(
+      encode_wire_value(Value::real(std::numeric_limits<double>::quiet_NaN()))));
+  ASSERT_TRUE(nan.ok());
+  EXPECT_EQ(nan.value().tag, Tag::kFloat);
+  EXPECT_TRUE(std::isnan(nan.value().f));
+  // A heap index is host-local: a reference arrives as the null reference.
+  auto ref = decode_wire_value(util::as_bytes_view(encode_wire_value(Value::reference(7))));
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(ref.value(), Value::reference(kNullRef));
+}
+
+TEST(WireValue, DecodeFailsClosed) {
+  const util::Bytes good = encode_wire_value(Value::integer(42));
+  std::vector<std::pair<std::string, util::Bytes>> bad;
+  for (size_t n = 0; n < good.size(); ++n) {
+    bad.emplace_back("truncated to " + std::to_string(n),
+                     util::Bytes(good.begin(), good.begin() + static_cast<ptrdiff_t>(n)));
+  }
+  util::Bytes appended = good;
+  appended.push_back(std::byte{0});
+  bad.emplace_back("one appended byte", appended);
+  for (const uint8_t tag : {uint8_t{5}, uint8_t{255}}) {
+    util::Bytes b = good;
+    b[0] = std::byte{tag};
+    bad.emplace_back("tag " + std::to_string(tag), b);
+  }
+  for (const auto& [name, bytes] : bad) {
+    auto r = decode_wire_value(util::as_bytes_view(bytes));
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.error().code, "decode") << name;
+  }
 }
 
 // ---------------------------------------------------------- assembler ----
