@@ -409,6 +409,14 @@ uint64_t ReplicaStore::content_hash() const {
   return h;
 }
 
+void ReplicaStore::for_each_stored(
+    const std::function<void(const CkptKey&, const Image&)>& fn) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.holders.empty()) fn(key, entry.image);
+  }
+}
+
 size_t ReplicaStore::entry_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

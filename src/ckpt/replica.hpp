@@ -142,6 +142,9 @@ class ReplicaStore {
   /// meta) plus the warm-transfer caches, in map order. Zero-cost; the
   /// shard-determinism suite compares it across STARFISH_SHARDS values.
   uint64_t content_hash() const;
+  /// Zero-cost read-only walk over every entry with a surviving copy, in
+  /// key order, payload as stored (see CheckpointStore::for_each_stored).
+  void for_each_stored(const std::function<void(const CkptKey&, const Image&)>& fn) const;
 
   size_t entry_count() const;
   uint64_t bytes_shipped() const;

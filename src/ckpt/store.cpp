@@ -436,6 +436,15 @@ uint64_t CheckpointStore::content_hash() const {
   return h;
 }
 
+void CheckpointStore::for_each_stored(
+    const std::function<void(const CkptKey&, const Image&)>& fn) const {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [key, image] : images_) fn(key, image);
+  }
+  if (replica_) replica_->for_each_stored(fn);
+}
+
 size_t CheckpointStore::gc(const std::string& app, uint64_t keep_epoch) {
   size_t removed = 0;
   {

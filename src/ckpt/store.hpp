@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -166,6 +167,11 @@ class CheckpointStore {
   /// bytes) in key order. Zero-cost (no disk charge): determinism tests
   /// compare whole stores across runs without perturbing them.
   uint64_t content_hash() const;
+  /// Zero-cost read-only walk over every image either tier holds, as
+  /// stored (payload possibly coded): the disk tier first, then every
+  /// replica entry with a surviving copy, each in key order. Tests pin the
+  /// stored bytes with it without perturbing the run.
+  void for_each_stored(const std::function<void(const CkptKey&, const Image&)>& fn) const;
   uint64_t bytes_written() const {
     std::lock_guard<std::mutex> lock(mu_);
     return bytes_written_;

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -650,6 +653,271 @@ TEST(ClusterCompressHeterogeneous, DeltaLzRestoresAcrossRepresentations) {
   ASSERT_TRUE(cluster.run_until_done("hetero", seconds(240.0)));
   EXPECT_TRUE(
       output_contains(cluster.output("hetero"), std::to_string(expected_token(4, 40))));
+}
+
+// ------------------------------------------------------ payload golden ----
+
+// Byte goldens for the checkpoint path under delta+lz: every image either
+// tier stores and the raw payload each one resolves to, for a 4-rank
+// stop-and-sync job that crashes once. Recorded before the payload path
+// stopped copying (moved captures, exact-size frames, shared stored
+// images); ownership changes must leave every byte, codec, base epoch and
+// read charge untouched.
+//
+// Regenerating (only for an intentional image, codec or cost change):
+//   STARFISH_GOLDEN_DUMP=1 ./ckpt_codec_test --gtest_filter='PayloadGolden.*'
+// prints the actuals to paste below.
+
+constexpr int64_t kGoldenCells = 8192;
+constexpr int64_t kGoldenSteps = 120;
+
+/// Each rank fills an 8k-cell array (a 19-page payload), then per 5 ms
+/// step bumps one cell, 37 cells past the last; rank 0 prints the array's
+/// sum at the end. The touches dirty a page or two per epoch, so every
+/// warm epoch is a delta+lz link a few KB long.
+std::string sparse_cells_program() {
+  return R"(
+func main 0 6
+  syscall rank
+  store_local 0
+  push_int )" + std::to_string(kGoldenCells) + R"(
+  new_array
+  store_local 1
+  push_int 0
+  store_local 2
+fill:
+  load_local 2
+  push_int )" + std::to_string(kGoldenCells) + R"(
+  lt
+  jmp_if_false filled
+  load_local 1
+  load_local 2
+  load_local 2
+  push_int 31
+  mul
+  load_local 0
+  add
+  astore
+  load_local 2
+  push_int 1
+  add
+  store_local 2
+  jmp fill
+filled:
+  push_int 0
+  store_local 3
+step:
+  load_local 3
+  push_int )" + std::to_string(kGoldenSteps) + R"(
+  lt
+  jmp_if_false stepped
+  push_int 100000
+  syscall spin
+  load_local 3
+  push_int 37
+  mul
+  load_local 0
+  push_int 11
+  mul
+  add
+  push_int )" + std::to_string(kGoldenCells) + R"(
+  mod
+  store_local 4
+  load_local 1
+  load_local 4
+  load_local 1
+  load_local 4
+  aload
+  load_local 3
+  add
+  push_int 1
+  add
+  astore
+  load_local 3
+  push_int 1
+  add
+  store_local 3
+  jmp step
+stepped:
+  push_int 0
+  store_local 5
+  push_int 0
+  store_local 2
+sum:
+  load_local 2
+  push_int )" + std::to_string(kGoldenCells) + R"(
+  lt
+  jmp_if_false summed
+  load_local 5
+  load_local 1
+  load_local 2
+  aload
+  add
+  store_local 5
+  load_local 2
+  push_int 1
+  add
+  store_local 2
+  jmp sum
+summed:
+  load_local 0
+  push_int 0
+  eq
+  jmp_if_false finish
+  load_local 5
+  syscall print
+finish:
+  halt
+)";
+}
+
+int64_t sparse_cells_sum() {
+  int64_t sum = 0;
+  for (int64_t i = 0; i < kGoldenCells; ++i) sum += i * 31;
+  for (int64_t s = 0; s < kGoldenSteps; ++s) sum += s + 1;
+  return sum;
+}
+
+struct FnvHash {
+  uint64_t h = 1469598103934665603ull;
+  void mix(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  }
+  void mix(util::BytesView bytes) { mix(bytes.data(), bytes.size()); }
+  void mix_u64(uint64_t v) { mix(&v, sizeof v); }
+};
+
+struct PayloadGoldenRun {
+  uint64_t stored = 0;  ///< key, codec, codec base epoch, file size, stored bytes
+  uint64_t raw = 0;     ///< key and the raw payload each stored image resolves to
+  uint64_t reads = 0;   ///< read counts, bytes and virtual time; finish ms; output
+  uint64_t images = 0;  ///< distinct stored images seen
+};
+
+/// Runs the job, polling both tiers every virtual ms (for_each_stored is
+/// zero-cost, so polling does not perturb the run). An image is hashed
+/// when first seen or when its stored bytes change under the same key (a
+/// re-taken epoch after the rollback); its raw payload is decoded here
+/// through the public codec from the raw payload of its base.
+PayloadGoldenRun payload_golden_run(ckpt::CkptBackend backend) {
+  ClusterOptions opts;
+  opts.nodes = 4;
+  opts.ckpt_backend = backend;
+  opts.ckpt_compress = ckpt::CompressMode::kDeltaLz;
+  Cluster cluster(std::move(opts));
+  obs::Hub hub;
+  cluster.engine().set_obs(&hub);
+  cluster.registry().register_vm("cells", sparse_cells_program());
+  daemon::JobSpec job = ring_job("golden", 4);
+  job.binary = "cells";
+  job.ckpt_interval = milliseconds(40);
+  cluster.submit(job);
+
+  FnvHash stored, raw;
+  std::map<ckpt::CkptKey, uint64_t> seen;
+  std::map<ckpt::CkptKey, util::Bytes> raws;
+  uint64_t images = 0;
+  const auto poll = [&] {
+    cluster.store().for_each_stored([&](const ckpt::CkptKey& key, const auto& img) {
+      const util::BytesView bytes = util::as_bytes_view(img.payload);
+      FnvHash one;
+      one.mix_u64(static_cast<uint64_t>(img.codec));
+      one.mix_u64(img.codec_base_epoch);
+      one.mix_u64(img.file_bytes);
+      one.mix(bytes);
+      if (auto it = seen.find(key); it != seen.end() && it->second == one.h) return;
+      seen[key] = one.h;
+      ++images;
+      stored.mix(key.app.data(), key.app.size());
+      stored.mix_u64(key.rank);
+      stored.mix_u64(key.epoch);
+      stored.mix_u64(one.h);
+      util::BytesView base;
+      if (img.codec == ckpt::PayloadCodec::kDelta || img.codec == ckpt::PayloadCodec::kDeltaLz) {
+        auto b = raws.find({key.app, key.rank, img.codec_base_epoch});
+        ASSERT_NE(b, raws.end()) << "base of e" << key.epoch << " never seen";
+        base = util::as_bytes_view(b->second);
+      }
+      auto decoded =
+          ckpt::decode_payload(img.codec, bytes, base, ckpt::kMaxIncrementalStateBytes, nullptr);
+      ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+      raw.mix_u64(key.rank);
+      raw.mix_u64(key.epoch);
+      raw.mix(util::as_bytes_view(decoded.value()));
+      raws[key] = std::move(decoded).take();
+    });
+  };
+
+  int ms = 0;
+  for (; ms < 140; ++ms) {
+    cluster.run_for(milliseconds(1));
+    poll();
+  }
+  EXPECT_TRUE(cluster.store().latest_committed("golden").has_value());
+  cluster.crash_node(2);
+  for (; ms < 20000 && cluster.phase("golden") != daemon::AppPhase::kCompleted; ++ms) {
+    cluster.run_for(milliseconds(1));
+    poll();
+  }
+  EXPECT_EQ(cluster.phase("golden"), daemon::AppPhase::kCompleted);
+  EXPECT_EQ(cluster.daemon_at(0).restarts_performed(), 1u);
+  EXPECT_TRUE(output_contains(cluster.output("golden"), std::to_string(sparse_cells_sum())));
+
+  FnvHash reads;
+  for (const char* name : {"ckpt.store.images_read", "ckpt.store.bytes_read",
+                           "ckpt.replica.gets", "ckpt.replica.bytes_fetched"}) {
+    const auto* c = hub.metrics.find_counter(name);
+    reads.mix_u64(c != nullptr ? c->value() : 0);
+  }
+  for (const char* name : {"ckpt.store.read_ns", "ckpt.replica.get_ns"}) {
+    const auto* h = hub.metrics.find_histogram(name);
+    reads.mix_u64(h != nullptr ? h->count() : 0);
+    reads.mix_u64(h != nullptr ? h->sum() : 0);
+  }
+  for (const char* name : {"ckpt.codec.decode_errors", "ckpt.codec.chain_breaks"}) {
+    const auto* c = hub.metrics.find_counter(name);
+    EXPECT_TRUE(c == nullptr || c->value() == 0) << name;
+  }
+  reads.mix_u64(static_cast<uint64_t>(ms));
+  for (const std::string& line : cluster.output("golden")) reads.mix(line.data(), line.size());
+  cluster.engine().set_obs(nullptr);
+  return {stored.h, raw.h, reads.h, images};
+}
+
+void check_payload_golden(const char* name, ckpt::CkptBackend backend,
+                          const PayloadGoldenRun& want) {
+  const PayloadGoldenRun got = payload_golden_run(backend);
+  if (std::getenv("STARFISH_GOLDEN_DUMP") != nullptr) {
+    std::printf("golden %s: {.stored = %lluull, .raw = %lluull, .reads = %lluull, .images = %llu}\n",
+                name, static_cast<unsigned long long>(got.stored),
+                static_cast<unsigned long long>(got.raw), static_cast<unsigned long long>(got.reads),
+                static_cast<unsigned long long>(got.images));
+    GTEST_SKIP() << "STARFISH_GOLDEN_DUMP set: printed actuals";
+  }
+  EXPECT_EQ(got.stored, want.stored) << name;
+  EXPECT_EQ(got.raw, want.raw) << name;
+  EXPECT_EQ(got.reads, want.reads) << name;
+  EXPECT_EQ(got.images, want.images) << name;
+}
+
+TEST(PayloadGolden, DeltaLzDiskBackend) {
+  check_payload_golden("disk", ckpt::CkptBackend::kDisk,
+                       {.stored = 17494528211289953188ull,
+                        .raw = 16936880468425953331ull,
+                        .reads = 5619754215676970128ull,
+                        .images = 32});
+}
+
+TEST(PayloadGolden, DeltaLzReplicaBackend) {
+  check_payload_golden("replica", ckpt::CkptBackend::kReplica,
+                       {.stored = 5065925468006996066ull,
+                        .raw = 5484719473996350188ull,
+                        .reads = 2044772771826516665ull,
+                        .images = 32});
 }
 
 }  // namespace
