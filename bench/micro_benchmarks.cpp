@@ -11,6 +11,8 @@
 
 #include "ckpt/image.hpp"
 #include "ckpt/incremental.hpp"
+#include "ckpt/store.hpp"
+#include "core/cr.hpp"
 #include "gcs/endpoint.hpp"
 #include "gcs/wire.hpp"
 #include "mpi/datatype.hpp"
@@ -747,6 +749,104 @@ void BM_LzCompress(benchmark::State& state, LzBenchInput kind) {
 }
 BENCHMARK_CAPTURE(BM_LzCompress, narrow_column, LzBenchInput::kNarrowColumn);
 BENCHMARK_CAPTURE(BM_LzCompress, structured, LzBenchInput::kStructured);
+
+// --- checkpoint path: capture to store, and a chained restore -------------
+//
+// One rank's checkpoint epochs as sparse8_ckpt takes them: a 1 MB portable
+// state (one array of narrow ints), a few cells touched between epochs,
+// stored on disk under delta+lz. Each bench drives the store from a fiber
+// on a one-host network, so the disk charges sleep in virtual time only.
+
+constexpr size_t kCkptCells = 116 * 1024;  // 9 SFV2 bytes a value: ~1 MB
+
+vm::VmState ckpt_bench_state() {
+  vm::VmState s;
+  vm::HeapObject arr;
+  arr.fields.reserve(kCkptCells);
+  for (size_t i = 0; i < kCkptCells; ++i) {
+    arr.fields.push_back(vm::Value::integer(static_cast<int64_t>((i * 7919 + 17) % 1000003)));
+  }
+  s.heap.push_back(std::move(arr));
+  s.frames.push_back(vm::Frame{0, 12, {vm::Value::integer(0), vm::Value::reference(0)}});
+  return s;
+}
+
+void touch_cells(vm::VmState& s, uint64_t epoch) {
+  auto& cells = s.heap[0].fields;
+  for (uint64_t k = 0; k < 8; ++k) {
+    const size_t i = static_cast<size_t>((epoch * 7919 + k * 32771) % cells.size());
+    cells[i] = vm::Value::integer(cells[i].i + 1);
+  }
+  s.steps_executed += 200'000;
+}
+
+/// Capture, container, delta+lz and the disk put of one epoch.
+void store_epoch(ckpt::CheckpointStore& store, sim::Host& host, const vm::VmState& s,
+                 uint64_t epoch) {
+  ckpt::Image capture = ckpt::portable_encode(host.machine(), s);
+  const util::Bytes tracker(16, std::byte{0});
+  ckpt::Image img;
+  img.kind = ckpt::ImageKind::kPortable;
+  img.repr_code = capture.repr_code;
+  img.payload = core::Container{tracker, capture.payload, {}, {}}.encode();
+  img.file_bytes = ckpt::kPortableBaseBytes + img.payload.size();
+  capture = {};
+  store.put(host, ckpt::CkptKey{"app", 0, epoch}, std::move(img));
+}
+
+void BM_CkptStoreImage(benchmark::State& state) {
+  sim::Engine eng;
+  net::Network net(eng);
+  sim::Host& host = *net.add_host("node0");
+  ckpt::CheckpointStore store(eng);
+  store.set_compress_mode(ckpt::CompressMode::kDeltaLz);
+  vm::VmState s = ckpt_bench_state();
+  uint64_t epoch = 0;
+  for (auto _ : state) {
+    ++epoch;
+    touch_cells(s, epoch);
+    host.spawn("ckpt", [&] { store_epoch(store, host, s, epoch); });
+    eng.run();
+    benchmark::DoNotOptimize(store.bytes_written());
+    store.commit("app", epoch);
+    store.gc("app", ckpt::last_full_at_or_before(epoch));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kCkptCells * 9));
+}
+BENCHMARK(BM_CkptStoreImage);
+
+/// Restores the newest epoch of a 4-link chain: the lz anchor at epoch 1
+/// and three delta+lz links on top, each fetched and decoded by get().
+void BM_CkptChainRestore(benchmark::State& state) {
+  sim::Engine eng;
+  net::Network net(eng);
+  sim::Host& host = *net.add_host("node0");
+  ckpt::CheckpointStore store(eng);
+  store.set_compress_mode(ckpt::CompressMode::kDeltaLz);
+  vm::VmState s = ckpt_bench_state();
+  host.spawn("ckpt", [&] {
+    for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
+      touch_cells(s, epoch);
+      store_epoch(store, host, s, epoch);
+      store.commit("app", epoch);
+    }
+  });
+  eng.run();
+  size_t restored = 0;
+  for (auto _ : state) {
+    host.spawn("restore", [&] {
+      auto img = store.get(host, ckpt::CkptKey{"app", 0, 4});
+      restored = img ? img->payload.size() : 0;
+      benchmark::DoNotOptimize(img);
+    });
+    eng.run();
+    if (restored == 0) state.SkipWithError("chain did not resolve");
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(restored));
+}
+BENCHMARK(BM_CkptChainRestore);
 
 }  // namespace
 

@@ -2,8 +2,9 @@
 # Engine hot-path regression smoke: runs the engine/fiber/channel micro
 # benches plus the SIMD data-plane benches (fingerprint, image conversion,
 # datatype pack), the portable-image encode and cross-representation decode
-# benches, the LZ codec benches and the GCS benches (wire round trip,
-# flat group heartbeat load) in a Release tree and compares
+# benches, the LZ codec benches, the GCS benches (wire round trip,
+# flat group heartbeat load) and the checkpoint path benches (capture to
+# disk put, chained restore) in a Release tree and compares
 # host time per benchmark against the committed baseline
 # (scripts/perf_baseline.json), then runs the sharded
 # engine's thread-scaling workload (bench/scaling_nodes --threads 1,4) and
@@ -19,7 +20,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=build-bench
-FILTER='BM_Engine|BM_Fiber|BM_Channel|BM_Vm|BM_Fingerprint|BM_ImageConvert|BM_PortableImage|BM_DatatypePack|BM_Lz|BM_Gcs'
+FILTER='BM_Engine|BM_Fiber|BM_Channel|BM_Vm|BM_Fingerprint|BM_ImageConvert|BM_PortableImage|BM_DatatypePack|BM_Lz|BM_Gcs|BM_Ckpt'
 BASELINE=scripts/perf_baseline.json
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -54,35 +54,40 @@ Error note_decode_error(obs::Hub* hub, Error e) {
 /// pages must be byte-identical at the same offset — the compare is exact
 /// (simd mismatch), not fingerprint-trusting, because the stored bytes
 /// must reconstruct bit-identically and both payloads are in memory here.
+/// The scan runs before anything is written, so the frame is allocated
+/// once at its exact size.
 Bytes delta_encode(BytesView raw, BytesView base, uint64_t* refs, uint64_t* literals) {
-  Bytes out;
-  Writer w(out);
-  w.u32(kDeltaMagic);
-  w.u8(kDeltaVersion);
-  w.u64(raw.size());
-  w.u64(base.size());
-  w.u64(simd::fingerprint(base.data(), base.size()));
-  const size_t count_at = out.size();
-  w.u32(0);  // literal count, patched after the scan
   const simd::Ops& simd = simd::ops();
   const size_t n_pages = page_count(raw.size());
-  uint32_t n_literals = 0;
+  std::vector<uint32_t> dirty;
+  size_t literal_bytes = 0;
   for (size_t p = 0; p < n_pages; ++p) {
     const size_t off = p * kPageBytes;
     const size_t len = std::min(kPageBytes, raw.size() - off);
     const bool same = off + len <= base.size() &&
                       simd.mismatch(base.data() + off, raw.data() + off, len) == len;
     if (same) continue;
-    ++n_literals;
-    w.u32(static_cast<uint32_t>(p));
-    w.bytes(raw.subspan(off, len));
+    dirty.push_back(static_cast<uint32_t>(p));
+    literal_bytes += 4 + 4 + len;
   }
-  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
-    out[count_at + i] = static_cast<std::byte>((n_literals >> (8 * i)) & 0xff);
+
+  Bytes out;
+  Writer w(out);
+  w.reserve(4 + 1 + 8 + 8 + 8 + 4 + literal_bytes + 8);
+  w.u32(kDeltaMagic);
+  w.u8(kDeltaVersion);
+  w.u64(raw.size());
+  w.u64(base.size());
+  w.u64(simd::fingerprint(base.data(), base.size()));
+  w.u32(static_cast<uint32_t>(dirty.size()));
+  for (const uint32_t p : dirty) {
+    const size_t off = p * kPageBytes;
+    w.u32(p);
+    w.bytes(raw.subspan(off, std::min(kPageBytes, raw.size() - off)));
   }
   w.u64(simd::fingerprint(out.data(), out.size()));
-  if (refs != nullptr) *refs = n_pages - n_literals;
-  if (literals != nullptr) *literals = n_literals;
+  if (refs != nullptr) *refs = n_pages - dirty.size();
+  if (literals != nullptr) *literals = dirty.size();
   return out;
 }
 
@@ -305,33 +310,6 @@ Status verify_payload(PayloadCodec codec, BytesView encoded) {
       auto header = parse_delta(util::as_bytes_view(frame.value()), literals);
       if (!header) return header.error();
       return Status::ok_status();
-    }
-  }
-  return codec_error("unknown payload codec");
-}
-
-Result<uint64_t> payload_raw_size(PayloadCodec codec, BytesView encoded) {
-  switch (codec) {
-    case PayloadCodec::kRaw:
-      return static_cast<uint64_t>(encoded.size());
-    case PayloadCodec::kLz:
-      return util::codec::lz_raw_size(encoded);
-    case PayloadCodec::kDelta: {
-      Reader r(encoded);
-      auto magic = r.u32();
-      if (!magic || magic.value() != kDeltaMagic) return codec_error("bad delta magic");
-      auto version = r.u8();
-      if (!version || version.value() != kDeltaVersion) {
-        return codec_error("unsupported delta version");
-      }
-      auto raw_len = r.u64();
-      if (!raw_len) return codec_error("truncated delta header");
-      return raw_len.value();
-    }
-    case PayloadCodec::kDeltaLz: {
-      auto frame = util::codec::lz_decompress(encoded, kMaxIncrementalStateBytes);
-      if (!frame) return frame.error();
-      return payload_raw_size(PayloadCodec::kDelta, util::as_bytes_view(frame.value()));
     }
   }
   return codec_error("unknown payload codec");

@@ -93,8 +93,4 @@ util::Result<util::Bytes> decode_payload(PayloadCodec codec, util::BytesView enc
 /// decodes clean against its matching base.
 util::Status verify_payload(PayloadCodec codec, util::BytesView encoded);
 
-/// The raw payload size a coded frame announces (header peek; trivially
-/// encoded.size() for kRaw).
-util::Result<uint64_t> payload_raw_size(PayloadCodec codec, util::BytesView encoded);
-
 }  // namespace starfish::ckpt

@@ -26,17 +26,31 @@ using vm::Value;
 // bit-identical across scalar/AVX2/AVX-512/NEON (DESIGN.md §16).
 constexpr uint32_t kPortableMagic = 0x53465632;
 
-/// Gathered columns of one value sequence (encode side).
+/// The gathered columns of every value sequence of one image (encode
+/// side), back to back in write order, with the end of each sequence's
+/// slice of every column. portable_encode gathers all sequences before it
+/// writes a byte, so it can allocate the payload once at its exact size.
 struct Columns {
+  struct Ends {
+    size_t tags, ints, floats, bools, refs;
+  };
+  util::Bytes tags;
   std::vector<int64_t> ints;
   std::vector<double> floats;
   util::Bytes bools;
   std::vector<uint32_t> refs;
+  std::vector<Ends> ends;  ///< one per gathered sequence
+
+  void gather(std::span<const Value> vals);
+  /// Bytes the gathered sequences take in the payload (counts excluded).
+  size_t payload_bytes(uint8_t word_bytes) const {
+    return tags.size() + ints.size() * (word_bytes >= 8 ? 8 : 4) + floats.size() * 8 +
+           bools.size() + refs.size() * 4;
+  }
 };
 
-/// Writes `vals` as tags + columns. Layout per sequence (count written by
-/// the caller): u8 tags[count]; ints (saver-word-sized each, in value
-/// order); f64 floats; u8 bools; u32 refs.
+/// Appends `vals` as the next sequence: its tags, then its integer words,
+/// floats, bools and refs each to their column, in value order.
 ///
 /// Single pass of tag-run-length gather: real sequences are long
 /// homogeneous runs (a stack of ints, a heap array of floats), so the run
@@ -47,10 +61,10 @@ struct Columns {
 /// memory-bound, not branch-bound, and cost more than the switch it
 /// saves. The bytes are identical to the naive per-value walk: runs are
 /// processed left to right, so each column keeps value order.
-void put_values(Writer& w, std::span<const Value> vals, uint8_t word_bytes) {
+void Columns::gather(std::span<const Value> vals) {
   const size_t n = vals.size();
-  util::Bytes tags(n);
-  Columns c;
+  const size_t tag_at = tags.size();
+  tags.resize(tag_at + n);
   // Runs are capped so the detection scan and the gather that re-reads the
   // same values stay L2-resident together (4096 values = 64 KB of Value);
   // an uncapped run over a multi-MB sequence would stream the array from
@@ -62,51 +76,63 @@ void put_values(Writer& w, std::span<const Value> vals, uint8_t word_bytes) {
     const size_t cap = std::min(n, k + kRunCap);
     size_t end = k + 1;
     while (end < cap && vals[end].tag == t) ++end;
-    std::fill(tags.begin() + k, tags.begin() + end, static_cast<std::byte>(t));
+    std::fill(tags.begin() + static_cast<ptrdiff_t>(tag_at + k),
+              tags.begin() + static_cast<ptrdiff_t>(tag_at + end), static_cast<std::byte>(t));
     const size_t len = end - k;
     switch (t) {
       case Tag::kUnit:
         break;
       case Tag::kInt: {
-        c.ints.resize(c.ints.size() + len);
-        simd::gather64(reinterpret_cast<std::byte*>(c.ints.data() + (c.ints.size() - len)),
+        ints.resize(ints.size() + len);
+        simd::gather64(reinterpret_cast<std::byte*>(ints.data() + (ints.size() - len)),
                        reinterpret_cast<const std::byte*>(&vals[k]) + offsetof(Value, i),
                        sizeof(Value), len);
         break;
       }
       case Tag::kFloat: {
-        c.floats.resize(c.floats.size() + len);
-        simd::gather64(reinterpret_cast<std::byte*>(c.floats.data() + (c.floats.size() - len)),
+        floats.resize(floats.size() + len);
+        simd::gather64(reinterpret_cast<std::byte*>(floats.data() + (floats.size() - len)),
                        reinterpret_cast<const std::byte*>(&vals[k]) + offsetof(Value, f),
                        sizeof(Value), len);
         break;
       }
       case Tag::kBool: {
-        c.bools.resize(c.bools.size() + len);
-        std::byte* bp = c.bools.data() + (c.bools.size() - len);
+        bools.resize(bools.size() + len);
+        std::byte* bp = bools.data() + (bools.size() - len);
         for (size_t j = k; j < end; ++j) {
           *bp++ = std::byte{vals[j].i ? uint8_t{1} : uint8_t{0}};
         }
         break;
       }
       case Tag::kRef: {
-        c.refs.resize(c.refs.size() + len);
-        uint32_t* rp = c.refs.data() + (c.refs.size() - len);
+        refs.resize(refs.size() + len);
+        uint32_t* rp = refs.data() + (refs.size() - len);
         for (size_t j = k; j < end; ++j) *rp++ = vals[j].ref;
         break;
       }
     }
     k = end;
   }
-  w.raw(util::as_bytes_view(tags));
+  ends.push_back({tags.size(), ints.size(), floats.size(), bools.size(), refs.size()});
+}
+
+/// Writes gathered sequence `seq` as u32 count, u8 tags[count], then its
+/// ints (saver-word-sized each, in value order), f64 floats, u8 bools and
+/// u32 refs.
+void put_values(Writer& w, const Columns& c, size_t seq, uint8_t word_bytes) {
+  const Columns::Ends from = seq == 0 ? Columns::Ends{} : c.ends[seq - 1];
+  const Columns::Ends& to = c.ends[seq];
+  w.u32(static_cast<uint32_t>(to.tags - from.tags));
+  w.raw(util::BytesView(c.tags).subspan(from.tags, to.tags - from.tags));
+  const std::span<const int64_t> ints(c.ints.data() + from.ints, to.ints - from.ints);
   if (word_bytes >= 8) {
-    w.i64s(c.ints);
+    w.i64s(ints);
   } else {
-    w.i32s_narrowed(c.ints);  // VM arithmetic already wrapped to 32 bits
+    w.i32s_narrowed(ints);  // VM arithmetic already wrapped to 32 bits
   }
-  w.f64s(c.floats);
-  w.raw(util::as_bytes_view(c.bools));
-  w.u32s(c.refs);
+  w.f64s(std::span<const double>(c.floats.data() + from.floats, to.floats - from.floats));
+  w.raw(util::BytesView(c.bools).subspan(from.bools, to.bools - from.bools));
+  w.u32s(std::span<const uint32_t>(c.refs.data() + from.refs, to.refs - from.refs));
 }
 
 /// Reads `count` values written by put_values, converting the saver's word
@@ -193,6 +219,16 @@ util::Result<std::vector<Value>> get_values(Reader& r, uint32_t count, uint8_t s
 
 }  // namespace
 
+util::SharedBytes damaged_copy(util::BytesView payload, size_t offset, bool truncate) {
+  util::Bytes out(payload.begin(), payload.end());
+  if (truncate) {
+    out.resize(std::min(offset, out.size() - 1));
+  } else {
+    out[offset % out.size()] ^= std::byte{0x40};
+  }
+  return out;
+}
+
 util::Endian repr_endian(uint16_t code) { return static_cast<Endian>(code >> 8); }
 uint8_t repr_word_bytes(uint16_t code) { return static_cast<uint8_t>(code & 0xff); }
 
@@ -228,26 +264,43 @@ Image portable_encode(const sim::Machine& saver, const vm::VmState& state) {
   img.kind = ImageKind::kPortable;
   img.repr_code = saver.repr_code();
 
-  Writer w(img.payload, saver.endian);
+  // Gather every value sequence in write order and size the fixed fields,
+  // then write into one buffer of exactly that size.
+  Columns c;
+  size_t fixed = 4 + 4 + 4 + 4 + 4 + 8;  // magic, 4 counts (globals to heap), steps
+  c.gather(state.globals);
+  c.gather(state.stack);
+  for (const auto& f : state.frames) {
+    fixed += 4 + 4 + 4;
+    c.gather(f.locals);
+  }
+  for (const auto& obj : state.heap) {
+    fixed += 1 + 4;
+    if (obj.kind == vm::HeapObject::Kind::kArray) {
+      c.gather(obj.fields);
+    } else {
+      fixed += obj.bytes.size();
+    }
+  }
+
   const uint8_t word = saver.word_bytes;
+  Writer w(img.payload, saver.endian);
+  w.reserve(fixed + c.payload_bytes(word));
   w.u32(kPortableMagic);
-  w.u32(static_cast<uint32_t>(state.globals.size()));
-  put_values(w, state.globals, word);
-  w.u32(static_cast<uint32_t>(state.stack.size()));
-  put_values(w, state.stack, word);
+  size_t seq = 0;
+  put_values(w, c, seq++, word);
+  put_values(w, c, seq++, word);
   w.u32(static_cast<uint32_t>(state.frames.size()));
   for (const auto& f : state.frames) {
     w.u32(f.function);
     w.u32(f.pc);
-    w.u32(static_cast<uint32_t>(f.locals.size()));
-    put_values(w, f.locals, word);
+    put_values(w, c, seq++, word);
   }
   w.u32(static_cast<uint32_t>(state.heap.size()));
   for (const auto& obj : state.heap) {
     w.u8(static_cast<uint8_t>(obj.kind));
     if (obj.kind == vm::HeapObject::Kind::kArray) {
-      w.u32(static_cast<uint32_t>(obj.fields.size()));
-      put_values(w, obj.fields, word);
+      put_values(w, c, seq++, word);
     } else {
       w.bytes(util::as_bytes_view(obj.bytes));
     }

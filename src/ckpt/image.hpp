@@ -44,10 +44,10 @@ enum class ImageKind : uint8_t { kNative = 0, kPortable = 1 };
 constexpr uint64_t kNativeBaseBytes = 632ull * 1024;    ///< process + VM image
 constexpr uint64_t kPortableBaseBytes = 260ull * 1024;  ///< VM-independent base
 
-struct Image {
+/// Everything about a checkpoint image except its bytes.
+struct ImageInfo {
   ImageKind kind = ImageKind::kPortable;
   uint16_t repr_code = 0;  ///< representation descriptor of the saving machine
-  util::Bytes payload;
   /// Simulated on-disk file size: payload plus the run-time image the real
   /// system would have dumped (not materialized in memory here).
   uint64_t file_bytes = 0;
@@ -55,7 +55,7 @@ struct Image {
   /// app-state is a page delta against `base_epoch`'s image.
   bool incremental = false;
   uint64_t base_epoch = 0;
-  /// Payload compression (ckpt/codec.hpp): how `payload` is coded as
+  /// Payload compression (ckpt/codec.hpp): how the payload is coded as
   /// stored/shipped. The storage layer codes on put and decodes on get, so
   /// everything above the store only ever sees kRaw images.
   PayloadCodec codec = PayloadCodec::kRaw;
@@ -67,6 +67,25 @@ struct Image {
   /// non-incremental images).
   uint64_t codec_base_epoch = 0;
 };
+
+/// An image being built (capture, put) or handed up by a restore: the
+/// payload is owned and mutable.
+struct Image : ImageInfo {
+  util::Bytes payload;
+};
+
+/// An image as a store tier holds it: the payload is immutable and every
+/// fetch shares it (DESIGN.md §7, "Checkpoint payload ownership").
+struct StoredImage : ImageInfo {
+  util::SharedBytes payload;
+};
+
+/// Fault injection for the recovery tests: a copy of the non-empty
+/// `payload` with the byte at `offset % size` flipped, or cut to
+/// min(offset, size - 1) bytes when `truncate`. A stored payload is shared
+/// by every fetch, so the stores swap this copy in rather than damage the
+/// shared bytes.
+util::SharedBytes damaged_copy(util::BytesView payload, size_t offset, bool truncate);
 
 // ----- native (homogeneous) path -----
 

@@ -56,7 +56,7 @@ ReplicaStore::ReplicaStore(sim::Engine& engine, ReplicaOptions options,
   assert(options_.replication >= 1);
 }
 
-uint64_t ReplicaStore::pages_to_ship(const util::Bytes& payload, const HolderCache* cache,
+uint64_t ReplicaStore::pages_to_ship(util::BytesView payload, const HolderCache* cache,
                                      std::vector<uint64_t>& fresh, uint64_t* ship_bytes) {
   const size_t pages = (payload.size() + kPageBytes - 1) / kPageBytes;
   fresh.resize(pages);
@@ -65,7 +65,7 @@ uint64_t ReplicaStore::pages_to_ship(const util::Bytes& payload, const HolderCac
   for (size_t p = 0; p < pages; ++p) {
     const size_t off = p * kPageBytes;
     const size_t len = std::min(kPageBytes, payload.size() - off);
-    fresh[p] = page_fingerprint(util::BytesView(payload.data() + off, len));
+    fresh[p] = page_fingerprint(payload.subspan(off, len));
     if (cache == nullptr || p >= cache->hashes.size() || cache->hashes[p] != fresh[p]) {
       ++ship;
       bytes += len;
@@ -75,7 +75,7 @@ uint64_t ReplicaStore::pages_to_ship(const util::Bytes& payload, const HolderCac
   return ship;
 }
 
-void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
+void ReplicaStore::put(sim::Host& writer, const CkptKey& key, StoredImage image,
                        const std::vector<sim::HostId>& holders) {
   const sim::Time start = engine_.now();
   const net::TransportModel& model = net::model_for(options_.transport);
@@ -131,7 +131,7 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
       ++survivors;
       if (entry == nullptr) {
         entry = &entries_[key];
-        entry->image = image;
+        entry->image = image;  // a shared handle, not a copy
       }
       entry->holders.insert(holder);
       HolderCache& cache = holder_caches_[{holder, key.app, key.rank}];
@@ -162,15 +162,15 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, Image image,
   }
 }
 
-std::optional<Image> ReplicaStore::get(sim::Host& reader, const CkptKey& key) {
-  std::optional<Image> found;
+std::optional<StoredImage> ReplicaStore::get(sim::Host& reader, const CkptKey& key) {
+  std::optional<StoredImage> found;
   bool local = false;
   uint64_t bytes = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it == entries_.end() || it->second.holders.empty()) return std::nullopt;
-    found = it->second.image;
+    found = it->second.image;  // shares the stored payload
     local = it->second.holders.contains(reader.id());
     bytes = kReplicaHeaderBytes + found->payload.size();
   }
@@ -236,7 +236,7 @@ bool ReplicaStore::recoverable_locked(const CkptKey& key) const {
   for (;;) {
     auto it = entries_.find(at);
     if (it == entries_.end() || it->second.holders.empty()) return false;
-    const Image& img = it->second.image;
+    const StoredImage& img = it->second.image;
     // A surviving but corrupt copy cannot rebuild state — structural codec
     // verification disqualifies it here (a fingerprint pass, except that a
     // delta+lz copy is LZ-decompressed in full to parse its inner delta).
@@ -263,13 +263,9 @@ bool ReplicaStore::corrupt_payload(const CkptKey& key, size_t offset, bool trunc
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.holders.empty()) return false;
-  util::Bytes& payload = it->second.image.payload;
+  util::SharedBytes& payload = it->second.image.payload;
   if (payload.empty()) return false;
-  if (truncate) {
-    payload.resize(std::min(offset, payload.size() - 1));
-  } else {
-    payload[offset % payload.size()] ^= std::byte{0x40};
-  }
+  payload = damaged_copy(payload, offset, truncate);
   return true;
 }
 
@@ -410,7 +406,7 @@ uint64_t ReplicaStore::content_hash() const {
 }
 
 void ReplicaStore::for_each_stored(
-    const std::function<void(const CkptKey&, const Image&)>& fn) const {
+    const std::function<void(const CkptKey&, const StoredImage&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [key, entry] : entries_) {
     if (!entry.holders.empty()) fn(key, entry.image);

@@ -90,13 +90,14 @@ class ReplicaStore {
   /// whose fingerprint changed are shipped (PageHashCache). Nothing is
   /// installed until the transfer completes (commit-after-transfer);
   /// holders that died mid-transfer are dropped at install.
-  void put(sim::Host& writer, const CkptKey& key, Image image,
+  void put(sim::Host& writer, const CkptKey& key, StoredImage image,
            const std::vector<sim::HostId>& holders);
 
   /// Fetches a surviving copy, charging the reader the network round trip
-  /// (loopback when the reader itself is a holder). nullopt when no copy
-  /// survives — the caller then falls back to the disk path.
-  std::optional<Image> get(sim::Host& reader, const CkptKey& key);
+  /// (loopback when the reader itself is a holder). The payload is shared
+  /// with the stored copy, never duplicated. nullopt when no copy survives
+  /// — the caller then falls back to the disk path.
+  std::optional<StoredImage> get(sim::Host& reader, const CkptKey& key);
 
   bool contains(const CkptKey& key) const;
   std::optional<uint64_t> file_bytes(const CkptKey& key) const;
@@ -115,9 +116,9 @@ class ReplicaStore {
   /// state.
   bool recoverable(const CkptKey& key) const;
 
-  /// Test-only fault injection: flips one byte of (or truncates) the
-  /// stored payload of `key`'s entry. Returns false when no copy survives
-  /// here. Mirrors CheckpointStore::corrupt_payload.
+  /// Test-only fault injection: swaps in a copy of `key`'s stored payload
+  /// with one byte flipped (or truncated). Returns false when no copy
+  /// survives here. Mirrors CheckpointStore::corrupt_payload.
   bool corrupt_payload(const CkptKey& key, size_t offset, bool truncate = false);
 
   /// Crash invalidation: drops every copy `host` held (its memory is
@@ -144,7 +145,7 @@ class ReplicaStore {
   uint64_t content_hash() const;
   /// Zero-cost read-only walk over every entry with a surviving copy, in
   /// key order, payload as stored (see CheckpointStore::for_each_stored).
-  void for_each_stored(const std::function<void(const CkptKey&, const Image&)>& fn) const;
+  void for_each_stored(const std::function<void(const CkptKey&, const StoredImage&)>& fn) const;
 
   size_t entry_count() const;
   uint64_t bytes_shipped() const;
@@ -169,7 +170,7 @@ class ReplicaStore {
     uint64_t epoch = 0;
   };
   struct Entry {
-    Image image;
+    StoredImage image;
     std::set<sim::HostId> holders;
     std::optional<util::Bytes> meta;
   };
@@ -179,7 +180,7 @@ class ReplicaStore {
   /// fingerprints); fills `fresh` with the payload's full fingerprint set
   /// and `ship_bytes` with the actual byte total of the shipped pages
   /// (tail pages count their real length, not a full 4 KB).
-  static uint64_t pages_to_ship(const util::Bytes& payload, const HolderCache* cache,
+  static uint64_t pages_to_ship(util::BytesView payload, const HolderCache* cache,
                                 std::vector<uint64_t>& fresh, uint64_t* ship_bytes);
   bool recoverable_locked(const CkptKey& key) const;
 

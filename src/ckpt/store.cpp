@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "ckpt/incremental.hpp"
 #include "net/network.hpp"
@@ -14,16 +15,21 @@ bool codec_is_delta(PayloadCodec codec) {
   return codec == PayloadCodec::kDelta || codec == PayloadCodec::kDeltaLz;
 }
 
+/// Hands an image's payload to a store tier without copying it.
+StoredImage to_stored(Image&& image) {
+  return StoredImage{{image}, util::SharedBytes(std::move(image.payload))};
+}
+
 }  // namespace
 
-void CheckpointStore::encode_for_store(const CkptKey& key, Image& image) {
-  if (compress_ == CompressMode::kOff) return;
+StoredImage CheckpointStore::encode_for_store(const CkptKey& key, Image image) {
+  if (compress_ == CompressMode::kOff) return to_stored(std::move(image));
   // Pick the delta base under the lock, then encode outside it: the codec
   // pass is CPU work that must not serialize every shard on mu_. The base
-  // pointer stays valid because std::map nodes are address-stable and an
-  // (app, rank)'s entry is only rewritten by that rank's own puts, which
-  // are sequential (one checkpoint at a time per process).
-  const LastPayload* base_entry = nullptr;
+  // is a shared handle, so it stays alive and unchanged even if this
+  // rank's entry is replaced meanwhile.
+  util::SharedBytes base;
+  uint64_t base_epoch = 0;
   if (compress_chained() && !image.incremental && !is_full_epoch(key.epoch)) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = last_payloads_.find({key.app, key.rank});
@@ -33,34 +39,35 @@ void CheckpointStore::encode_for_store(const CkptKey& key, Image& image) {
         it->second.epoch >= last_full_at_or_before(key.epoch) &&
         (images_.contains({key.app, key.rank, it->second.epoch}) ||
          (replica_ && replica_->contains({key.app, key.rank, it->second.epoch})))) {
-      base_entry = &it->second;
+      base = it->second.raw;
+      base_epoch = it->second.epoch;
     }
   }
-  // Capture the base epoch now: the tracking block below may rewrite the very
-  // map entry base_entry points at (this rank's slot) with the new epoch.
-  const uint64_t base_epoch = base_entry ? base_entry->epoch : 0;
-  const util::BytesView base =
-      base_entry ? util::as_bytes_view(base_entry->raw) : util::BytesView{};
   EncodedPayload coded =
       encode_payload(compress_, util::as_bytes_view(image.payload), base, engine_.obs());
+  const uint64_t raw_bytes = image.payload.size();
+  StoredImage stored = to_stored(std::move(image));
 
   // Track this epoch's raw payload as the next delta base; incremental
   // images are excluded (their payloads are already app-state deltas — a
-  // codec delta would add a second base chain to the same image).
-  if (compress_chained() && !image.incremental) {
+  // codec delta would add a second base chain to the same image). The
+  // tracked payload is the one the image was built with, moved in; when
+  // coding does not pay, the stored image shares it.
+  if (compress_chained() && !stored.incremental) {
     std::lock_guard<std::mutex> lock(mu_);
     LastPayload& lp = last_payloads_[{key.app, key.rank}];
     if (key.epoch >= lp.epoch) {
       lp.epoch = key.epoch;
-      lp.raw = image.payload;
+      lp.raw = stored.payload;
     }
   }
-  if (coded.codec == PayloadCodec::kRaw) return;  // coding did not pay off
-  image.codec = coded.codec;
-  image.raw_payload_bytes = image.payload.size();
-  image.codec_base_epoch = codec_is_delta(coded.codec) ? base_epoch : 0;
-  image.file_bytes = image.file_bytes - image.payload.size() + coded.bytes.size();
-  image.payload = std::move(coded.bytes);
+  if (coded.codec == PayloadCodec::kRaw) return stored;  // coding did not pay off
+  stored.codec = coded.codec;
+  stored.raw_payload_bytes = raw_bytes;
+  stored.codec_base_epoch = codec_is_delta(coded.codec) ? base_epoch : 0;
+  stored.file_bytes = stored.file_bytes - raw_bytes + coded.bytes.size();
+  stored.payload = util::SharedBytes(std::move(coded.bytes));
+  return stored;
 }
 
 void CheckpointStore::enable_replica_backend(net::Network& net, ReplicaOptions options) {
@@ -75,12 +82,13 @@ void CheckpointStore::enable_replica_backend(net::Network& net, ReplicaOptions o
 void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image) {
   // Code the payload first: the smaller file is what the disk write below
   // is charged for — the whole point of the compressed epoch pipeline.
-  if (image.codec == PayloadCodec::kRaw) encode_for_store(key, image);
-  const uint64_t bytes = image.file_bytes;
+  StoredImage stored = image.codec == PayloadCodec::kRaw ? encode_for_store(key, std::move(image))
+                                                         : to_stored(std::move(image));
+  const uint64_t bytes = stored.file_bytes;
   const sim::Time start = engine_.now();
   // Charge the disk before taking the lock: sleep/write block the fiber,
   // and the window barrier must never wait on a held mutex.
-  if (image.kind == ImageKind::kNative) {
+  if (stored.kind == ImageKind::kNative) {
     engine_.sleep(kNativeDumpSetup);
     host.disk().write(bytes);
   } else {
@@ -100,55 +108,69 @@ void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   bytes_written_ += bytes;
-  images_[key] = std::move(image);
+  images_[key] = std::move(stored);
 }
 
 void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image,
                           const std::vector<sim::HostId>& holders) {
   if (backend_ == CkptBackend::kReplica && replica_ && !holders.empty()) {
-    encode_for_store(key, image);  // ship the coded bytes, not the raw epoch
-    replica_->put(host, key, std::move(image), holders);
+    // Ship the coded bytes, not the raw epoch.
+    replica_->put(host, key, encode_for_store(key, std::move(image)), holders);
     return;
   }
   put(host, key, std::move(image));
 }
 
 std::optional<Image> CheckpointStore::get(sim::Host& host, const CkptKey& key) {
-  std::optional<Image> found = fetch_stored(host, key);
-  if (!found || found->codec == PayloadCodec::kRaw) return found;
-  // Coded image: resolve the raw payload before handing it up. Delta
-  // chains fetch their base epoch through this same path — each ancestor
-  // read charges its real tier cost, mirroring incremental restore chains
-  // — and terminate because every link's base epoch is strictly smaller.
-  util::Bytes base;
-  if (codec_is_delta(found->codec)) {
-    if (found->codec_base_epoch >= key.epoch) {
-      if (obs::Hub* hub = engine_.obs()) {
-        hub->metrics.counter("ckpt.codec.decode_errors").add(1);
-      }
-      return std::nullopt;
-    }
-    auto b = get(host, CkptKey{key.app, key.rank, found->codec_base_epoch});
-    if (!b) {
-      if (obs::Hub* hub = engine_.obs()) {
-        hub->metrics.counter("ckpt.codec.chain_breaks").add(1);
-      }
-      return std::nullopt;
-    }
-    base = std::move(b->payload);
-  }
-  auto raw = decode_payload(found->codec, util::as_bytes_view(found->payload),
-                            util::as_bytes_view(base), kMaxIncrementalStateBytes, engine_.obs());
-  if (!raw.ok()) return std::nullopt;  // corrupt: caller falls back, never aborts
-  found->file_bytes = found->file_bytes - found->payload.size() + raw.value().size();
-  found->payload = std::move(raw).take();
-  found->codec = PayloadCodec::kRaw;
-  found->raw_payload_bytes = 0;
-  found->codec_base_epoch = 0;
-  return found;
+  std::optional<StoredImage> found = fetch_stored(host, key);
+  if (!found) return std::nullopt;
+  // Resolve the raw payload before handing it up: a delta link's
+  // ancestors are read through the same tier path, each read charging its
+  // real cost, mirroring incremental restore chains.
+  const LinkFetch fetch = [this, &host](const CkptKey& k) { return fetch_stored(host, k); };
+  std::optional<util::SharedBytes> raw = resolve_payload(key, *found, fetch, engine_.obs());
+  if (!raw) return std::nullopt;  // corrupt: caller falls back, never aborts
+  Image out{*found, {}};
+  out.file_bytes = out.file_bytes - found->payload.size() + raw->size();
+  out.codec = PayloadCodec::kRaw;
+  out.raw_payload_bytes = 0;
+  out.codec_base_epoch = 0;
+  // A raw stored payload is still shared with the store and is copied out
+  // here; a decoded one is this handle's alone and moves out.
+  out.payload = std::move(*raw).to_bytes();
+  return out;
 }
 
-std::optional<Image> CheckpointStore::fetch_stored(sim::Host& host, const CkptKey& key) {
+std::optional<util::SharedBytes> CheckpointStore::resolve_payload(const CkptKey& key,
+                                                                  const StoredImage& link,
+                                                                  const LinkFetch& fetch,
+                                                                  obs::Hub* hub) {
+  if (link.codec == PayloadCodec::kRaw) return link.payload;
+  // A delta link's base resolves through this same function before the
+  // link decodes, so a chain is read newest-first; it terminates because
+  // every link's base epoch is strictly smaller.
+  util::SharedBytes base;
+  if (codec_is_delta(link.codec)) {
+    if (link.codec_base_epoch >= key.epoch) {
+      if (hub != nullptr) hub->metrics.counter("ckpt.codec.decode_errors").add(1);
+      return std::nullopt;
+    }
+    const CkptKey base_key{key.app, key.rank, link.codec_base_epoch};
+    std::optional<StoredImage> base_link = fetch(base_key);
+    std::optional<util::SharedBytes> resolved =
+        base_link ? resolve_payload(base_key, *base_link, fetch, hub) : std::nullopt;
+    if (!resolved) {
+      if (hub != nullptr) hub->metrics.counter("ckpt.codec.chain_breaks").add(1);
+      return std::nullopt;
+    }
+    base = std::move(*resolved);
+  }
+  auto raw = decode_payload(link.codec, link.payload, base, kMaxIncrementalStateBytes, hub);
+  if (!raw.ok()) return std::nullopt;
+  return util::SharedBytes(std::move(raw).take());
+}
+
+std::optional<StoredImage> CheckpointStore::fetch_stored(sim::Host& host, const CkptKey& key) {
   if (replica_) {
     if (auto found = replica_->get(host, key)) return found;
     if (backend_ == CkptBackend::kReplica) {
@@ -160,12 +182,12 @@ std::optional<Image> CheckpointStore::fetch_stored(sim::Host& host, const CkptKe
       }
     }
   }
-  std::optional<Image> found;
+  std::optional<StoredImage> found;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = images_.find(key);
     if (it == images_.end()) return std::nullopt;
-    found = it->second;
+    found = it->second;  // shares the stored payload
   }
   const sim::Time start = engine_.now();
   host.disk().read(found->file_bytes);  // outside the lock: blocks the fiber
@@ -294,7 +316,7 @@ bool CheckpointStore::disk_chain_complete_locked(const CkptKey& key) const {
   for (;;) {
     auto it = images_.find(at);
     if (it == images_.end()) return false;
-    const Image& img = it->second;
+    const StoredImage& img = it->second;
     // A stored-but-corrupt link is as unrecoverable as a missing one. The
     // structural verify is a fingerprint pass for lz and delta links, but a
     // delta+lz link is LZ-decompressed in full to parse its inner delta
@@ -367,30 +389,6 @@ std::optional<uint64_t> CheckpointStore::latest_stored(const std::string& app,
   return best;
 }
 
-bool CheckpointStore::raw_payload_locked(const CkptKey& key, util::Bytes& out,
-                                         int depth) const {
-  if (depth > static_cast<int>(kFullEvery) * 2) return false;  // corrupt chain guard
-  auto it = images_.find(key);
-  if (it == images_.end()) return false;
-  const Image& img = it->second;
-  if (img.codec == PayloadCodec::kRaw) {
-    out = img.payload;
-    return true;
-  }
-  util::Bytes base;
-  if (codec_is_delta(img.codec)) {
-    if (img.codec_base_epoch >= key.epoch) return false;
-    if (!raw_payload_locked({key.app, key.rank, img.codec_base_epoch}, base, depth + 1)) {
-      return false;
-    }
-  }
-  auto raw = decode_payload(img.codec, util::as_bytes_view(img.payload),
-                            util::as_bytes_view(base), kMaxIncrementalStateBytes, nullptr);
-  if (!raw.ok()) return false;
-  out = std::move(raw).take();
-  return true;
-}
-
 uint64_t CheckpointStore::content_hash() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t h = 1469598103934665603ull;
@@ -406,6 +404,12 @@ uint64_t CheckpointStore::content_hash() const {
     mix(&key.rank, sizeof key.rank);
     mix(&key.epoch, sizeof key.epoch);
   };
+  // Zero-cost chain fetch from the disk maps (mu_ is held).
+  const LinkFetch fetch = [this](const CkptKey& k) -> std::optional<StoredImage> {
+    auto it = images_.find(k);
+    if (it == images_.end()) return std::nullopt;
+    return it->second;
+  };
   for (const auto& [key, image] : images_) {
     mix_key(key);
     mix(&image.kind, sizeof image.kind);
@@ -415,15 +419,11 @@ uint64_t CheckpointStore::content_hash() const {
     // suite compares stores coded off/lz/delta/delta+lz byte-for-byte. A
     // payload whose chain no longer resolves hashes as stored (a corrupted
     // store must not hash equal to a clean one).
-    uint64_t file_bytes = image.file_bytes;
-    const util::Bytes* payload = &image.payload;
-    util::Bytes raw;
-    if (image.codec != PayloadCodec::kRaw && raw_payload_locked(key, raw, 0)) {
-      file_bytes = file_bytes - image.payload.size() + raw.size();
-      payload = &raw;
-    }
+    const std::optional<util::SharedBytes> raw = resolve_payload(key, image, fetch, nullptr);
+    const util::SharedBytes& payload = raw ? *raw : image.payload;
+    const uint64_t file_bytes = image.file_bytes - image.payload.size() + payload.size();
     mix(&file_bytes, sizeof file_bytes);
-    mix(payload->data(), payload->size());
+    mix(payload.data(), payload.size());
   }
   for (const auto& [key, meta] : metas_) {
     mix_key(key);
@@ -437,7 +437,7 @@ uint64_t CheckpointStore::content_hash() const {
 }
 
 void CheckpointStore::for_each_stored(
-    const std::function<void(const CkptKey&, const Image&)>& fn) const {
+    const std::function<void(const CkptKey&, const StoredImage&)>& fn) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, image] : images_) fn(key, image);
@@ -485,12 +485,7 @@ bool CheckpointStore::corrupt_payload(const CkptKey& key, size_t offset, bool tr
   std::lock_guard<std::mutex> lock(mu_);
   auto it = images_.find(key);
   if (it == images_.end() || it->second.payload.empty()) return false;
-  util::Bytes& payload = it->second.payload;
-  if (truncate) {
-    payload.resize(std::min(offset, payload.size() - 1));
-  } else {
-    payload[offset % payload.size()] ^= std::byte{0x40};
-  }
+  it->second.payload = damaged_copy(it->second.payload, offset, truncate);
   return true;
 }
 

@@ -171,7 +171,7 @@ class CheckpointStore {
   /// stored (payload possibly coded): the disk tier first, then every
   /// replica entry with a surviving copy, each in key order. Tests pin the
   /// stored bytes with it without perturbing the run.
-  void for_each_stored(const std::function<void(const CkptKey&, const Image&)>& fn) const;
+  void for_each_stored(const std::function<void(const CkptKey&, const StoredImage&)>& fn) const;
   uint64_t bytes_written() const {
     std::lock_guard<std::mutex> lock(mu_);
     return bytes_written_;
@@ -185,21 +185,31 @@ class CheckpointStore {
   bool corrupt_payload(const CkptKey& key, size_t offset, bool truncate = false);
 
  private:
+  /// Yields the link stored under a key, or nullopt; charges whatever
+  /// that read costs.
+  using LinkFetch = std::function<std::optional<StoredImage>(const CkptKey&)>;
+
   /// True iff `key`'s restore chain (incremental bases and codec delta
   /// bases) is complete in the disk maps and every link's payload passes
   /// structural verification.
   bool disk_chain_complete_locked(const CkptKey& key) const;
   /// Codes `image`'s payload per compress_ (delta base = the raw payload
   /// of this rank's previous stored epoch) and tracks the raw payload for
-  /// the next epoch's delta. No-op when the mode is kOff.
-  void encode_for_store(const CkptKey& key, Image& image);
-  /// The tier fetch of the old get(): returns the image as stored (payload
-  /// possibly coded), charging the tier's read cost.
-  std::optional<Image> fetch_stored(sim::Host& host, const CkptKey& key);
-  /// Resolves `key`'s raw payload from the disk maps alone (follows codec
-  /// chains, no cost) — content_hash uses this so the hash is invariant
-  /// across compression modes.
-  bool raw_payload_locked(const CkptKey& key, util::Bytes& out, int depth) const;
+  /// the next epoch's delta, moved in, never copied. Under kOff it only
+  /// hands the payload over.
+  StoredImage encode_for_store(const CkptKey& key, Image image);
+  /// The tier fetch of get(): the image as stored (payload possibly
+  /// coded), shared with the tier, charging the tier's read cost.
+  std::optional<StoredImage> fetch_stored(sim::Host& host, const CkptKey& key);
+  /// The one codec-chain resolver, behind get() (fetch = charged tier
+  /// reads) and content_hash() (fetch = the disk maps, free): `link` is
+  /// what is stored under `key`; a delta link's base is fetched and
+  /// resolved first. A raw link resolves to its own shared payload.
+  /// nullopt when a base is missing, a base epoch is not below its link's,
+  /// or a link fails to decode; `hub` (nullable) counts those.
+  static std::optional<util::SharedBytes> resolve_payload(const CkptKey& key,
+                                                          const StoredImage& link,
+                                                          const LinkFetch& fetch, obs::Hub* hub);
 
   /// The raw payload of the newest epoch put for one (app, rank) — the
   /// delta base for that rank's next epoch. Node-stable map: puts for the
@@ -207,12 +217,12 @@ class CheckpointStore {
   /// rewritten by its own rank while other ranks insert siblings.
   struct LastPayload {
     uint64_t epoch = 0;
-    util::Bytes raw;
+    util::SharedBytes raw;
   };
 
   sim::Engine& engine_;
   mutable std::mutex mu_;
-  std::map<CkptKey, Image> images_;
+  std::map<CkptKey, StoredImage> images_;
   std::map<std::pair<std::string, uint32_t>, LastPayload> last_payloads_;
   std::map<CkptKey, util::Bytes> metas_;
   std::map<std::string, uint64_t> committed_;

@@ -40,60 +40,64 @@ uint64_t decode_epoch(util::BytesView b) {
   return r.u64().value_or(0);
 }
 
-/// Container layout of a checkpoint image payload (fixed little-endian
-/// framing; the inner app_state carries its own representation).
-struct Container {
-  util::Bytes tracker;
-  util::Bytes app_state;
-  util::Bytes channel_state;
-  std::vector<mpi::Envelope> recorded;
-
-  util::Bytes encode() const {
-    util::Bytes out;
-    util::Writer w(out);
-    w.bytes(util::as_bytes_view(tracker));
-    w.bytes(util::as_bytes_view(app_state));
-    w.bytes(util::as_bytes_view(channel_state));
-    w.u32(static_cast<uint32_t>(recorded.size()));
-    for (const auto& e : recorded) {
-      w.u32(e.comm);
-      w.u32(e.src);
-      w.i32(e.tag);
-      w.u32(e.send_interval);
-      w.bytes(util::as_bytes_view(e.data));
-    }
-    return out;
-  }
-
-  static util::Result<Container> decode(const util::Bytes& bytes) {
-    util::Reader r(util::as_bytes_view(bytes));
-    Container c;
-    auto tracker = r.bytes();
-    if (!tracker) return tracker.error();
-    c.tracker = std::move(tracker).take();
-    auto app_state = r.bytes();
-    if (!app_state) return app_state.error();
-    c.app_state = std::move(app_state).take();
-    auto channel = r.bytes();
-    if (!channel) return channel.error();
-    c.channel_state = std::move(channel).take();
-    const uint32_t n = r.u32().value_or(0);
-    for (uint32_t i = 0; i < n; ++i) {
-      mpi::Envelope e;
-      e.comm = r.u32().value_or(0);
-      e.src = r.u32().value_or(0);
-      e.tag = r.i32().value_or(0);
-      e.send_interval = r.u32().value_or(0);
-      auto data = r.bytes();
-      if (!data) return data.error();
-      e.data = std::move(data).take();
-      c.recorded.push_back(std::move(e));
-    }
-    return c;
-  }
-};
-
 }  // namespace
+
+util::Bytes Container::encode() const {
+  size_t size = 4 + tracker.size() + 4 + app_state.size() + 4 + channel_state.size() + 4;
+  for (const auto& e : recorded) size += 4 + 4 + 4 + 4 + 4 + e.data.size();
+  util::Bytes out;
+  util::Writer w(out);
+  w.reserve(size);
+  w.bytes(tracker);
+  w.bytes(app_state);
+  w.bytes(channel_state);
+  w.u32(static_cast<uint32_t>(recorded.size()));
+  for (const auto& e : recorded) {
+    w.u32(e.comm);
+    w.u32(e.src);
+    w.i32(e.tag);
+    w.u32(e.send_interval);
+    w.bytes(e.data);
+  }
+  return out;
+}
+
+util::Result<Container> Container::decode(util::BytesView payload) {
+  util::Reader r(payload);
+  Container c;
+  auto tracker = r.view();
+  if (!tracker) return tracker.error();
+  c.tracker = tracker.value();
+  auto app_state = r.view();
+  if (!app_state) return app_state.error();
+  c.app_state = app_state.value();
+  auto channel = r.view();
+  if (!channel) return channel.error();
+  c.channel_state = channel.value();
+  auto n = r.u32();
+  if (!n) return n.error();
+  for (uint32_t i = 0; i < n.value(); ++i) {
+    auto comm = r.u32();
+    auto src = r.u32();
+    auto tag = r.i32();
+    auto send_interval = r.u32();
+    auto data = r.view();
+    if (!comm || !src || !tag || !send_interval || !data) {
+      return util::Error::make("decode", "truncated recorded message in checkpoint container");
+    }
+    mpi::Envelope e;
+    e.comm = comm.value();
+    e.src = src.value();
+    e.tag = tag.value();
+    e.send_interval = send_interval.value();
+    e.data = util::SharedBytes::copy(data.value());
+    c.recorded.push_back(std::move(e));
+  }
+  if (!r.exhausted()) {
+    return util::Error::make("decode", "trailing bytes after checkpoint container");
+  }
+  return c;
+}
 
 CrModule::CrModule(ApplicationProcess& process)
     : process_(process), tracker_(process.rank()) {}
@@ -314,7 +318,8 @@ void CrModule::on_recv_tap(const mpi::Envelope& env) {
 
 void CrModule::finish_chandy_lamport() {
   cl_active_ = false;
-  store_image(active_epoch_, cl_app_state_, cl_channel_state_, cl_recorded_);
+  store_image(active_epoch_, std::move(cl_app_state_), std::move(cl_channel_state_),
+              std::move(cl_recorded_));
   send_coord(CoordKind::kAck, active_epoch_);
   cl_recorded_.clear();
   cl_app_state_.clear();
@@ -346,56 +351,9 @@ void CrModule::take_uncoordinated_checkpoint() {
 // -------------------------------------------------------------- images ----
 
 void CrModule::store_image(uint64_t epoch, util::Bytes app_state, util::Bytes channel_state,
-                           const std::vector<mpi::Envelope>& recorded) {
-  ckpt::Image img;
-  const bool portable =
-      process_.job().level == daemon::CkptLevel::kVm && process_.is_vm_app();
-
-  Container c;
-  c.tracker = tracker_.encode();
-  c.channel_state = std::move(channel_state);
-  c.recorded = recorded;
-  const auto state_pages =
-      (app_state.size() + ckpt::kPageBytes - 1) / ckpt::kPageBytes;
-  if (process_.job().incremental_ckpt && have_prev_ && !is_full_epoch(epoch)) {
-    // Warm cache: one fingerprint pass over app_state, prev_app_state_ is
-    // not read; the pass leaves the cache describing app_state.
-    ckpt::EncodeStats enc;
-    c.app_state =
-        ckpt::incremental_encode(prev_app_state_, app_state, nullptr, &page_cache_, &enc);
-    img.incremental = true;
-    img.base_epoch = prev_epoch_;
-    if (obs::Hub* hub = process_.engine().obs()) {
-      hub->metrics.counter("ckpt.pages_scanned").add(enc.pages_scanned);
-      hub->metrics.counter("ckpt.pages_hashed").add(enc.pages_hashed);
-      hub->metrics.counter("ckpt.pages_dirty").add(enc.pages_dirty);
-      hub->metrics.counter("ckpt.pages_written").add(enc.pages_dirty);
-    }
-  } else {
-    c.app_state = app_state;
-    // Full epoch: no encode pass ran, so warm the cache here — otherwise the
-    // next delta epoch would fall back to the memcmp path.
-    if (process_.job().incremental_ckpt) page_cache_.rebuild(app_state);
-    if (obs::Hub* hub = process_.engine().obs()) {
-      if (process_.job().incremental_ckpt) {
-        hub->metrics.counter("ckpt.pages_hashed").add(state_pages);
-      }
-      hub->metrics.counter("ckpt.pages_written").add(state_pages);
-    }
-  }
-  if (process_.job().incremental_ckpt) {
-    prev_app_state_ = std::move(app_state);
-    prev_epoch_ = epoch;
-    have_prev_ = true;
-  }
-
-  img.kind = portable ? ckpt::ImageKind::kPortable : ckpt::ImageKind::kNative;
-  img.repr_code = process_.host().machine().repr_code();
-  img.payload = c.encode();
-  img.file_bytes = (img.incremental
-                        ? ckpt::kIncrementalBaseBytes
-                        : (portable ? ckpt::kPortableBaseBytes : ckpt::kNativeBaseBytes)) +
-                   img.payload.size();
+                           std::vector<mpi::Envelope> recorded) {
+  ckpt::Image img =
+      build_image(epoch, std::move(app_state), std::move(channel_state), std::move(recorded));
 
   const ckpt::CkptKey key{process_.job().name, process_.rank(), epoch};
   if (process_.store().backend() == ckpt::CkptBackend::kReplica &&
@@ -419,6 +377,59 @@ void CrModule::store_image(uint64_t epoch, util::Bytes app_state, util::Bytes ch
                              << " stored checkpoint " << epoch;
 }
 
+ckpt::Image CrModule::build_image(uint64_t epoch, util::Bytes app_state,
+                                  util::Bytes channel_state,
+                                  std::vector<mpi::Envelope> recorded) {
+  ckpt::Image img;
+  const bool portable =
+      process_.job().level == daemon::CkptLevel::kVm && process_.is_vm_app();
+  const bool incremental = process_.job().incremental_ckpt;
+  const util::Bytes tracker = tracker_.encode();
+  const auto state_pages =
+      (app_state.size() + ckpt::kPageBytes - 1) / ckpt::kPageBytes;
+  util::Bytes delta;
+  if (incremental && have_prev_ && !is_full_epoch(epoch)) {
+    // Warm cache: one fingerprint pass over app_state, prev_app_state_ is
+    // not read; the pass leaves the cache describing app_state.
+    ckpt::EncodeStats enc;
+    delta = ckpt::incremental_encode(prev_app_state_, app_state, nullptr, &page_cache_, &enc);
+    img.incremental = true;
+    img.base_epoch = prev_epoch_;
+    if (obs::Hub* hub = process_.engine().obs()) {
+      hub->metrics.counter("ckpt.pages_scanned").add(enc.pages_scanned);
+      hub->metrics.counter("ckpt.pages_hashed").add(enc.pages_hashed);
+      hub->metrics.counter("ckpt.pages_dirty").add(enc.pages_dirty);
+      hub->metrics.counter("ckpt.pages_written").add(enc.pages_dirty);
+    }
+  } else {
+    // Full epoch: no encode pass ran, so warm the cache here — otherwise the
+    // next delta epoch would fall back to the memcmp path.
+    if (incremental) page_cache_.rebuild(app_state);
+    if (obs::Hub* hub = process_.engine().obs()) {
+      if (incremental) hub->metrics.counter("ckpt.pages_hashed").add(state_pages);
+      hub->metrics.counter("ckpt.pages_written").add(state_pages);
+    }
+  }
+
+  img.kind = portable ? ckpt::ImageKind::kPortable : ckpt::ImageKind::kNative;
+  img.repr_code = process_.host().machine().repr_code();
+  img.payload = Container{tracker, img.incremental ? delta : app_state, channel_state,
+                          std::move(recorded)}
+                    .encode();
+  img.file_bytes = (img.incremental
+                        ? ckpt::kIncrementalBaseBytes
+                        : (portable ? ckpt::kPortableBaseBytes : ckpt::kNativeBaseBytes)) +
+                   img.payload.size();
+  if (incremental) {
+    // The state stays on as the next epoch's delta base: the one copy of
+    // the capture that outlives the put.
+    prev_app_state_ = std::move(app_state);
+    prev_epoch_ = epoch;
+    have_prev_ = true;
+  }
+  return img;
+}
+
 // ------------------------------------------------------------- restore ----
 
 util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
@@ -437,12 +448,12 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
   if (!container.ok()) return container.error();
   Container c = std::move(container).take();
 
+  util::Bytes app_state;
   if (img->incremental) {
     // Resolve the delta chain: read ancestors back to the last full image
     // (each read is a real disk read), then apply deltas oldest-first.
-    std::vector<util::Bytes> deltas = {std::move(c.app_state)};
+    std::vector<util::Bytes> deltas = {util::Bytes(c.app_state.begin(), c.app_state.end())};
     uint64_t at = img->base_epoch;
-    util::Bytes base;
     for (;;) {
       auto ancestor = process_.store().get(
           process_.host(), ckpt::CkptKey{process_.job().name, process_.rank(), at});
@@ -452,24 +463,26 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
       }
       auto anc_container = Container::decode(ancestor->payload);
       if (!anc_container.ok()) return anc_container.error();
+      const util::BytesView anc_state = anc_container.value().app_state;
       if (!ancestor->incremental) {
-        base = std::move(anc_container.value().app_state);
+        app_state.assign(anc_state.begin(), anc_state.end());
         break;
       }
-      deltas.push_back(std::move(anc_container.value().app_state));
+      deltas.emplace_back(anc_state.begin(), anc_state.end());
       at = ancestor->base_epoch;
     }
     for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-      auto applied = ckpt::incremental_apply(base, *it);
+      auto applied = ckpt::incremental_apply(app_state, *it);
       if (!applied.ok()) return applied.error();
-      base = std::move(applied).take();
+      app_state = std::move(applied).take();
     }
-    c.app_state = std::move(base);
+  } else {
+    app_state.assign(c.app_state.begin(), c.app_state.end());
   }
   // Seed the incremental chain so post-restore epochs diff against the
   // restored state.
   if (process_.job().incremental_ckpt) {
-    prev_app_state_ = c.app_state;
+    prev_app_state_ = app_state;
     page_cache_.rebuild(prev_app_state_);
     prev_epoch_ = epoch;
     have_prev_ = true;
@@ -487,7 +500,7 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
   RestoredState out;
   out.kind = img->kind;
   out.repr_code = img->repr_code;
-  out.app_state = std::move(c.app_state);
+  out.app_state = std::move(app_state);
   return out;
 }
 

@@ -36,6 +36,26 @@ namespace starfish::core {
 
 class ApplicationProcess;
 
+/// Container layout of a checkpoint image payload (fixed little-endian
+/// framing; the inner app_state carries its own representation):
+///   bytes tracker, bytes app_state, bytes channel_state,
+///   u32 n, n x {u32 comm, u32 src, i32 tag, u32 send_interval, bytes data}
+/// where bytes = u32 length + that many bytes. The three blobs are views:
+/// encode reads them from the caller's buffers, decode points them into
+/// the payload it was given, which must outlive the Container.
+struct Container {
+  util::BytesView tracker;
+  util::BytesView app_state;
+  util::BytesView channel_state;
+  std::vector<mpi::Envelope> recorded;
+
+  /// One buffer, allocated once at its exact size.
+  util::Bytes encode() const;
+  /// Fails closed: a short field anywhere, or any byte after the recorded
+  /// list, is Error{"decode"}.
+  static util::Result<Container> decode(util::BytesView payload);
+};
+
 /// What CrModule::restore yields: the saved application-state blob (the
 /// caller decodes VM state / native state from it) plus its provenance.
 struct RestoredState {
@@ -83,10 +103,15 @@ class CrModule {
   void begin_chandy_lamport(uint64_t epoch, bool initiator);
   void finish_chandy_lamport();
   void take_uncoordinated_checkpoint();
-  /// Serializes {tracker, app state, channel state, recorded messages} into
-  /// one image and writes it to the store under `epoch`.
+  /// Writes the image of {tracker, app state, channel state, recorded
+  /// messages} to the store under `epoch`.
   void store_image(uint64_t epoch, util::Bytes app_state, util::Bytes channel_state,
-                   const std::vector<mpi::Envelope>& recorded);
+                   std::vector<mpi::Envelope> recorded);
+  /// Builds that image: the container payload, exactly sized. The capture
+  /// passed in dies when this returns, so store_image's put() blocks on
+  /// the disk write or replica transfer holding the payload alone.
+  ckpt::Image build_image(uint64_t epoch, util::Bytes app_state, util::Bytes channel_state,
+                          std::vector<mpi::Envelope> recorded);
   void handle_ack(uint64_t epoch, uint32_t from);
 
   ApplicationProcess& process_;

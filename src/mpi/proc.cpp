@@ -534,10 +534,10 @@ util::Bytes Proc::capture_channel_state() const {
   return out;
 }
 
-void Proc::restore_channel_state(const util::Bytes& blob, std::vector<Envelope> recorded) {
+void Proc::restore_channel_state(util::BytesView blob, std::vector<Envelope> recorded) {
   std::deque<Envelope> live;
   live.swap(unexpected_);
-  util::Reader r(util::as_bytes_view(blob));
+  util::Reader r(blob);
   const uint32_t n = r.u32().value_or(0);
   for (uint32_t i = 0; i < n; ++i) {
     Envelope env;

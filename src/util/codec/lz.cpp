@@ -241,25 +241,41 @@ Status decode_block(const BlockRef& blk, std::byte* dst) {
 }  // namespace
 
 Bytes lz_compress(BytesView raw) {
-  Bytes out;
-  Writer w(out);
-  w.reserve(kFrameHeaderBytes + raw.size() / 4 + 64);
-  w.u32(kLzMagic);
-  w.u8(kLzVersion);
-  w.u64(raw.size());
   const uint64_t n_blocks = raw.empty() ? 0 : (raw.size() + kLzBlockBytes - 1) / kLzBlockBytes;
-  w.u32(static_cast<uint32_t>(n_blocks));
-
+  // Token-compress every block first, into one scratch run, so the frame
+  // is allocated once at its exact size. A block whose tokens do not beat
+  // it is stored verbatim (its partial tokens are dropped).
   std::vector<int32_t> head(size_t{1} << kHashBits);
   std::vector<int32_t> prev;
   std::vector<uint64_t> seen(size_t{1} << (seen_bits(std::min(raw.size(), kLzBlockBytes)) - 6));
   Bytes tokens;
+  std::vector<size_t> token_end(n_blocks);  // == the block's start when it is stored
+  size_t frame_bytes = kFrameHeaderBytes;
   for (uint64_t b = 0; b < n_blocks; ++b) {
     const size_t off = static_cast<size_t>(b) * kLzBlockBytes;
     const size_t len = std::min(kLzBlockBytes, raw.size() - off);
-    tokens.clear();
-    const bool lz = compress_block(raw.data() + off, len, tokens, 0, head, prev, seen);
-    const BytesView enc = lz ? as_bytes_view(tokens) : raw.subspan(off, len);
+    const size_t start = tokens.size();
+    if (!compress_block(raw.data() + off, len, tokens, start, head, prev, seen)) {
+      tokens.resize(start);
+    }
+    token_end[b] = tokens.size();
+    frame_bytes += kBlockHeaderBytes + (tokens.size() > start ? tokens.size() - start : len);
+  }
+
+  Bytes out;
+  Writer w(out);
+  w.reserve(frame_bytes);
+  w.u32(kLzMagic);
+  w.u8(kLzVersion);
+  w.u64(raw.size());
+  w.u32(static_cast<uint32_t>(n_blocks));
+  for (uint64_t b = 0; b < n_blocks; ++b) {
+    const size_t off = static_cast<size_t>(b) * kLzBlockBytes;
+    const size_t len = std::min(kLzBlockBytes, raw.size() - off);
+    const size_t start = b == 0 ? 0 : token_end[b - 1];
+    const bool lz = token_end[b] > start;
+    const BytesView enc =
+        lz ? BytesView(tokens).subspan(start, token_end[b] - start) : raw.subspan(off, len);
     w.u8(lz ? 1 : 0);
     w.u32(static_cast<uint32_t>(len));
     w.u32(static_cast<uint32_t>(enc.size()));

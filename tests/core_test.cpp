@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/bus.hpp"
 #include "core/cluster.hpp"
+#include "core/cr.hpp"
 
 namespace starfish::core {
 namespace {
@@ -267,6 +269,60 @@ TEST(Checkpointing, StopAndSyncJobCrashedTwicePrintsGoldenOutput) {
   EXPECT_TRUE(
       output_contains(f.cluster.output("twice"), std::to_string(expected_ring_token(4, 40))));
   EXPECT_GE(f.cluster.daemon_at(0).restarts_performed(), 2u);
+}
+
+// The checkpoint container decoder fails closed: every truncation point
+// and an appended byte of a container holding two recorded envelopes is
+// Error{"decode"}, and the intact bytes decode to views of every blob.
+TEST(CheckpointContainer, DecodeFailsClosedOnTruncationAndTrailingBytes) {
+  const util::Bytes tracker = {std::byte{1}, std::byte{2}, std::byte{3}};
+  const util::Bytes app_state(300, std::byte{0x5a});
+  const util::Bytes channel = {std::byte{9}};
+  Container c{tracker, app_state, channel, {}};
+  for (uint32_t i = 0; i < 2; ++i) {
+    mpi::Envelope e;
+    e.comm = 7 + i;
+    e.src = 2 - i;
+    e.tag = -3 - static_cast<int32_t>(i);
+    e.send_interval = 40 + i;
+    e.data = util::Bytes(5 + i, std::byte{static_cast<uint8_t>(0xa0 + i)});
+    c.recorded.push_back(std::move(e));
+  }
+  const util::Bytes bytes = c.encode();
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+
+  auto back = Container::decode(bytes);
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  EXPECT_TRUE(std::ranges::equal(back.value().tracker, tracker));
+  EXPECT_TRUE(std::ranges::equal(back.value().app_state, app_state));
+  EXPECT_TRUE(std::ranges::equal(back.value().channel_state, channel));
+  ASSERT_EQ(back.value().recorded.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const mpi::Envelope& got = back.value().recorded[i];
+    EXPECT_EQ(got.comm, c.recorded[i].comm);
+    EXPECT_EQ(got.src, c.recorded[i].src);
+    EXPECT_EQ(got.tag, c.recorded[i].tag);
+    EXPECT_EQ(got.send_interval, c.recorded[i].send_interval);
+    EXPECT_EQ(got.data, c.recorded[i].data);
+  }
+
+  struct Case {
+    std::string name;
+    util::Bytes bytes;
+  };
+  std::vector<Case> cases;
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    cases.push_back({"truncated to " + std::to_string(cut),
+                     util::Bytes(bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(cut))});
+  }
+  util::Bytes appended = bytes;
+  appended.push_back(std::byte{0});
+  cases.push_back({"one appended byte", std::move(appended)});
+  for (const Case& k : cases) {
+    auto r = Container::decode(k.bytes);
+    ASSERT_FALSE(r.ok()) << k.name;
+    EXPECT_EQ(r.error().code, "decode") << k.name;
+  }
 }
 
 TEST(Checkpointing, RestartWithoutAnyCheckpointRestartsFromScratch) {
