@@ -182,6 +182,26 @@ void BM_PortableImageEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_PortableImageEncode)->Arg(64 * 1024)->Arg(1024 * 1024);
 
+// The restore side of one sparse8_ckpt rank's array: range/8 ints (1 MB
+// of payload words at 1048576) decoded on the saving machine.
+void BM_PortableImageDecode(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0)) / 8;
+  vm::VmState s;
+  vm::HeapObject arr;
+  arr.assign(n, vm::Value::unit());
+  for (size_t i = 0; i < n; ++i) {
+    arr.set(i, vm::Value::integer(static_cast<int64_t>((i * 7919 + 17) % 1000003)));
+  }
+  s.heap.push_back(std::move(arr));
+  const auto img = ckpt::portable_encode(sim::default_machine(), s);
+  for (auto _ : state) {
+    auto back = ckpt::portable_decode(img, sim::default_machine());
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PortableImageDecode)->Arg(1024 * 1024);
+
 void BM_PortableImageCrossDecode(benchmark::State& state) {
   // Encode big-endian 32-bit, decode little-endian 64-bit: the conversion
   // path of the Table 2 matrix.
@@ -762,9 +782,9 @@ constexpr size_t kCkptCells = 116 * 1024;  // 9 SFV2 bytes a value: ~1 MB
 vm::VmState ckpt_bench_state() {
   vm::VmState s;
   vm::HeapObject arr;
-  arr.fields.reserve(kCkptCells);
+  arr.assign(kCkptCells, vm::Value::unit());
   for (size_t i = 0; i < kCkptCells; ++i) {
-    arr.fields.push_back(vm::Value::integer(static_cast<int64_t>((i * 7919 + 17) % 1000003)));
+    arr.set(i, vm::Value::integer(static_cast<int64_t>((i * 7919 + 17) % 1000003)));
   }
   s.heap.push_back(std::move(arr));
   s.frames.push_back(vm::Frame{0, 12, {vm::Value::integer(0), vm::Value::reference(0)}});
@@ -772,10 +792,10 @@ vm::VmState ckpt_bench_state() {
 }
 
 void touch_cells(vm::VmState& s, uint64_t epoch) {
-  auto& cells = s.heap[0].fields;
+  vm::HeapObject& cells = s.heap[0];
   for (uint64_t k = 0; k < 8; ++k) {
     const size_t i = static_cast<size_t>((epoch * 7919 + k * 32771) % cells.size());
-    cells[i] = vm::Value::integer(cells[i].i + 1);
+    cells.set(i, vm::Value::integer(cells.get(i).i + 1));
   }
   s.steps_executed += 200'000;
 }

@@ -26,7 +26,8 @@ vm::VmState sample_state() {
   f.locals = {vm::Value::integer(INT32_MAX), vm::Value::integer(INT32_MIN)};
   s.frames.push_back(f);
   vm::HeapObject arr;
-  arr.fields = {vm::Value::integer(7), vm::Value::real(0.5)};
+  arr.push_back(vm::Value::integer(7));
+  arr.push_back(vm::Value::real(0.5));
   s.heap.push_back(arr);
   s.steps_executed = 1'000'000;
   return s;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Engine hot-path regression smoke: runs the engine/fiber/channel micro
 # benches plus the SIMD data-plane benches (fingerprint, image conversion,
-# datatype pack), the portable-image encode and cross-representation decode
-# benches, the LZ codec benches, the GCS benches (wire round trip,
+# datatype pack), the portable-image encode, decode and cross-representation
+# decode benches, the LZ codec benches, the GCS benches (wire round trip,
 # flat group heartbeat load) and the checkpoint path benches (capture to
 # disk put, chained restore) in a Release tree and compares
 # host time per benchmark against the committed baseline

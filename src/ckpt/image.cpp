@@ -1,13 +1,12 @@
 #include "ckpt/image.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
-
-#include "util/simd/simd.hpp"
+#include <cstring>
+#include <optional>
 
 namespace starfish::ckpt {
-
-namespace simd = util::simd;
 
 namespace {
 
@@ -24,197 +23,206 @@ using vm::Value;
 // through the util/simd bulk kernels (byteswap, widen/narrow) instead of a
 // per-value switch. The bytes are ISA-invariant: every kernel is
 // bit-identical across scalar/AVX2/AVX-512/NEON (DESIGN.md §16).
+//
+// A heap array already holds that layout in memory (a tag column and a
+// payload-word column, vm/value.hpp), so the codec below reads and writes
+// it column to column. Globals, the stack and locals are split into the
+// same two columns on capture and rebuilt into Values on restore.
 constexpr uint32_t kPortableMagic = 0x53465632;
 
-/// The gathered columns of every value sequence of one image (encode
-/// side), back to back in write order, with the end of each sequence's
-/// slice of every column. portable_encode gathers all sequences before it
-/// writes a byte, so it can allocate the payload once at its exact size.
-struct Columns {
-  struct Ends {
-    size_t tags, ints, floats, bools, refs;
-  };
-  util::Bytes tags;
-  std::vector<int64_t> ints;
-  std::vector<double> floats;
-  util::Bytes bools;
-  std::vector<uint32_t> refs;
-  std::vector<Ends> ends;  ///< one per gathered sequence
+constexpr size_t kTagCount = 5;
+/// Elements of each tag in one sequence, indexed by Tag.
+using TagCounts = std::array<size_t, kTagCount>;
+/// The payload columns in write order.
+constexpr Tag kPayloadTags[] = {Tag::kInt, Tag::kFloat, Tag::kBool, Tag::kRef};
 
-  void gather(std::span<const Value> vals);
-  /// Bytes the gathered sequences take in the payload (counts excluded).
-  size_t payload_bytes(uint8_t word_bytes) const {
-    return tags.size() + ints.size() * (word_bytes >= 8 ? 8 : 4) + floats.size() * 8 +
-           bools.size() + refs.size() * 4;
+size_t index_of(Tag t) { return static_cast<size_t>(t); }
+
+/// Counts each tag of `tags`; nullopt when a byte names no Tag. A
+/// single-tag sequence, the common heap array, costs one OR-reduction.
+std::optional<TagCounts> count_tags(std::span<const Tag> tags) {
+  TagCounts counts{};
+  if (tags.empty()) return counts;
+  const auto first = static_cast<uint8_t>(tags[0]);
+  uint8_t diff = 0;
+  for (Tag t : tags) diff |= static_cast<uint8_t>(static_cast<uint8_t>(t) ^ first);
+  if (diff == 0) {
+    if (first >= kTagCount) return std::nullopt;
+    counts[first] = tags.size();
+    return counts;
   }
-};
+  for (Tag t : tags) {
+    if (static_cast<uint8_t>(t) >= kTagCount) return std::nullopt;
+    ++counts[index_of(t)];
+  }
+  return counts;
+}
 
-/// Appends `vals` as the next sequence: its tags, then its integer words,
-/// floats, bools and refs each to their column, in value order.
-///
-/// Single pass of tag-run-length gather: real sequences are long
-/// homogeneous runs (a stack of ints, a heap array of floats), so the run
-/// pre-pass turns the per-value tag switch + push_back into one dispatch
-/// per run, a bulk std::fill of the run's tag bytes, and a tight
-/// single-tag fill loop with no capacity checks. One streaming pass over
-/// the (16-byte-stride) value array — a second full pass would be
-/// memory-bound, not branch-bound, and cost more than the switch it
-/// saves. The bytes are identical to the naive per-value walk: runs are
-/// processed left to right, so each column keeps value order.
-void Columns::gather(std::span<const Value> vals) {
-  const size_t n = vals.size();
-  const size_t tag_at = tags.size();
-  tags.resize(tag_at + n);
-  // Runs are capped so the detection scan and the gather that re-reads the
-  // same values stay L2-resident together (4096 values = 64 KB of Value);
-  // an uncapped run over a multi-MB sequence would stream the array from
-  // DRAM twice. Splitting a run changes nothing downstream — the fills and
-  // appends are position-exact.
-  constexpr size_t kRunCap = 4096;
+/// Bytes a sequence of `n` values with tag counts `c` takes in the payload
+/// after its count: tags, then the saver-word ints, floats, bools and refs.
+size_t columns_bytes(size_t n, const TagCounts& c, uint8_t word_bytes) {
+  return n + c[index_of(Tag::kInt)] * (word_bytes >= 8 ? 8 : 4) + c[index_of(Tag::kFloat)] * 8 +
+         c[index_of(Tag::kBool)] + c[index_of(Tag::kRef)] * 4;
+}
+
+std::span<const int64_t> as_i64(std::span<const uint64_t> w) {
+  return {reinterpret_cast<const int64_t*>(w.data()), w.size()};
+}
+std::span<int64_t> as_i64(std::span<uint64_t> w) {
+  return {reinterpret_cast<int64_t*>(w.data()), w.size()};
+}
+
+/// Calls `fn(k, end)` for each maximal run [k, end) of tag `t` in `tags`,
+/// left to right.
+template <typename Fn>
+void for_each_run(std::span<const Tag> tags, Tag t, Fn&& fn) {
+  const size_t n = tags.size();
   for (size_t k = 0; k < n;) {
-    const Tag t = vals[k].tag;
-    const size_t cap = std::min(n, k + kRunCap);
     size_t end = k + 1;
-    while (end < cap && vals[end].tag == t) ++end;
-    std::fill(tags.begin() + static_cast<ptrdiff_t>(tag_at + k),
-              tags.begin() + static_cast<ptrdiff_t>(tag_at + end), static_cast<std::byte>(t));
-    const size_t len = end - k;
-    switch (t) {
-      case Tag::kUnit:
-        break;
-      case Tag::kInt: {
-        ints.resize(ints.size() + len);
-        simd::gather64(reinterpret_cast<std::byte*>(ints.data() + (ints.size() - len)),
-                       reinterpret_cast<const std::byte*>(&vals[k]) + offsetof(Value, i),
-                       sizeof(Value), len);
-        break;
-      }
-      case Tag::kFloat: {
-        floats.resize(floats.size() + len);
-        simd::gather64(reinterpret_cast<std::byte*>(floats.data() + (floats.size() - len)),
-                       reinterpret_cast<const std::byte*>(&vals[k]) + offsetof(Value, f),
-                       sizeof(Value), len);
-        break;
-      }
-      case Tag::kBool: {
-        bools.resize(bools.size() + len);
-        std::byte* bp = bools.data() + (bools.size() - len);
-        for (size_t j = k; j < end; ++j) {
-          *bp++ = std::byte{vals[j].i ? uint8_t{1} : uint8_t{0}};
-        }
-        break;
-      }
-      case Tag::kRef: {
-        refs.resize(refs.size() + len);
-        uint32_t* rp = refs.data() + (refs.size() - len);
-        for (size_t j = k; j < end; ++j) *rp++ = vals[j].ref;
-        break;
-      }
-    }
+    while (end < n && tags[end] == tags[k]) ++end;
+    if (tags[k] == t) fn(k, end);
     k = end;
   }
-  ends.push_back({tags.size(), ints.size(), floats.size(), bools.size(), refs.size()});
 }
 
-/// Writes gathered sequence `seq` as u32 count, u8 tags[count], then its
-/// ints (saver-word-sized each, in value order), f64 floats, u8 bools and
-/// u32 refs.
-void put_values(Writer& w, const Columns& c, size_t seq, uint8_t word_bytes) {
-  const Columns::Ends from = seq == 0 ? Columns::Ends{} : c.ends[seq - 1];
-  const Columns::Ends& to = c.ends[seq];
-  w.u32(static_cast<uint32_t>(to.tags - from.tags));
-  w.raw(util::BytesView(c.tags).subspan(from.tags, to.tags - from.tags));
-  const std::span<const int64_t> ints(c.ints.data() + from.ints, to.ints - from.ints);
-  if (word_bytes >= 8) {
-    w.i64s(ints);
-  } else {
-    w.i32s_narrowed(ints);  // VM arithmetic already wrapped to 32 bits
+/// Appends `words`, the payloads of values of tag `t`, to t's column.
+void put_words(Writer& w, Tag t, std::span<const uint64_t> words, uint8_t word_bytes) {
+  switch (t) {
+    case Tag::kInt:
+      if (word_bytes >= 8) {
+        w.u64s(words);
+      } else {
+        w.i32s_narrowed(as_i64(words));  // VM arithmetic already wrapped to 32 bits
+      }
+      break;
+    case Tag::kFloat:
+      w.u64s(words);
+      break;
+    case Tag::kBool:
+      for (uint64_t b : words) w.u8(b != 0 ? 1 : 0);
+      break;
+    case Tag::kRef:
+      w.i32s_narrowed(as_i64(words));  // a ref word is a zero-extended u32
+      break;
+    case Tag::kUnit:
+      break;
   }
-  w.f64s(std::span<const double>(c.floats.data() + from.floats, to.floats - from.floats));
-  w.raw(util::BytesView(c.bools).subspan(from.bools, to.bools - from.bools));
-  w.u32s(std::span<const uint32_t>(c.refs.data() + from.refs, to.refs - from.refs));
 }
 
-/// Reads `count` values written by put_values, converting the saver's word
-/// size and checking every integer against the target machine's word.
-util::Result<std::vector<Value>> get_values(Reader& r, uint32_t count, uint8_t saver_word,
-                                            const sim::Machine& target) {
-  auto tags = r.raw_view(count);
-  if (!tags) return tags.error();
-  size_t n_ints = 0, n_floats = 0, n_bools = 0, n_refs = 0;
-  for (std::byte t : tags.value()) {
-    switch (static_cast<Tag>(t)) {
-      case Tag::kUnit: break;
-      case Tag::kInt: ++n_ints; break;
-      case Tag::kFloat: ++n_floats; break;
-      case Tag::kBool: ++n_bools; break;
-      case Tag::kRef: ++n_refs; break;
-      default: return util::Error::make("decode", "bad value tag");
+/// Writes one sequence as u32 count, u8 tags[count], then its ints
+/// (saver-word-sized each, in value order), f64 floats, u8 bools and u32
+/// refs. A single-tag sequence writes its one column in one call; a mixed
+/// one appends each column run by run.
+void put_columns(Writer& w, const vm::HeapObject& cols, const TagCounts& c, uint8_t word_bytes) {
+  const size_t n = cols.size();
+  w.u32(static_cast<uint32_t>(n));
+  w.raw(std::as_bytes(std::span<const Tag>(cols.tags)));
+  const std::span<const uint64_t> words(cols.words);
+  for (Tag t : kPayloadTags) {
+    if (c[index_of(t)] == 0) continue;
+    if (c[index_of(t)] == n) {
+      put_words(w, t, words, word_bytes);
+    } else {
+      for_each_run(cols.tags, t, [&](size_t k, size_t end) {
+        put_words(w, t, words.subspan(k, end - k), word_bytes);
+      });
     }
   }
-  std::vector<int64_t> ints(n_ints);
-  if (saver_word >= 8) {
-    if (auto s = r.read_i64s(ints); !s.ok()) return s.error();
-  } else {
-    if (auto s = r.read_i64s_widened(ints); !s.ok()) return s.error();
-  }
-  std::vector<double> floats(n_floats);
-  if (auto s = r.read_f64s(floats); !s.ok()) return s.error();
-  auto bools = r.raw_view(n_bools);
-  if (!bools) return bools.error();
-  std::vector<uint32_t> refs(n_refs);
-  if (auto s = r.read_u32s(refs); !s.ok()) return s.error();
+}
 
-  // Run-length stitch: tags were validated above, so the reassembly walks
-  // homogeneous tag runs (the tag bytes are contiguous in the payload —
-  // run detection is a cheap byte scan) and appends each column span with
-  // a tight single-tag loop instead of a per-value switch. Unit runs
-  // bulk-append default (kUnit) values via resize. The narrowing check
-  // hoists out entirely on 64-bit targets, where every i64 fits.
+/// Reads the next words of t's column into `out`, converting the saver's
+/// word size (ints) and widening u32 refs.
+util::Status get_words(Reader& r, Tag t, std::span<uint64_t> out, uint8_t saver_word) {
+  switch (t) {
+    case Tag::kInt:
+      return saver_word >= 8 ? r.read_u64s(out) : r.read_i64s_widened(as_i64(out));
+    case Tag::kFloat:
+      return r.read_u64s(out);
+    case Tag::kBool: {
+      auto b = r.raw_view(out.size());
+      if (!b) return b.error();
+      for (size_t j = 0; j < out.size(); ++j) out[j] = b.value()[j] != std::byte{0} ? 1 : 0;
+      return util::Status::ok_status();
+    }
+    case Tag::kRef: {
+      if (auto s = r.read_i64s_widened(as_i64(out)); !s.ok()) return s;
+      for (uint64_t& ref : out) ref &= 0xffffffffu;  // zero-extend, not sign-extend
+      return util::Status::ok_status();
+    }
+    case Tag::kUnit:
+      break;
+  }
+  return util::Status::ok_status();
+}
+
+/// Reads `n` values written by put_columns into the columns of `cols`,
+/// converting the saver's word size, and checks every integer against the
+/// target machine's word. Fails closed on a byte that names no tag.
+util::Status get_columns(Reader& r, uint32_t n, uint8_t saver_word, const sim::Machine& target,
+                         vm::HeapObject& cols) {
+  auto tag_bytes = r.raw_view(n);
+  if (!tag_bytes) return tag_bytes.error();
+  cols.tags.resize(n);
+  if (n != 0) std::memcpy(cols.tags.data(), tag_bytes.value().data(), n);
+  const std::optional<TagCounts> counted = count_tags(cols.tags);
+  if (!counted) return util::Error::make("decode", "bad value tag");
+  const TagCounts& c = *counted;
+  cols.words.assign(n, 0);  // unit payloads; every other element is read below
+  const std::span<uint64_t> words(cols.words);
+  for (Tag t : kPayloadTags) {
+    if (c[index_of(t)] == 0) continue;
+    if (c[index_of(t)] == n) {
+      if (auto s = get_words(r, t, words, saver_word); !s.ok()) return s;
+    } else {
+      util::Status s = util::Status::ok_status();
+      for_each_run(cols.tags, t, [&](size_t k, size_t end) {
+        if (s.ok()) s = get_words(r, t, words.subspan(k, end - k), saver_word);
+      });
+      if (!s.ok()) return s;
+    }
+  }
+  // Checked after every column is read, so a truncated payload reports the
+  // short read whatever its ints hold; hoisted out on 64-bit targets.
+  if (target.word_bytes < 8 && c[index_of(Tag::kInt)] != 0) {
+    for (size_t k = 0; k < n; ++k) {
+      const auto v = static_cast<int64_t>(words[k]);
+      if (cols.tags[k] == Tag::kInt && !vm::fits_word(v, target)) {
+        return util::Error::make("narrow", "integer " + std::to_string(v) +
+                                               " does not fit the target machine's " +
+                                               std::to_string(target.word_bytes * 8) +
+                                               "-bit word");
+      }
+    }
+  }
+  return util::Status::ok_status();
+}
+
+/// A Value sequence (globals, stack, locals) as array columns, and back.
+vm::HeapObject split(std::span<const Value> vals) {
+  vm::HeapObject cols;
+  cols.tags.resize(vals.size());
+  cols.words.resize(vals.size());
+  for (size_t k = 0; k < vals.size(); ++k) {
+    cols.tags[k] = vals[k].tag;
+    cols.words[k] = vals[k].word();
+  }
+  return cols;
+}
+
+std::vector<Value> rebuild(const vm::HeapObject& cols) {
   std::vector<Value> out;
-  out.reserve(count);
-  const std::byte* tp = tags.value().data();
-  const bool check_narrow = target.word_bytes < 8;
-  size_t ii = 0, fi = 0, bi = 0, ri = 0;
-  for (size_t k = 0; k < count;) {
-    const Tag t = static_cast<Tag>(tp[k]);
-    size_t end = k + 1;
-    while (end < count && static_cast<Tag>(tp[end]) == t) ++end;
-    switch (t) {
-      case Tag::kUnit:
-        out.resize(end - k + out.size());
-        break;
-      case Tag::kInt:
-        if (check_narrow) {
-          for (size_t j = k; j < end; ++j) {
-            const int64_t v = ints[ii++];
-            if (!vm::fits_word(v, target)) {
-              return util::Error::make(
-                  "narrow", "integer " + std::to_string(v) +
-                                " does not fit the target machine's " +
-                                std::to_string(target.word_bytes * 8) + "-bit word");
-            }
-            out.push_back(Value::integer(v));
-          }
-        } else {
-          for (size_t j = k; j < end; ++j) out.push_back(Value::integer(ints[ii++]));
-        }
-        break;
-      case Tag::kFloat:
-        for (size_t j = k; j < end; ++j) out.push_back(Value::real(floats[fi++]));
-        break;
-      case Tag::kBool:
-        for (size_t j = k; j < end; ++j) {
-          out.push_back(Value::boolean(bools.value()[bi++] != std::byte{0}));
-        }
-        break;
-      default:  // kRef (tags pre-validated)
-        for (size_t j = k; j < end; ++j) out.push_back(Value::reference(refs[ri++]));
-        break;
-    }
-    k = end;
-  }
+  out.reserve(cols.size());
+  for (size_t k = 0; k < cols.size(); ++k) out.push_back(cols.get(k));
   return out;
+}
+
+util::Result<std::vector<Value>> get_values(Reader& r, uint8_t saver_word,
+                                            const sim::Machine& target) {
+  auto n = r.u32();
+  if (!n) return n.error();
+  vm::HeapObject cols;
+  if (auto s = get_columns(r, n.value(), saver_word, target, cols); !s.ok()) return s.error();
+  return rebuild(cols);
 }
 
 }  // namespace
@@ -227,6 +235,13 @@ util::SharedBytes damaged_copy(util::BytesView payload, size_t offset, bool trun
     out[offset % out.size()] ^= std::byte{0x40};
   }
   return out;
+}
+
+bool verify_stored(const StoredImage& image) {
+  if (!image.verified) {
+    image.verified = verify_payload(image.codec, util::as_bytes_view(image.payload)).ok();
+  }
+  return image.verified;
 }
 
 util::Endian repr_endian(uint16_t code) { return static_cast<Endian>(code >> 8); }
@@ -263,44 +278,53 @@ Image portable_encode(const sim::Machine& saver, const vm::VmState& state) {
   Image img;
   img.kind = ImageKind::kPortable;
   img.repr_code = saver.repr_code();
+  const uint8_t word = saver.word_bytes;
 
-  // Gather every value sequence in write order and size the fixed fields,
-  // then write into one buffer of exactly that size.
-  Columns c;
-  size_t fixed = 4 + 4 + 4 + 4 + 4 + 8;  // magic, 4 counts (globals to heap), steps
-  c.gather(state.globals);
-  c.gather(state.stack);
-  for (const auto& f : state.frames) {
-    fixed += 4 + 4 + 4;
-    c.gather(f.locals);
+  // Split the Value sequences and count every sequence's tags in write
+  // order, so the payload is allocated once at its exact size.
+  const vm::HeapObject globals = split(state.globals);
+  const vm::HeapObject stack = split(state.stack);
+  std::vector<vm::HeapObject> locals;
+  locals.reserve(state.frames.size());
+  for (const auto& f : state.frames) locals.push_back(split(f.locals));
+  std::vector<TagCounts> counts;
+  size_t size = 4 + 4 + 4 + 4 + 4 + 8;  // magic, 4 counts (globals to heap), steps
+  const auto count = [&](const vm::HeapObject& cols) {
+    counts.push_back(*count_tags(cols.tags));
+    size += columns_bytes(cols.size(), counts.back(), word);
+  };
+  count(globals);
+  count(stack);
+  for (const auto& l : locals) {
+    size += 4 + 4 + 4;
+    count(l);
   }
   for (const auto& obj : state.heap) {
-    fixed += 1 + 4;
+    size += 1 + 4;
     if (obj.kind == vm::HeapObject::Kind::kArray) {
-      c.gather(obj.fields);
+      count(obj);
     } else {
-      fixed += obj.bytes.size();
+      size += obj.bytes.size();
     }
   }
 
-  const uint8_t word = saver.word_bytes;
   Writer w(img.payload, saver.endian);
-  w.reserve(fixed + c.payload_bytes(word));
+  w.reserve(size);
   w.u32(kPortableMagic);
   size_t seq = 0;
-  put_values(w, c, seq++, word);
-  put_values(w, c, seq++, word);
+  put_columns(w, globals, counts[seq++], word);
+  put_columns(w, stack, counts[seq++], word);
   w.u32(static_cast<uint32_t>(state.frames.size()));
-  for (const auto& f : state.frames) {
-    w.u32(f.function);
-    w.u32(f.pc);
-    put_values(w, c, seq++, word);
+  for (size_t i = 0; i < state.frames.size(); ++i) {
+    w.u32(state.frames[i].function);
+    w.u32(state.frames[i].pc);
+    put_columns(w, locals[i], counts[seq++], word);
   }
   w.u32(static_cast<uint32_t>(state.heap.size()));
   for (const auto& obj : state.heap) {
     w.u8(static_cast<uint8_t>(obj.kind));
     if (obj.kind == vm::HeapObject::Kind::kArray) {
-      put_values(w, c, seq++, word);
+      put_columns(w, obj, counts[seq++], word);
     } else {
       w.bytes(util::as_bytes_view(obj.bytes));
     }
@@ -326,14 +350,10 @@ util::Result<vm::VmState> portable_decode(const Image& image, const sim::Machine
   }
 
   vm::VmState state;
-  auto n_globals = r.u32();
-  if (!n_globals) return n_globals.error();
-  auto globals = get_values(r, n_globals.value(), word, target);
+  auto globals = get_values(r, word, target);
   if (!globals) return globals.error();
   state.globals = std::move(globals).take();
-  auto n_stack = r.u32();
-  if (!n_stack) return n_stack.error();
-  auto stack = get_values(r, n_stack.value(), word, target);
+  auto stack = get_values(r, word, target);
   if (!stack) return stack.error();
   state.stack = std::move(stack).take();
   auto n_frames = r.u32();
@@ -346,9 +366,7 @@ util::Result<vm::VmState> portable_decode(const Image& image, const sim::Machine
     auto pc = r.u32();
     if (!pc) return pc.error();
     f.pc = pc.value();
-    auto n_locals = r.u32();
-    if (!n_locals) return n_locals.error();
-    auto locals = get_values(r, n_locals.value(), word, target);
+    auto locals = get_values(r, word, target);
     if (!locals) return locals.error();
     f.locals = std::move(locals).take();
     state.frames.push_back(std::move(f));
@@ -363,9 +381,7 @@ util::Result<vm::VmState> portable_decode(const Image& image, const sim::Machine
     if (obj.kind == vm::HeapObject::Kind::kArray) {
       auto n = r.u32();
       if (!n) return n.error();
-      auto fields = get_values(r, n.value(), word, target);
-      if (!fields) return fields.error();
-      obj.fields = std::move(fields).take();
+      if (auto s = get_columns(r, n.value(), word, target, obj); !s.ok()) return s.error();
     } else {
       auto b = r.bytes();
       if (!b) return b.error();

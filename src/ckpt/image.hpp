@@ -78,7 +78,15 @@ struct Image : ImageInfo {
 /// fetch shares it (DESIGN.md §7, "Checkpoint payload ownership").
 struct StoredImage : ImageInfo {
   util::SharedBytes payload;
+  /// Set by verify_stored once `payload` passed verify_payload. The
+  /// payload never changes, so the pass holds until a store swaps in a
+  /// damaged copy (corrupt_payload), which clears it.
+  mutable bool verified = false;
 };
+
+/// verify_payload of a stored image, run at most once per stored payload:
+/// a pass is recorded in `image.verified` and answers every later call.
+bool verify_stored(const StoredImage& image);
 
 /// Fault injection for the recovery tests: a copy of the non-empty
 /// `payload` with the byte at `offset % size` flipped, or cut to

@@ -239,8 +239,9 @@ bool ReplicaStore::recoverable_locked(const CkptKey& key) const {
     const StoredImage& img = it->second.image;
     // A surviving but corrupt copy cannot rebuild state — structural codec
     // verification disqualifies it here (a fingerprint pass, except that a
-    // delta+lz copy is LZ-decompressed in full to parse its inner delta).
-    if (!verify_payload(img.codec, util::as_bytes_view(img.payload)).ok()) return false;
+    // delta+lz copy is LZ-decompressed in full to parse its inner delta),
+    // once per stored copy.
+    if (!verify_stored(img)) return false;
     if (img.incremental) {
       at.epoch = img.base_epoch;
       continue;
@@ -263,9 +264,10 @@ bool ReplicaStore::corrupt_payload(const CkptKey& key, size_t offset, bool trunc
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.holders.empty()) return false;
-  util::SharedBytes& payload = it->second.image.payload;
-  if (payload.empty()) return false;
-  payload = damaged_copy(payload, offset, truncate);
+  StoredImage& img = it->second.image;
+  if (img.payload.empty()) return false;
+  img.payload = damaged_copy(img.payload, offset, truncate);
+  img.verified = false;
   return true;
 }
 

@@ -320,8 +320,8 @@ bool CheckpointStore::disk_chain_complete_locked(const CkptKey& key) const {
     // A stored-but-corrupt link is as unrecoverable as a missing one. The
     // structural verify is a fingerprint pass for lz and delta links, but a
     // delta+lz link is LZ-decompressed in full to parse its inner delta
-    // frame, so latest_recoverable decodes every delta+lz link it walks.
-    if (!verify_payload(img.codec, util::as_bytes_view(img.payload)).ok()) return false;
+    // frame, so each link is verified once, not at every walk.
+    if (!verify_stored(img)) return false;
     if (img.incremental) {
       at.epoch = img.base_epoch;
       continue;
@@ -486,6 +486,7 @@ bool CheckpointStore::corrupt_payload(const CkptKey& key, size_t offset, bool tr
   auto it = images_.find(key);
   if (it == images_.end() || it->second.payload.empty()) return false;
   it->second.payload = damaged_copy(it->second.payload, offset, truncate);
+  it->second.verified = false;
   return true;
 }
 

@@ -99,23 +99,10 @@ size_t mismatch_avx2(const std::byte* a, const std::byte* b, size_t n) {
   return detail::mismatch_tail(a, b, i, n);
 }
 
-void gather64_avx2(std::byte* dst, const std::byte* src, size_t stride, size_t n) {
-  const __m256i vidx = _mm256_setr_epi64x(0, static_cast<long long>(stride),
-                                          static_cast<long long>(2 * stride),
-                                          static_cast<long long>(3 * stride));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_i64gather_epi64(reinterpret_cast<const long long*>(src + i * stride), vidx, 1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 8 * i), v);
-  }
-  detail::gather64_tail(dst, src, stride, i, n);
-}
-
 constexpr Ops kAvx2Table = {
     Isa::kAvx2,    fingerprint_avx2, copy_avx2,   bswap_avx2<2>,
     bswap_avx2<4>, bswap_avx2<8>,    widen_avx2,  narrow_avx2,
-    mismatch_avx2, gather64_avx2,
+    mismatch_avx2,
 };
 
 }  // namespace

@@ -87,21 +87,10 @@ size_t mismatch_avx512(const std::byte* a, const std::byte* b, size_t n) {
   return detail::mismatch_tail(a, b, i, n);
 }
 
-void gather64_avx512(std::byte* dst, const std::byte* src, size_t stride, size_t n) {
-  const long long s = static_cast<long long>(stride);
-  const __m512i vidx = _mm512_setr_epi64(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i v = _mm512_i64gather_epi64(vidx, src + i * stride, 1);
-    _mm512_storeu_si512(dst + 8 * i, v);
-  }
-  detail::gather64_tail(dst, src, stride, i, n);
-}
-
 constexpr Ops kAvx512Table = {
     Isa::kAvx512,    fingerprint_avx512, copy_avx512,   bswap_avx512<2>,
     bswap_avx512<4>, bswap_avx512<8>,    widen_avx512,  narrow_avx512,
-    mismatch_avx512, gather64_avx512,
+    mismatch_avx512,
 };
 
 }  // namespace

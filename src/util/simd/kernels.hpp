@@ -168,14 +168,6 @@ static inline size_t mismatch_tail(const std::byte* a, const std::byte* b, size_
   return n;
 }
 
-/// Shared scalar epilogue of the strided gather: element j in [i, n) of dst
-/// is the 8 bytes at src + j*stride. Also the whole scalar reference body
-/// (pure data movement, so bit-identity across backends is structural).
-static inline void gather64_tail(std::byte* dst, const std::byte* src, size_t stride, size_t i,
-                                 size_t n) {
-  for (; i < n; ++i) std::memcpy(dst + 8 * i, src + i * stride, 8);
-}
-
 // --- per-element scalar steps (the shared tails of the movement kernels) ---
 
 template <unsigned kElem>

@@ -92,15 +92,10 @@ size_t mismatch_neon(const std::byte* a, const std::byte* b, size_t n) {
   return detail::mismatch_tail(a, b, i, n);
 }
 
-void gather64_neon(std::byte* dst, const std::byte* src, size_t stride, size_t n) {
-  // NEON has no gather; the scalar loop already saturates the load ports.
-  detail::gather64_tail(dst, src, stride, 0, n);
-}
-
 constexpr Ops kNeonTable = {
     Isa::kNeon,    fingerprint_neon, copy_neon,   bswap_neon<2>,
     bswap_neon<4>, bswap_neon<8>,    widen_neon,  narrow_neon,
-    mismatch_neon, gather64_neon,
+    mismatch_neon,
 };
 
 }  // namespace

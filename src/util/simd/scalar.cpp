@@ -33,14 +33,10 @@ size_t mismatch_scalar(const std::byte* a, const std::byte* b, size_t n) {
   return detail::mismatch_tail(a, b, 0, n);
 }
 
-void gather64_scalar(std::byte* dst, const std::byte* src, size_t stride, size_t n) {
-  detail::gather64_tail(dst, src, stride, 0, n);
-}
-
 constexpr Ops kScalarTable = {
     Isa::kScalar,    fingerprint_scalar, copy_scalar,   bswap_scalar<2>,
     bswap_scalar<4>, bswap_scalar<8>,    widen_scalar,  narrow_scalar,
-    mismatch_scalar, gather64_scalar,
+    mismatch_scalar,
 };
 
 }  // namespace

@@ -69,12 +69,6 @@ struct Ops {
   /// First index at which a and b differ, or n when the ranges are equal
   /// (LZ match extension, incremental page change detection).
   size_t (*mismatch)(const std::byte* a, const std::byte* b, size_t n);
-
-  /// Strided gather: dst receives n contiguous 8-byte elements, element i
-  /// read from the 8 bytes at src + i*stride (stride >= 8; dst and the
-  /// source range must be disjoint). The AoS -> column gather of
-  /// portable-image encode (16-byte Value stride).
-  void (*gather64)(std::byte* dst, const std::byte* src, size_t stride, size_t n);
 };
 
 /// Table for one level, or nullptr when that level is not compiled into
@@ -112,9 +106,6 @@ inline void narrow_i64_i32(std::byte* dst, const std::byte* src, size_t n) {
 }
 inline size_t mismatch(const std::byte* a, const std::byte* b, size_t n) {
   return ops().mismatch(a, b, n);
-}
-inline void gather64(std::byte* dst, const std::byte* src, size_t stride, size_t n) {
-  ops().gather64(dst, src, stride, n);
 }
 
 }  // namespace starfish::util::simd

@@ -34,16 +34,15 @@ inline int64_t fast_int_arith(Op op, int64_t a, int64_t b) {
   }
 }
 
-/// The element `ref[idx]` when the checked aload/astore would not trap on
-/// it (ref not dangling, an array, idx in bounds), else nullptr.
-inline Value* array_slot(std::vector<HeapObject>& heap, HeapIndex ref, int64_t idx) {
+/// The array `ref` when the checked aload/astore would not trap on its
+/// element `idx` (ref not dangling, an array, idx in bounds), else nullptr.
+inline HeapObject* array_at(std::vector<HeapObject>& heap, HeapIndex ref, int64_t idx) {
   if (ref >= heap.size()) return nullptr;
   HeapObject& obj = heap[ref];
-  if (obj.kind != HeapObject::Kind::kArray ||
-      static_cast<uint64_t>(idx) >= obj.fields.size()) {
+  if (obj.kind != HeapObject::Kind::kArray || static_cast<uint64_t>(idx) >= obj.size()) {
     return nullptr;
   }
-  return &obj.fields[static_cast<size_t>(idx)];
+  return &obj;
 }
 
 }  // namespace
@@ -527,7 +526,7 @@ Interpreter::StepOutcome Interpreter::step_checked_one(RunResult& out) {
       }
       HeapObject obj;
       obj.kind = HeapObject::Kind::kArray;
-      obj.fields.assign(static_cast<size_t>(len.i), Value::unit());
+      obj.assign(static_cast<size_t>(len.i), Value::unit());
       state_.heap.push_back(std::move(obj));
       push_value(Value::reference(static_cast<HeapIndex>(state_.heap.size() - 1)));
       break;
@@ -564,11 +563,11 @@ Interpreter::StepOutcome Interpreter::step_checked_one(RunResult& out) {
         out = trap("aload: not an array");
         return StepOutcome::kTrap;
       }
-      if (idx.i < 0 || static_cast<size_t>(idx.i) >= obj.fields.size()) {
+      if (idx.i < 0 || static_cast<size_t>(idx.i) >= obj.size()) {
         out = trap("aload: index out of bounds");
         return StepOutcome::kTrap;
       }
-      push_value(obj.fields[static_cast<size_t>(idx.i)]);
+      push_value(obj.get(static_cast<size_t>(idx.i)));
       break;
     }
     case Op::kAStore: {
@@ -590,11 +589,11 @@ Interpreter::StepOutcome Interpreter::step_checked_one(RunResult& out) {
         out = trap("astore: not an array");
         return StepOutcome::kTrap;
       }
-      if (idx.i < 0 || static_cast<size_t>(idx.i) >= obj.fields.size()) {
+      if (idx.i < 0 || static_cast<size_t>(idx.i) >= obj.size()) {
         out = trap("astore: index out of bounds");
         return StepOutcome::kTrap;
       }
-      obj.fields[static_cast<size_t>(idx.i)] = val;
+      obj.set(static_cast<size_t>(idx.i), val);
       break;
     }
     case Op::kALen: {
@@ -604,8 +603,7 @@ Interpreter::StepOutcome Interpreter::step_checked_one(RunResult& out) {
         return StepOutcome::kTrap;
       }
       const HeapObject& obj = state_.heap[ref.ref];
-      const size_t n = obj.kind == HeapObject::Kind::kArray ? obj.fields.size()
-                                                            : obj.bytes.size();
+      const size_t n = obj.kind == HeapObject::Kind::kArray ? obj.size() : obj.bytes.size();
       push_value(Value::integer(static_cast<int64_t>(n)));
       break;
     }
@@ -980,17 +978,17 @@ load_frame:
   // Heap ops: the ref/index tags are proven, the rest is guarded.
   VM_OP(ALoad) {
     Value* top = &stack.back();
-    const Value* slot = array_slot(heap, top[-1].ref, top[0].i);
-    if (slot == nullptr) goto checked_escape;
-    top[-1] = *slot;
+    const HeapObject* arr = array_at(heap, top[-1].ref, top[0].i);
+    if (arr == nullptr) goto checked_escape;
+    top[-1] = arr->get(static_cast<size_t>(top[0].i));
     stack.pop_back();
     VM_NEXT();
   }
   VM_OP(AStore) {
     Value* top = &stack.back();
-    Value* slot = array_slot(heap, top[-2].ref, top[-1].i);
-    if (slot == nullptr) goto checked_escape;
-    *slot = top[0];
+    HeapObject* arr = array_at(heap, top[-2].ref, top[-1].i);
+    if (arr == nullptr) goto checked_escape;
+    arr->set(static_cast<size_t>(top[-1].i), top[0]);
     stack.resize(stack.size() - 3);
     VM_NEXT();
   }
@@ -998,8 +996,7 @@ load_frame:
     Value& t = stack.back();
     if (t.ref >= heap.size()) goto checked_escape;
     const HeapObject& obj = heap[t.ref];
-    const size_t n = obj.kind == HeapObject::Kind::kArray ? obj.fields.size()
-                                                          : obj.bytes.size();
+    const size_t n = obj.kind == HeapObject::Kind::kArray ? obj.size() : obj.bytes.size();
     t = Value::integer(static_cast<int64_t>(n));
     VM_NEXT();
   }
@@ -1079,9 +1076,10 @@ load_frame:
     VM_NEXT();
   }
   VM_OP(FusedLoadLoadALoad) {  // load_local b (Ref), load_local c (Int), aload
-    const Value* slot = array_slot(heap, locals[d->b].ref, locals[d->c].i);
-    if (slot == nullptr) goto checked_escape;
-    stack.push_back(*slot);
+    const int64_t idx = locals[d->c].i;
+    const HeapObject* arr = array_at(heap, locals[d->b].ref, idx);
+    if (arr == nullptr) goto checked_escape;
+    stack.push_back(arr->get(static_cast<size_t>(idx)));
     ++fused_done;
     VM_NEXT();
   }
@@ -1090,9 +1088,9 @@ load_frame:
     const int64_t i = locals[d->c].i;
     const int64_t idx = wrap(d->aux == static_cast<uint8_t>(Op::kAdd) ? i + d->imm.i
                                                                       : i - d->imm.i);
-    const Value* slot = array_slot(heap, locals[d->b].ref, idx);
-    if (slot == nullptr) goto checked_escape;
-    stack.push_back(*slot);
+    const HeapObject* arr = array_at(heap, locals[d->b].ref, idx);
+    if (arr == nullptr) goto checked_escape;
+    stack.push_back(arr->get(static_cast<size_t>(idx)));
     ++fused_done;
     VM_NEXT();
   }

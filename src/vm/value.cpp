@@ -42,14 +42,12 @@ util::Result<Value> decode_wire_value(util::BytesView bytes) {
   return util::Error::make("decode", "bad wire value tag " + std::to_string(tag));
 }
 
-uint64_t VmState::footprint_bytes() const {
-  uint64_t total = 0;
-  total += (globals.size() + stack.size()) * sizeof(Value);
-  for (const auto& f : frames) total += sizeof(Frame) + f.locals.size() * sizeof(Value);
-  for (const auto& o : heap) {
-    total += sizeof(HeapObject) + o.fields.size() * sizeof(Value) + o.bytes.size();
+bool operator==(const HeapObject& a, const HeapObject& b) {
+  if (a.kind != b.kind || a.tags != b.tags || a.bytes != b.bytes) return false;
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (!(a.get(k) == b.get(k))) return false;
   }
-  return total;
+  return true;
 }
 
 int64_t wrap_to_word(int64_t v, const sim::Machine& machine) {

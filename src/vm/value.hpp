@@ -12,6 +12,7 @@
 // heterogeneous checkpointing has to preserve and check.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -66,6 +67,28 @@ struct Value {
     x.ref = h;
     return x;
   }
+  /// Inverse of word(): the value `tag` names with payload `word`, built
+  /// through the factories, so the inactive payload stays canonical.
+  static Value from_parts(Tag tag, uint64_t word) {
+    switch (tag) {
+      case Tag::kInt: return integer(static_cast<int64_t>(word));
+      case Tag::kFloat: return real(std::bit_cast<double>(word));
+      case Tag::kBool: return boolean(word != 0);
+      case Tag::kRef: return reference(static_cast<HeapIndex>(word));
+      case Tag::kUnit: break;
+    }
+    return unit();
+  }
+
+  /// The live payload as one 64-bit word: `i` (kInt, kBool), the bits of
+  /// `f` (kFloat), `ref` (kRef), 0 (kUnit). Heap arrays store this.
+  uint64_t word() const {
+    switch (tag) {
+      case Tag::kFloat: return std::bit_cast<uint64_t>(f);
+      case Tag::kRef: return ref;
+      default: return static_cast<uint64_t>(i);  // kInt, kBool; zero on kUnit
+    }
+  }
 
   friend bool operator==(const Value& a, const Value& b) {
     if (a.tag != b.tag) return false;
@@ -97,13 +120,37 @@ util::Bytes encode_wire_value(const Value& v);
 util::Result<Value> decode_wire_value(util::BytesView bytes);
 
 /// Heap object: an array of values or a byte string.
+///
+/// An array is stored as two columns, one tag and one payload word
+/// (Value::word()) per element: 9 bytes an element instead of a 16-byte
+/// Value. The interpreter reads and writes elements only through get()
+/// and set(), which rebuild and split a Value; the image codec copies the
+/// columns directly. Equality compares elements as Values (DESIGN.md
+/// section 12, "Array layout").
 struct HeapObject {
   enum class Kind : uint8_t { kArray = 0, kBytes = 1 };
   Kind kind = Kind::kArray;
-  std::vector<Value> fields;  ///< kArray
-  util::Bytes bytes;          ///< kBytes
+  std::vector<Tag> tags;        ///< kArray: one per element
+  std::vector<uint64_t> words;  ///< kArray: one per element
+  util::Bytes bytes;            ///< kBytes
 
-  bool operator==(const HeapObject&) const = default;
+  size_t size() const { return tags.size(); }
+  Value get(size_t i) const { return Value::from_parts(tags[i], words[i]); }
+  void set(size_t i, const Value& v) {
+    tags[i] = v.tag;
+    words[i] = v.word();
+  }
+  void push_back(const Value& v) {
+    tags.push_back(v.tag);
+    words.push_back(v.word());
+  }
+  /// `n` elements, each `v`.
+  void assign(size_t n, const Value& v) {
+    tags.assign(n, v.tag);
+    words.assign(n, v.word());
+  }
+
+  friend bool operator==(const HeapObject& a, const HeapObject& b);
 };
 
 /// One call frame: function index, program counter, locals.
@@ -125,10 +172,6 @@ struct VmState {
   uint64_t steps_executed = 0;
 
   bool operator==(const VmState&) const = default;
-
-  /// Rough host in-memory footprint of the state (host-side only; the
-  /// simulated disk is charged by image bytes, not by this).
-  uint64_t footprint_bytes() const;
 };
 
 /// Wraps an integer to the word length of `machine` (two's complement).

@@ -255,7 +255,7 @@ vm::VmState seeded_state(util::Rng& rng) {
   for (int h = 0; h < 4; ++h) {
     vm::HeapObject obj;
     if (h % 2 == 0) {
-      obj.fields = values(1000 + rng.below(9000));
+      for (const vm::Value& v : values(1000 + rng.below(9000))) obj.push_back(v);
     } else {
       obj.kind = vm::HeapObject::Kind::kBytes;
       obj.bytes = rand_payload(rng, rng.below(5000));
@@ -516,6 +516,54 @@ TEST(StoreFaultInjection, CorruptedChunksFallBackToOlderEpochs) {
   const auto* errors = hub.metrics.find_counter("ckpt.codec.decode_errors");
   ASSERT_NE(errors, nullptr);
   EXPECT_GT(errors->value(), 0u);
+}
+
+// A stored payload is verified once and the pass recorded on it, so repeat
+// recoverability checks skip the verify. Damaging the payload must drop the
+// record: a link corrupted after one passing check is rejected by the next.
+TEST(StoreFaultInjection, LinkCorruptedAfterAPassingCheckIsStillRejected) {
+  sim::Engine eng;
+  net::Network net{eng};
+  net.add_host("node0");
+  CheckpointStore store{eng};
+  store.set_compress_mode(CompressMode::kDeltaLz);
+  net.host(0)->spawn("writer", [&] {
+    for (uint64_t e = 1; e <= 7; ++e) {
+      store.put(*net.host(0), CkptKey{"app", 0, e}, payload_image(epoch_payload(0, e)));
+      store.commit("app", e);
+    }
+  });
+  eng.run();
+  ASSERT_EQ(store.latest_recoverable("app", 1), 7u);  // verifies 7 -> 6 -> 5
+  ASSERT_EQ(store.latest_recoverable("app", 1), 7u);
+  // Damage the middle link of 7's chain: 7 and 6 go, the anchor 5 stays.
+  ASSERT_TRUE(store.corrupt_payload(CkptKey{"app", 0, 6}, 33));
+  EXPECT_EQ(store.latest_recoverable("app", 1), 5u);
+  EXPECT_EQ(store.latest_recoverable("app", 1), 5u);
+  // And the anchor itself, after it passed twice: the previous window.
+  ASSERT_TRUE(store.corrupt_payload(CkptKey{"app", 0, 5}, 1000));
+  EXPECT_EQ(store.latest_recoverable("app", 1), 4u);
+}
+
+TEST(ReplicaFaultInjection, LinkCorruptedAfterAPassingCheckIsStillRejected) {
+  sim::Engine eng;
+  net::Network net{eng};
+  for (int i = 0; i < 4; ++i) net.add_host("node" + std::to_string(i));
+  CheckpointStore store{eng};
+  store.enable_replica_backend(net);
+  store.set_backend(CkptBackend::kReplica);
+  store.set_compress_mode(CompressMode::kDeltaLz);
+  net.host(0)->spawn("writer", [&] {
+    for (uint64_t e = 1; e <= 3; ++e) {
+      store.put(*net.host(0), CkptKey{"app", 0, e}, payload_image(epoch_payload(0, e)), {1, 2});
+      store.commit("app", e);
+    }
+  });
+  eng.run();
+  ASSERT_EQ(store.latest_recoverable("app", 1), 3u);  // verifies 3 -> 2 -> 1
+  ASSERT_TRUE(store.corrupt_payload(CkptKey{"app", 0, 2}, 21));
+  EXPECT_EQ(store.latest_recoverable("app", 1), 1u);
+  EXPECT_EQ(store.latest_recoverable("app", 1), 1u);
 }
 
 TEST(ReplicaFaultInjection, CorruptedReplicaChunkMovesTheRecoveryLine) {

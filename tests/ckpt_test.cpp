@@ -35,7 +35,7 @@ vm::VmState sample_state() {
   s.frames.push_back(f);
   vm::HeapObject arr;
   arr.kind = vm::HeapObject::Kind::kArray;
-  arr.fields = {Value::integer(1), Value::integer(2), Value::integer(3)};
+  for (int64_t k = 1; k <= 3; ++k) arr.push_back(Value::integer(k));
   s.heap.push_back(arr);
   vm::HeapObject bytes;
   bytes.kind = vm::HeapObject::Kind::kBytes;

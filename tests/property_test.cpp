@@ -312,7 +312,7 @@ vm::VmState random_state(util::Rng& rng, bool allow_wide_ints) {
     vm::HeapObject obj;
     if (rng.chance(0.5)) {
       obj.kind = vm::HeapObject::Kind::kArray;
-      for (size_t k = rng.below(10); k > 0; --k) obj.fields.push_back(random_value());
+      for (size_t k = rng.below(10); k > 0; --k) obj.push_back(random_value());
     } else {
       obj.kind = vm::HeapObject::Kind::kBytes;
       obj.bytes.resize(rng.below(300));

