@@ -5,8 +5,8 @@
 #   - google-benchmark's native JSON for the host micro benches,
 #   - the --json runner mode of fig3/fig4/fig5 (host wall-clock, simulated
 #     ns and simulator events/sec per run),
-#   - the scaling_nodes thread-scaling sweep (aggregate events/sec at
-#     1/2/4 worker shards over the same 64-host workload), and
+#   - the scaling_nodes node-count sweep and its 64-host simulator
+#     throughput run (events/sec), and
 #   - the ablation_recovery diskless sweep (disk vs in-memory replicated
 #     checkpoints: restore I/O per backend at 1..R holder crashes), and
 #   - the ablation_gcs_scale membership sweep (flat vs tree dissemination:
@@ -33,7 +33,7 @@ trap 'rm -rf "$out"' EXIT
 "$BUILD"/bench/fig3_native_checkpoint --json "$out/fig3.json" >/dev/null
 "$BUILD"/bench/fig4_vm_checkpoint --json "$out/fig4.json" >/dev/null
 "$BUILD"/bench/fig5_roundtrip --json "$out/fig5.json" >/dev/null
-"$BUILD"/bench/scaling_nodes --threads 1,2,4 --json "$out/scaling.json" >/dev/null
+"$BUILD"/bench/scaling_nodes --json "$out/scaling.json" >/dev/null
 "$BUILD"/bench/ablation_recovery --json "$out/recovery.json" >/dev/null
 "$BUILD"/bench/ablation_gcs_scale --json "$out/gcs_scale.json" >/dev/null
 "$BUILD"/bench/ablation_incremental --json "$out/incremental.json" >/dev/null

@@ -6,10 +6,9 @@
 # flat group heartbeat load) and the checkpoint path benches (capture to
 # disk put, chained restore) in a Release tree and compares
 # host time per benchmark against the committed baseline
-# (scripts/perf_baseline.json), then runs the sharded
-# engine's thread-scaling workload (bench/scaling_nodes --threads 1,4) and
-# compares sequential simulator throughput against the same baseline plus
-# threaded-vs-sequential side by side. A >20% slowdown prints a WARNING per
+# (scripts/perf_baseline.json), then runs the 64-host simulator throughput
+# workload (bench/scaling_nodes) and compares its events/s against the same
+# baseline. A >20% slowdown prints a WARNING per
 # offender and a nonzero-looking summary line, but exits 0 — wall-clock on
 # shared machines is noisy, so the warning is the signal and a hard gate
 # would flake.
@@ -31,9 +30,8 @@ scaling=$(mktemp)
 trap 'rm -f "$out" "$scaling"' EXIT
 "$BUILD"/bench/micro_benchmarks --benchmark_filter="$FILTER" \
   --benchmark_min_time=0.2 --benchmark_format=json >"$out"
-# Sequential vs. threaded run of the same 64-host workload (identical virtual
-# history — only the host clock differs); events/s per thread count.
-"$BUILD"/bench/scaling_nodes --threads 1,4 --json "$scaling" >/dev/null
+# Simulator throughput (events/s) on the 64-host workload.
+"$BUILD"/bench/scaling_nodes --json "$scaling" >/dev/null
 
 if [[ "${1:-}" == "--update" ]]; then
   python3 - "$out" "$BASELINE" "$scaling" <<'EOF'
@@ -73,29 +71,16 @@ if worst > 1.20:
 else:
     print(f"perf smoke: ok (worst ratio {worst:.2f}x)")
 
-# Threaded vs. sequential simulator throughput on the 64-host workload.
+# Simulator throughput on the 64-host workload.
 sweep = {r["name"]: (r["value"], r.get("events")) for r in
          json.load(open(sys.argv[3]))["runs"] if r["name"].startswith("scaling/threads=")}
 sweep_base = baseline.get("scaling_events_per_sec", {})
-seq = threaded = None
-print("threaded vs sequential (64-host group, 2 s virtual):")
+print("simulator throughput (64-host group, 2 s virtual):")
 for name, (eps, events) in sorted(sweep.items()):
-    threads = int(name.split("threads=")[1].split("/")[0])
-    if threads == 1:
-        seq = eps
-    else:
-        threaded = eps
     line = f"  {name}: {eps:.3g} events/s ({events} events)"
     if name in sweep_base and sweep_base[name] > 0:
         ratio = sweep_base[name] / eps  # >1 = slower than baseline
         tag = "WARNING" if ratio > 1.20 else "ok"
         line += f" — {tag} vs baseline {sweep_base[name]:.3g} ({ratio:.2f}x slower)"
     print(line)
-counts = {e for _, e in sweep.values()}
-if len(counts) > 1:
-    print("perf smoke: WARNING — event counts diverged across thread counts "
-          "(determinism bug, see tests/shard_determinism_test.cpp)")
-if seq and threaded:
-    print(f"  threaded/sequential speedup: {threaded / seq:.2f}x "
-          f"(bounded by this host's core count, not --threads)")
 EOF

@@ -24,14 +24,13 @@ StoredImage to_stored(Image&& image) {
 
 StoredImage CheckpointStore::encode_for_store(const CkptKey& key, Image image) {
   if (compress_ == CompressMode::kOff) return to_stored(std::move(image));
-  // Pick the delta base under the lock, then encode outside it: the codec
-  // pass is CPU work that must not serialize every shard on mu_. The base
-  // is a shared handle, so it stays alive and unchanged even if this
-  // rank's entry is replaced meanwhile.
+  // Incremental images stay out of the delta chain: their payloads are
+  // already app-state deltas, and a codec delta would add a second base
+  // chain to the same image.
+  const bool chained = compress_chained() && !image.incremental;
   util::SharedBytes base;
   uint64_t base_epoch = 0;
-  if (compress_chained() && !image.incremental && !is_full_epoch(key.epoch)) {
-    std::lock_guard<std::mutex> lock(mu_);
+  if (chained && !is_full_epoch(key.epoch)) {
     auto it = last_payloads_.find({key.app, key.rank});
     // A usable base is newer than the gc keep line of this epoch's commit
     // (so it survives) and still stored (so decode can resolve the chain).
@@ -48,13 +47,10 @@ StoredImage CheckpointStore::encode_for_store(const CkptKey& key, Image image) {
   const uint64_t raw_bytes = image.payload.size();
   StoredImage stored = to_stored(std::move(image));
 
-  // Track this epoch's raw payload as the next delta base; incremental
-  // images are excluded (their payloads are already app-state deltas — a
-  // codec delta would add a second base chain to the same image). The
-  // tracked payload is the one the image was built with, moved in; when
-  // coding does not pay, the stored image shares it.
-  if (compress_chained() && !stored.incremental) {
-    std::lock_guard<std::mutex> lock(mu_);
+  // Track this epoch's raw payload as the next delta base: the payload the
+  // image was built with, moved in; when coding does not pay, the stored
+  // image shares it.
+  if (chained) {
     LastPayload& lp = last_payloads_[{key.app, key.rank}];
     if (key.epoch >= lp.epoch) {
       lp.epoch = key.epoch;
@@ -75,7 +71,7 @@ void CheckpointStore::enable_replica_backend(net::Network& net, ReplicaOptions o
   replica_ = std::make_unique<ReplicaStore>(
       engine_, options, [&net](sim::HostId h) { return net.host(h)->alive(); });
   // Crash invalidation: the copies a dead host held are gone the instant it
-  // dies, before any recovery logic runs (crash_host is a serial phase).
+  // dies, before any recovery logic runs.
   net.add_crash_hook([this](sim::HostId h) { replica_->on_host_crash(h); });
 }
 
@@ -86,8 +82,6 @@ void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image) {
                                                          : to_stored(std::move(image));
   const uint64_t bytes = stored.file_bytes;
   const sim::Time start = engine_.now();
-  // Charge the disk before taking the lock: sleep/write block the fiber,
-  // and the window barrier must never wait on a held mutex.
   if (stored.kind == ImageKind::kNative) {
     engine_.sleep(kNativeDumpSetup);
     host.disk().write(bytes);
@@ -106,7 +100,7 @@ void CheckpointStore::put(sim::Host& host, const CkptKey& key, Image image) {
                            host.id());
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  // Stored only once the write completes: a crash mid-write leaves nothing.
   bytes_written_ += bytes;
   images_[key] = std::move(stored);
 }
@@ -182,15 +176,12 @@ std::optional<StoredImage> CheckpointStore::fetch_stored(sim::Host& host, const 
       }
     }
   }
-  std::optional<StoredImage> found;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = images_.find(key);
-    if (it == images_.end()) return std::nullopt;
-    found = it->second;  // shares the stored payload
-  }
+  auto it = images_.find(key);
+  if (it == images_.end()) return std::nullopt;
+  // Shares the stored payload, so a gc during the read cannot pull it away.
+  std::optional<StoredImage> found = it->second;
   const sim::Time start = engine_.now();
-  host.disk().read(found->file_bytes);  // outside the lock: blocks the fiber
+  host.disk().read(found->file_bytes);
   if (obs::Hub* hub = engine_.obs()) {
     hub->metrics.counter("ckpt.store.images_read").add(1);
     hub->metrics.counter("ckpt.store.bytes_read").add(found->file_bytes);
@@ -211,7 +202,6 @@ std::optional<uint64_t> CheckpointStore::file_bytes(const CkptKey& key) const {
   if (replica_) {
     if (auto b = replica_->file_bytes(key)) return b;
   }
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = images_.find(key);
   if (it == images_.end()) return std::nullopt;
   return it->second.file_bytes;
@@ -222,7 +212,6 @@ void CheckpointStore::put_meta(const CkptKey& key, util::Bytes meta) {
     replica_->put_meta(key, std::move(meta));
     return;
   }
-  std::lock_guard<std::mutex> lock(mu_);
   metas_[key] = std::move(meta);
 }
 
@@ -230,7 +219,6 @@ std::optional<util::Bytes> CheckpointStore::checkpoint_meta(const CkptKey& key) 
   if (replica_) {
     if (auto m = replica_->checkpoint_meta(key)) return m;
   }
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = metas_.find(key);
   if (it == metas_.end()) return std::nullopt;
   return it->second;
@@ -238,17 +226,13 @@ std::optional<util::Bytes> CheckpointStore::checkpoint_meta(const CkptKey& key) 
 
 void CheckpointStore::commit(const std::string& app, uint64_t epoch) {
   const sim::Time now = engine_.now();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Monotone: a stale commit (e.g. from a coordinator that was about to
-    // die) never moves the recovery line backwards.
-    auto it = committed_.find(app);
-    if (it == committed_.end() || it->second < epoch) committed_[app] = epoch;
-    // Min-combine: concurrent duplicate commits record the earliest virtual
-    // time regardless of wall-clock arrival order.
-    auto [t, inserted] = commit_times_.try_emplace(std::make_pair(app, epoch), now);
-    if (!inserted && now < t->second) t->second = now;
-  }
+  // Monotone: a stale commit (e.g. from a coordinator that was about to
+  // die) never moves the recovery line backwards.
+  auto it = committed_.find(app);
+  if (it == committed_.end() || it->second < epoch) committed_[app] = epoch;
+  // Min-combine: duplicate commits keep the earliest virtual time.
+  auto [t, inserted] = commit_times_.try_emplace(std::make_pair(app, epoch), now);
+  if (!inserted && now < t->second) t->second = now;
   if (obs::Hub* hub = engine_.obs()) {
     hub->metrics.counter("ckpt.store.epochs_committed").add(1);
     if (hub->tracer.enabled()) {
@@ -260,20 +244,15 @@ void CheckpointStore::commit(const std::string& app, uint64_t epoch) {
 
 void CheckpointStore::note_begin(const std::string& app, uint64_t epoch) {
   const sim::Time now = engine_.now();
-  std::lock_guard<std::mutex> lock(mu_);
   // Earliest virtual begin wins (min-combine, same reasoning as commit()).
   auto [it, inserted] = begin_times_.try_emplace(std::make_pair(app, epoch), now);
   if (!inserted && now < it->second) it->second = now;
 }
 
 void CheckpointStore::note_abort(const std::string& app) {
-  size_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dropped = std::erase_if(begin_times_, [&](const auto& entry) {
-      return entry.first.first == app && !commit_times_.contains(entry.first);
-    });
-  }
+  const size_t dropped = std::erase_if(begin_times_, [&](const auto& entry) {
+    return entry.first.first == app && !commit_times_.contains(entry.first);
+  });
   if (dropped > 0) {
     if (obs::Hub* hub = engine_.obs()) {
       hub->metrics.counter("ckpt.store.epochs_aborted").add(dropped);
@@ -283,7 +262,6 @@ void CheckpointStore::note_abort(const std::string& app) {
 
 std::optional<sim::Duration> CheckpointStore::epoch_duration(const std::string& app,
                                                              uint64_t epoch) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto b = begin_times_.find({app, epoch});
   auto c = commit_times_.find({app, epoch});
   if (b == begin_times_.end() || c == commit_times_.end()) return std::nullopt;
@@ -291,7 +269,6 @@ std::optional<sim::Duration> CheckpointStore::epoch_duration(const std::string& 
 }
 
 CheckpointStore::EpochStats CheckpointStore::epoch_stats(const std::string& app) const {
-  std::lock_guard<std::mutex> lock(mu_);
   EpochStats stats;
   if (auto it = duration_agg_.find(app); it != duration_agg_.end()) stats = it->second;
   for (const auto& [key, commit] : commit_times_) {
@@ -305,13 +282,12 @@ CheckpointStore::EpochStats CheckpointStore::epoch_stats(const std::string& app)
 }
 
 std::optional<uint64_t> CheckpointStore::latest_committed(const std::string& app) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = committed_.find(app);
   if (it == committed_.end()) return std::nullopt;
   return it->second;
 }
 
-bool CheckpointStore::disk_chain_complete_locked(const CkptKey& key) const {
+bool CheckpointStore::disk_chain_complete(const CkptKey& key) const {
   CkptKey at = key;
   for (;;) {
     auto it = images_.find(at);
@@ -352,8 +328,7 @@ std::optional<uint64_t> CheckpointStore::latest_recoverable(const std::string& a
     for (uint32_t rank = 0; rank < nprocs && all; ++rank) {
       const CkptKey key{app, rank, epoch};
       if (replica_backend && replica_->recoverable(key)) continue;
-      std::lock_guard<std::mutex> lock(mu_);
-      all = disk_chain_complete_locked(key);
+      all = disk_chain_complete(key);
     }
     if (all) {
       if (epoch != *committed) {
@@ -380,7 +355,6 @@ std::optional<uint64_t> CheckpointStore::latest_stored(const std::string& app,
                                                        uint32_t rank) const {
   std::optional<uint64_t> best;
   if (replica_) best = replica_->latest_stored(app, rank);
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [key, image] : images_) {
     if (key.app == app && key.rank == rank) {
       if (!best || key.epoch > *best) best = key.epoch;
@@ -390,7 +364,6 @@ std::optional<uint64_t> CheckpointStore::latest_stored(const std::string& app,
 }
 
 uint64_t CheckpointStore::content_hash() const {
-  std::lock_guard<std::mutex> lock(mu_);
   uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](const void* data, size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
@@ -404,7 +377,7 @@ uint64_t CheckpointStore::content_hash() const {
     mix(&key.rank, sizeof key.rank);
     mix(&key.epoch, sizeof key.epoch);
   };
-  // Zero-cost chain fetch from the disk maps (mu_ is held).
+  // Zero-cost chain fetch from the disk maps.
   const LinkFetch fetch = [this](const CkptKey& k) -> std::optional<StoredImage> {
     auto it = images_.find(k);
     if (it == images_.end()) return std::nullopt;
@@ -438,51 +411,43 @@ uint64_t CheckpointStore::content_hash() const {
 
 void CheckpointStore::for_each_stored(
     const std::function<void(const CkptKey&, const StoredImage&)>& fn) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [key, image] : images_) fn(key, image);
-  }
+  for (const auto& [key, image] : images_) fn(key, image);
   if (replica_) replica_->for_each_stored(fn);
 }
 
 size_t CheckpointStore::gc(const std::string& app, uint64_t keep_epoch) {
-  size_t removed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::erase_if(metas_, [&](const auto& entry) {
-      return entry.first.app == app && entry.first.epoch < keep_epoch;
-    });
-    removed = std::erase_if(images_, [&](const auto& entry) {
-      return entry.first.app == app && entry.first.epoch < keep_epoch;
-    });
-    // Fold completed epoch timings below the line into the aggregate and
-    // drop their per-epoch entries; a begin below the line with no commit
-    // was aborted and can never complete, so it is dropped too. Without
-    // this the instrumentation maps grow forever across long chaos runs.
-    for (auto it = commit_times_.begin(); it != commit_times_.end();) {
-      if (it->first.first != app || it->first.second >= keep_epoch) {
-        ++it;
-        continue;
-      }
-      if (auto b = begin_times_.find(it->first); b != begin_times_.end()) {
-        EpochStats& agg = duration_agg_[app];
-        ++agg.epochs;
-        agg.total += it->second - b->second;
-        begin_times_.erase(b);
-      }
-      it = commit_times_.erase(it);
+  std::erase_if(metas_, [&](const auto& entry) {
+    return entry.first.app == app && entry.first.epoch < keep_epoch;
+  });
+  size_t removed = std::erase_if(images_, [&](const auto& entry) {
+    return entry.first.app == app && entry.first.epoch < keep_epoch;
+  });
+  // Fold completed epoch timings below the line into the aggregate and
+  // drop their per-epoch entries; a begin below the line with no commit
+  // was aborted and can never complete, so it is dropped too. Without
+  // this the instrumentation maps grow forever across long chaos runs.
+  for (auto it = commit_times_.begin(); it != commit_times_.end();) {
+    if (it->first.first != app || it->first.second >= keep_epoch) {
+      ++it;
+      continue;
     }
-    std::erase_if(begin_times_, [&](const auto& entry) {
-      return entry.first.first == app && entry.first.second < keep_epoch;
-    });
+    if (auto b = begin_times_.find(it->first); b != begin_times_.end()) {
+      EpochStats& agg = duration_agg_[app];
+      ++agg.epochs;
+      agg.total += it->second - b->second;
+      begin_times_.erase(b);
+    }
+    it = commit_times_.erase(it);
   }
+  std::erase_if(begin_times_, [&](const auto& entry) {
+    return entry.first.first == app && entry.first.second < keep_epoch;
+  });
   if (replica_) removed += replica_->gc(app, keep_epoch);
   return removed;
 }
 
 bool CheckpointStore::corrupt_payload(const CkptKey& key, size_t offset, bool truncate) {
   if (replica_ && replica_->corrupt_payload(key, offset, truncate)) return true;
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = images_.find(key);
   if (it == images_.end() || it->second.payload.empty()) return false;
   it->second.payload = damaged_copy(it->second.payload, offset, truncate);

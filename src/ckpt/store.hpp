@@ -24,19 +24,16 @@
 // indices and never commit epochs; recovery lines are computed from
 // dependency metadata instead (recovery.hpp).
 //
-// The store is cluster-wide shared state, so hosts on different engine
-// shards reach it concurrently: a mutex guards the maps, and disk time is
-// always charged *outside* the lock (holding an OS mutex across a fiber
-// block would deadlock the window barrier). Timestamp bookkeeping uses
-// min-combines so the recorded values depend only on virtual time, never
-// on which shard won a wall-clock race.
+// An image becomes visible only once its disk write completes, so a crash
+// mid-write stores nothing. Timestamp bookkeeping uses min-combines:
+// duplicate begin and commit notes for one epoch keep the earliest virtual
+// time.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -106,7 +103,6 @@ class CheckpointStore {
   /// paper measures).
   bool contains(const CkptKey& key) const {
     if (replica_ && replica_->contains(key)) return true;
-    std::lock_guard<std::mutex> lock(mu_);
     return images_.contains(key);
   }
   std::optional<uint64_t> file_bytes(const CkptKey& key) const;
@@ -159,10 +155,7 @@ class CheckpointStore {
   /// the instrumentation maps without bound.
   size_t gc(const std::string& app, uint64_t keep_epoch);
 
-  size_t image_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return images_.size();
-  }
+  size_t image_count() const { return images_.size(); }
   /// FNV-1a over every stored image and meta blob (keys, kinds, payload
   /// bytes) in key order. Zero-cost (no disk charge): determinism tests
   /// compare whole stores across runs without perturbing them.
@@ -172,10 +165,7 @@ class CheckpointStore {
   /// replica entry with a surviving copy, each in key order. Tests pin the
   /// stored bytes with it without perturbing the run.
   void for_each_stored(const std::function<void(const CkptKey&, const StoredImage&)>& fn) const;
-  uint64_t bytes_written() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_written_;
-  }
+  uint64_t bytes_written() const { return bytes_written_; }
 
   /// Fault injection for the recovery tests: flips one payload byte (or
   /// truncates the payload at `offset`) of the stored image in whichever
@@ -192,7 +182,7 @@ class CheckpointStore {
   /// True iff `key`'s restore chain (incremental bases and codec delta
   /// bases) is complete in the disk maps and every link's payload passes
   /// structural verification.
-  bool disk_chain_complete_locked(const CkptKey& key) const;
+  bool disk_chain_complete(const CkptKey& key) const;
   /// Codes `image`'s payload per compress_ (delta base = the raw payload
   /// of this rank's previous stored epoch) and tracks the raw payload for
   /// the next epoch's delta, moved in, never copied. Under kOff it only
@@ -212,16 +202,13 @@ class CheckpointStore {
                                                           const LinkFetch& fetch, obs::Hub* hub);
 
   /// The raw payload of the newest epoch put for one (app, rank) — the
-  /// delta base for that rank's next epoch. Node-stable map: puts for the
-  /// same rank are sequential (one writer fiber), so an entry is only ever
-  /// rewritten by its own rank while other ranks insert siblings.
+  /// delta base for that rank's next epoch.
   struct LastPayload {
     uint64_t epoch = 0;
     util::SharedBytes raw;
   };
 
   sim::Engine& engine_;
-  mutable std::mutex mu_;
   std::map<CkptKey, StoredImage> images_;
   std::map<std::pair<std::string, uint32_t>, LastPayload> last_payloads_;
   std::map<CkptKey, util::Bytes> metas_;

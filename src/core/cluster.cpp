@@ -1,23 +1,11 @@
 #include "core/cluster.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
 
 namespace starfish::core {
 
 namespace {
-/// STARFISH_SHARDS=N overrides the default shard count for every cluster
-/// whose options did not pick one explicitly. Shard count never changes the
-/// simulation (see tests/shard_determinism_test.cpp), so CI tiers — notably
-/// scripts/tsan_ctest.sh — use this to drive the whole cluster suite
-/// through the parallel scheduler without editing each test.
-unsigned shards_from_env(unsigned from_options) {
-  if (from_options != 1) return from_options;
-  const char* env = std::getenv("STARFISH_SHARDS");
-  if (env == nullptr) return from_options;
-  const long n = std::strtol(env, nullptr, 10);
-  return n > 1 ? static_cast<unsigned>(n) : from_options;
-}
-
 /// STARFISH_CKPT_BACKEND=replica routes checkpoints through the in-memory
 /// replication tier (ckpt/replica.hpp) for every cluster whose options did
 /// not pin a backend explicitly; STARFISH_CKPT_REPLICAS=N adjusts the
@@ -50,8 +38,9 @@ ckpt::CompressMode compress_from_env(const std::optional<ckpt::CompressMode>& fr
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)), engine_(options_.seed), network_(engine_), store_(engine_) {
-  // Before any host registers its node.
-  engine_.set_shards(shards_from_env(options_.shards));
+  if (options_.shards != 1) {
+    throw std::invalid_argument("ClusterOptions::shards must be 1: the engine runs on one thread");
+  }
   store_.set_compress_mode(compress_from_env(options_.ckpt_compress));
   if (backend_from_env(options_.ckpt_backend) == ckpt::CkptBackend::kReplica) {
     ckpt::ReplicaOptions ropts;

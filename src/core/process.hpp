@@ -53,7 +53,7 @@ class ApplicationProcess : public daemon::ProcessHandle {
   ckpt::CheckpointStore& store() { return store_; }
   /// Each world rank's current host, from this process's own configured
   /// wiring (empty before the first kConfigure). Deterministic input to
-  /// the replica-placement function regardless of shard interleaving.
+  /// the replica-placement function.
   std::vector<sim::HostId> rank_hosts() const {
     std::vector<sim::HostId> out;
     if (!configured_) return out;

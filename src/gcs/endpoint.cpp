@@ -120,7 +120,7 @@ void GroupEndpoint::start_founding(const std::vector<net::NetAddr>& founders) {
   rebuild_tree();
 
   // `ep` pins the channel the fiber parks on: a shutdown-then-destroy from
-  // the serial phase must leave the wait-list alive until the killed fiber
+  // control code must leave the wait-list alive until the killed fiber
   // resumes and removes its own entry (see shutdown()).
   rx_fiber_ = host_.spawn("gcs-rx", [this, ep = endpoint_] {
     if (callbacks_.on_view) callbacks_.on_view(view_);

@@ -5,16 +5,15 @@
 // FaultInjector sits inside `Network` and is consulted on every datagram
 // transmit, stream frame and connection attempt.
 //
-// Randomness is sharded per *source host*: lane `src` owns an independent
+// Randomness is split per *source host*: lane `src` owns an independent
 // xoshiro stream seeded from (engine seed, src), its own counters and its
 // own trace lines. Every fault decision executes on the sending host's
-// node, so each lane is touched by exactly one shard and a fault schedule
-// is a pure function of (seed, per-host event order) — independent of how
-// many threads the engine runs. The same seed replays the identical run at
-// any shard count, which is what lets the chaos harness assert liveness
-// and safety against a fault-free reference execution
-// (deterministic-simulation testing in the FoundationDB style — see
-// DESIGN.md sections 9 and 13).
+// node, so a fault schedule is a pure function of (seed, per-host event
+// order): a host's draws do not move when another host's traffic changes.
+// The same seed replays the identical run, which is what lets the chaos
+// harness assert liveness and safety against a fault-free reference
+// execution (deterministic-simulation testing in the FoundationDB style —
+// see DESIGN.md sections 9 and 13). The lanes also pin the chaos goldens.
 //
 // When no faults are configured (`enabled() == false`) the injector is a
 // single branch on the send paths: no RNG draws, no counter updates, and
@@ -78,34 +77,28 @@ class FaultInjector {
   /// The fast paths check only this flag.
   bool enabled() const { return enabled_; }
 
-  // --- plan configuration (serial phases only) ----------------------------
+  // --- plan configuration --------------------------------------------------
 
   /// Faults applied to every inter-host link (loopback is always exempt).
   void set_default(LinkFaults f) {
-    assert(!engine_.in_parallel());
     default_ = f;
     refresh_enabled();
   }
   /// Per-transport override (e.g. shake the TCP control plane while the
   /// BIP data path stays clean). Wins over the default.
   void set_transport(TransportKind kind, LinkFaults f) {
-    assert(!engine_.in_parallel());
     transport_[static_cast<size_t>(kind)] = f;
     refresh_enabled();
   }
   /// Directional per-link override; wins over transport and default.
   void set_link(sim::HostId src, sim::HostId dst, LinkFaults f) {
-    assert(!engine_.in_parallel());
     links_[{src, dst}] = f;
     refresh_enabled();
   }
 
   /// Deterministic drop hook for surgical tests: return true to drop the
   /// datagram. Evaluated before any probabilistic fault, with no RNG draw.
-  /// The hook runs on the sending host's shard: it must be pure (no shared
-  /// mutable state) once the engine is multi-threaded.
   void set_filter(std::function<bool(const Packet&, TransportKind)> drop_if) {
-    assert(!engine_.in_parallel());
     filter_ = std::move(drop_if);
     refresh_enabled();
   }
@@ -122,21 +115,21 @@ class FaultInjector {
   /// counters survive so post-run assertions still see the totals).
   void clear();
 
-  /// Network::add_host() calls this (serially) so lane `src` exists before
+  /// Network::add_host() calls this so lane `src` exists before
   /// host `src` can send. Lane seeds depend only on (engine seed, src).
   void on_host_added(size_t host_count);
 
-  // --- observability (serial phases only) ---------------------------------
+  // --- observability --------------------------------------------------------
 
   /// Totals merged across the per-source-host lanes.
   const FaultCounters& counters() const;
   /// Every fault decision as "<sim-ns> <what> <src>-><dst>", merged across
   /// lanes in (time, source host, per-lane order); two runs with the same
-  /// seed produce identical traces at any shard count.
+  /// seed produce identical traces.
   const std::vector<std::string>& trace() const;
 
   // --- queries from Network (call only when enabled()) --------------------
-  // Each query runs on the *source* host's shard and touches only that
+  // Each query runs on the *source* host's node and touches only that
   // host's lane.
 
   bool link_blocked(sim::HostId src, sim::HostId dst) const {
@@ -159,7 +152,7 @@ class FaultInjector {
   bool connect_blocked(sim::HostId from, sim::HostId to);
 
  private:
-  /// One source host's fault state; only that host's shard touches it.
+  /// One source host's fault state; only that host's sends touch it.
   struct Lane {
     explicit Lane(uint64_t seed) : rng(seed) {}
     util::Rng rng;
@@ -168,10 +161,10 @@ class FaultInjector {
     /// because the lane's host executes events in key order.
     std::vector<std::pair<sim::Time, std::string>> trace;
     /// Per-lane cache of "net.fault.<what>" counter handles: note() runs per
-    /// faulted packet, and an uncached lookup allocates the name and takes
-    /// the registry lock every time. Keyed by the literal's address (the
+    /// faulted packet, and an uncached lookup allocates the name and searches
+    /// the registry every time. Keyed by the literal's address (the
     /// `what` strings are string literals) and invalidated when the engine's
-    /// hub changes; per-lane so shard threads never share the cache.
+    /// hub changes.
     obs::Hub* obs_hub = nullptr;
     std::map<const void*, obs::Counter*> obs_counters;
   };
@@ -198,7 +191,7 @@ class FaultInjector {
   std::set<std::pair<sim::HostId, sim::HostId>> blocked_;
   std::function<bool(const Packet&, TransportKind)> filter_;
   std::vector<Lane> lanes_;
-  /// Merge scratch for counters()/trace(); rebuilt on each (serial) read.
+  /// Merge scratch for counters()/trace(); rebuilt on each read.
   mutable FaultCounters merged_counters_;
   mutable std::vector<std::string> merged_trace_;
 };

@@ -11,16 +11,13 @@
 // readers wake with kClosed — exactly the failure surface the daemons'
 // failure detector and the C/R protocols must handle.
 //
-// Sharding contract (DESIGN.md section 13): all mutable routing state is
-// partitioned per host. Send-side work (fault verdicts, FIFO clamps, obs)
-// runs on the source host's shard against source-host state; arrival-side
-// work (binding/listener lookups, inbox delivery) is an event scheduled on
-// the destination host's node. Cross-host traffic always travels at least
-// one transport one-way latency, which the constructor reports to the
-// engine as its conservative-window lookahead.
+// Routing state is kept per host. Send-side work (fault verdicts, FIFO
+// clamps, obs) runs on the source host's node against source-host state;
+// arrival-side work (binding/listener lookups, inbox delivery) is an event
+// that runs under the destination host's node, so what it schedules draws
+// its order keys from that node (DESIGN.md section 13).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -151,7 +148,7 @@ using AcceptorPtr = std::shared_ptr<Acceptor>;
 
 class Network {
  public:
-  explicit Network(sim::Engine& engine);
+  explicit Network(sim::Engine& engine) : engine_(engine) {}
 
   sim::Engine& engine() const { return engine_; }
 
@@ -165,11 +162,10 @@ class Network {
 
   /// Fail-stop crash: kills the host's fibers, drops its bindings, breaks
   /// its connections. The authoritative way to inject a node failure.
-  /// Control-plane operation: serial phases only.
   void crash_host(sim::HostId id);
 
-  /// Registers a callback run at the end of every crash_host (serial
-  /// phase), after the fabric state is consistent. Lets fate-sharing state
+  /// Registers a callback run at the end of every crash_host, after the
+  /// fabric state is consistent. Lets fate-sharing state
   /// outside the fabric — e.g. in-memory checkpoint replicas — invalidate
   /// what the dead host held. Hooks must outlive the network's last crash.
   void add_crash_hook(std::function<void(sim::HostId)> hook);
@@ -191,19 +187,18 @@ class Network {
   AcceptorPtr listen(sim::HostId host, Port port, TransportKind kind);
   /// Blocks ~1 RTT; nullptr if nobody listens at dst or a host is dead. The
   /// SYN travels as an event to the server host, where the listener table
-  /// is examined by its owning shard.
+  /// is examined.
   ConnectionPtr connect(sim::HostId from, NetAddr dst, TransportKind kind);
 
   /// Total messages put on the wire (for tests/benches).
-  uint64_t packets_sent() const { return packets_sent_.load(std::memory_order_relaxed); }
+  uint64_t packets_sent() const { return packets_sent_; }
 
  private:
   friend class DatagramEndpoint;
   friend class Connection;
   friend class Acceptor;
 
-  /// Mutable fabric state owned by one host — touched only from that host's
-  /// shard (or serial phases), so no locks anywhere on the data path.
+  /// Mutable fabric state owned by one host.
   struct HostNet {
     std::map<Port, DatagramEndpoint*> bindings;
     std::map<Port, Acceptor*> listeners;
@@ -244,10 +239,10 @@ class Network {
   FaultInjector faults_{engine_};
   std::vector<std::function<void(sim::HostId)>> crash_hooks_;
   std::vector<sim::HostPtr> hosts_;
-  /// unique_ptr for address stability: add_host (serial) may grow the
-  /// vector while shards hold references across windows.
+  /// unique_ptr for address stability: add_host may grow the vector while
+  /// a caller holds a HostNet reference.
   std::vector<std::unique_ptr<HostNet>> per_host_;
-  std::atomic<uint64_t> packets_sent_{0};
+  uint64_t packets_sent_ = 0;
 };
 
 }  // namespace starfish::net

@@ -32,37 +32,26 @@ Histogram::Histogram(HistogramSpec spec)
 
 void Histogram::record(uint64_t v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  buckets_[static_cast<size_t>(it - bounds_.begin())].fetch_add(1, std::memory_order_relaxed);
-  detail::fetch_min(min_, v);  // min_ starts at UINT64_MAX; min() masks empty
-  detail::fetch_max(max_, v);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-}
-
-std::vector<uint64_t> Histogram::buckets() const {
-  std::vector<uint64_t> out(buckets_.size());
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
+  ++buckets_[static_cast<size_t>(it - bounds_.begin())];
+  min_ = std::min(min_, v);  // min_ starts at UINT64_MAX; min() masks empty
+  max_ = std::max(max_, v);
+  ++count_;
+  sum_ += v;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) it = counters_.try_emplace(std::string(name)).first;
   return it->second;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) it = gauges_.try_emplace(std::string(name)).first;
   return it->second;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name, const HistogramSpec& spec) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::piecewise_construct, std::forward_as_tuple(name),
@@ -73,25 +62,21 @@ Histogram& MetricsRegistry::histogram(std::string_view name, const HistogramSpec
 }
 
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
 }
 
 const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
 const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
 size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
@@ -124,7 +109,6 @@ void append_i64(std::string& out, int64_t v) {
 }  // namespace
 
 std::string MetricsRegistry::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\n \"counters\": {";
   bool first = true;
   for (const auto& [name, c] : counters_) {
@@ -166,7 +150,7 @@ std::string MetricsRegistry::to_json() const {
       append_u64(out, h.bounds()[i]);
     }
     out += "], \"buckets\": [";
-    const std::vector<uint64_t> buckets = h.buckets();
+    const std::vector<uint64_t>& buckets = h.buckets();
     for (size_t i = 0; i < buckets.size(); ++i) {
       if (i != 0) out += ", ";
       append_u64(out, buckets[i]);

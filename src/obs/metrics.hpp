@@ -7,71 +7,42 @@
 //
 // Instruments are owned by a MetricsRegistry and live for its lifetime;
 // `counter()` / `gauge()` / `histogram()` return stable references (the
-// registry is node-based), so hot paths resolve a name once and then bump an
-// integer. Since the engine went multi-shard (DESIGN.md section 13) the
-// record paths are relaxed atomics: shard threads bump instruments
-// concurrently, and because every mutation is a commutative accumulate
-// (add, bucket increment, min/max) the values read back at a barrier are
-// shard-count-independent. Reads are exact only between windows — i.e. from
-// serial control code or after run() returns — which is where every exporter
-// and test reads them.
+// registry is node-based), so hot paths resolve a name once and then bump a
+// plain integer. The engine runs on one thread, so nothing here is atomic.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace starfish::obs {
 
-namespace detail {
-
-/// Commutative max accumulate (CAS loop; uncontended in practice).
-template <typename T>
-inline void fetch_max(std::atomic<T>& slot, T v) {
-  T cur = slot.load(std::memory_order_relaxed);
-  while (v > cur && !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-template <typename T>
-inline void fetch_min(std::atomic<T>& slot, T v) {
-  T cur = slot.load(std::memory_order_relaxed);
-  while (v < cur && !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace detail
-
 class Counter {
  public:
-  void add(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void add(uint64_t n = 1) { value_ += n; }
+  uint64_t value() const { return value_; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
 /// Last-written value plus the high-water mark (queue depths, log sizes).
-/// set()/add() are atomic individually; concurrent writers interleave, so
-/// gauges that must stay exact are only written from one shard or from
-/// serial phases (true for every current gauge: they track per-host state).
 class Gauge {
  public:
   void set(int64_t v) {
-    value_.store(v, std::memory_order_relaxed);
-    detail::fetch_max(max_, v);
+    value_ = v;
+    max_ = std::max(max_, v);
   }
-  void add(int64_t delta) { set(value_.load(std::memory_order_relaxed) + delta); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  int64_t max() const { return max_.load(std::memory_order_relaxed); }
+  void add(int64_t delta) { set(value_ + delta); }
+  int64_t value() const { return value_; }
+  int64_t max() const { return max_; }
 
  private:
-  std::atomic<int64_t> value_{0};
-  std::atomic<int64_t> max_{0};
+  int64_t value_ = 0;
+  int64_t max_ = 0;
 };
 
 /// Inclusive bucket upper bounds, fixed at creation (recordings replay
@@ -91,29 +62,27 @@ class Histogram {
 
   void record(uint64_t v);
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  uint64_t count() const { return count_; }
+  uint64_t sum() const { return sum_; }
   /// Min/max over recorded values; 0 when empty.
-  uint64_t min() const { return count() == 0 ? 0 : min_.load(std::memory_order_relaxed); }
-  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
+  uint64_t min() const { return count_ == 0 ? 0 : min_; }
+  uint64_t max() const { return max_; }
   const std::vector<uint64_t>& bounds() const { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
-  std::vector<uint64_t> buckets() const;
+  const std::vector<uint64_t>& buckets() const { return buckets_; }
 
  private:
   std::vector<uint64_t> bounds_;
-  std::vector<std::atomic<uint64_t>> buckets_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{UINT64_MAX};
-  std::atomic<uint64_t> max_{0};
+  std::vector<uint64_t> buckets_;
+  uint64_t count_ = 0;
+  uint64_t sum_ = 0;
+  uint64_t min_ = UINT64_MAX;
+  uint64_t max_ = 0;
 };
 
 class MetricsRegistry {
  public:
   /// Find-or-create; references stay valid for the registry's lifetime.
-  /// Thread-safe (registration takes a lock; the returned instruments are
-  /// lock-free to mutate).
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   /// The spec applies only on first creation of `name`.
@@ -139,8 +108,7 @@ class MetricsRegistry {
 
  private:
   // std::map: node-based (stable references) and name-sorted (deterministic
-  // export order for free). mu_ guards the maps, not the instruments.
-  mutable std::mutex mu_;
+  // export order for free).
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;

@@ -7,28 +7,26 @@
 // and fibers to "tids", which makes the per-workstation timeline the natural
 // top-level grouping in the viewer.
 //
-// Multi-shard determinism (DESIGN.md section 13): shard threads push
-// concurrently under a lock, so the *record* order in the ring is
-// wall-clock-dependent. Every event therefore carries a logical TraceOrder
-// stamp — the (time, node, seq) key of the engine event that emitted it plus
-// a per-event emission index — written by the engine into a thread-local
-// before each dispatch. to_chrome_json() stable-sorts by that stamp, which
-// reproduces the exact sequential emission order for any shard count (valid
-// while nothing has been dropped from the ring).
+// Export order (DESIGN.md section 13): every event carries a logical
+// TraceOrder stamp — the (time, node, seq) key of the engine event that
+// emitted it plus a per-event emission index — written by the engine before
+// each dispatch. snapshot() stable-sorts by that stamp. The sort is not a
+// no-op: records emitted between runs are stamped after time now(), so a
+// delay-0 event scheduled between runs records later but sorts earlier
+// (valid while nothing has been dropped from the ring).
 //
 // The tracer is compiled in everywhere but off by default: every record
 // call is a single branch on `enabled()` until someone turns it on.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace starfish::obs {
 
 /// Logical position of the currently executing engine event; stamps trace
-/// records so concurrent shards export in deterministic order. `at/node/seq`
+/// records so they export in the engine's event order. `at/node/seq`
 /// is the engine's total event key; `emission` counts records within one
 /// event. Code running outside any engine event keeps the initial stamp
 /// (at = -1), which sorts before every event — correct for setup-time
@@ -47,11 +45,11 @@ struct TraceOrder {
   }
 };
 
-/// The calling thread's current stamp. The engine writes it on every event
-/// dispatch, so the accessor must be header-inline: an out-of-line call plus
-/// TLS guard here is measurable on the dispatch micro bench.
+/// The current stamp. The engine writes it on every event dispatch, so the
+/// accessor must be header-inline: an out-of-line call here is measurable on
+/// the dispatch micro bench.
 inline TraceOrder& trace_order() {
-  thread_local TraceOrder order;
+  static TraceOrder order;
   return order;
 }
 
@@ -94,10 +92,10 @@ class Tracer {
                uint64_t fiber = 0);
 
   /// Events currently retained (<= capacity; older events are overwritten).
-  size_t size() const;
+  size_t size() const { return ring_.size(); }
   size_t capacity() const { return capacity_; }
-  uint64_t recorded() const;
-  uint64_t dropped() const;
+  uint64_t recorded() const { return recorded_; }
+  uint64_t dropped() const { return recorded_ - ring_.size(); }
 
   /// Retained events in deterministic logical order (TraceOrder stamps;
   /// record order breaks ties, which only matters for pre-engine records).
@@ -105,8 +103,8 @@ class Tracer {
   void clear();
 
   /// {"traceEvents": [...], "displayTimeUnit": "ms"} with microsecond
-  /// timestamps (ns precision kept via fractional digits). Deterministic for
-  /// any shard count while nothing has been dropped.
+  /// timestamps (ns precision kept via fractional digits). Deterministic
+  /// while nothing has been dropped.
   std::string to_chrome_json() const;
   /// Writes to_chrome_json() to `path`; false after perror on failure.
   bool write_chrome_json(const std::string& path) const;
@@ -116,7 +114,6 @@ class Tracer {
 
   bool enabled_ = false;
   size_t capacity_;
-  mutable std::mutex mu_;  ///< guards ring_/next_/recorded_
   std::vector<TraceEvent> ring_;
   size_t next_ = 0;  ///< overwrite cursor once the ring is full
   uint64_t recorded_ = 0;

@@ -8,18 +8,18 @@
 // swap stack pointers, restore. ~10ns per switch, no kernel entry.
 //
 // The ucontext path is kept (STARFISH_FAST_CONTEXT == 0) for non-x86-64
-// builds, for ASan/TSan builds (the sanitizers intercept swapcontext to
-// track stack switches but cannot see a custom switch), and on demand via
+// builds, for ASan builds (the sanitizer intercepts swapcontext to track
+// stack switches but cannot see a custom switch), and on demand via
 // -DSTARFISH_FORCE_UCONTEXT for debugging. Both paths run the same engine
 // code and must replay the same goldens (engine_golden_test runs under both
 // via scripts/asan_ctest.sh).
 #pragma once
 
 #if defined(__x86_64__) && !defined(STARFISH_FORCE_UCONTEXT)
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#if defined(__SANITIZE_ADDRESS__)
 #define STARFISH_FAST_CONTEXT 0
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#if __has_feature(address_sanitizer)
 #define STARFISH_FAST_CONTEXT 0
 #else
 #define STARFISH_FAST_CONTEXT 1
@@ -29,18 +29,6 @@
 #endif
 #else
 #define STARFISH_FAST_CONTEXT 0
-#endif
-
-// Whether fiber switches are announced to ThreadSanitizer through the
-// __tsan_*_fiber API. Off by default: gcc's libtsan (the v3 runtime, gcc 12
-// through at least 12.2) SEGVs in its stack depot a handful of fiber
-// create/switch cycles into any process that uses the API — even the
-// documented minimal ucontext example crashes — while its swapcontext
-// interceptor alone handles the stack hop correctly and runs the full suite
-// clean. Build with -DSTARFISH_TSAN_FIBER_API=1 on a runtime where the API
-// works to get precise per-fiber shadow stacks back.
-#ifndef STARFISH_TSAN_FIBER_API
-#define STARFISH_TSAN_FIBER_API 0
 #endif
 
 #if STARFISH_FAST_CONTEXT

@@ -1,40 +1,23 @@
-// Deterministic discrete-event engine, sharded across host threads.
+// Deterministic discrete-event engine: one event loop on one thread.
 //
-// Events execute in a single global total order keyed by
-// (time, origin node, per-node sequence): each scheduling *node* (node 0 =
-// control plane, one node per simulated host) stamps the events it creates
-// from its own counter. Because every node's execution history is
-// deterministic, the counters advance identically no matter how the nodes
-// are placed on threads — which is what makes the sharded engine replay the
-// sequential engine bit-for-bit (DESIGN.md section 13).
+// Events execute in a single total order keyed by (time, origin node,
+// per-node sequence): each scheduling *node* (node 0 = control plane, one
+// node per simulated host) stamps the events it creates from its own
+// counter. The keys, not the host thread, fix the history, which is what
+// the goldens pin (DESIGN.md section 13).
 //
-// Sequential mode (shards() == 1, the default) is the PR4/PR5 hot path:
-// slab-pooled events with inline callback storage (SmallFn) ordered by a
-// 4-ary min-heap of trivially-copyable (time, node, seq) entries, same-
-// timestamp wakeups through an order-preserving ready ring, recycled
-// guard-paged fiber stacks. The engine_golden_test goldens pin that the
-// dispatch order equals the old single priority queue's.
-//
-// Parallel mode (set_shards(N), N > 1) partitions hosts round-robin across
-// N shards, each owning all of the above machinery privately, and runs
-// conservative time windows: every shard may dispatch freely below
-//   window_end = min(next event time over all shards) + lookahead
-// because no cross-shard interaction can arrive below that bound (lookahead
-// is the minimum cross-host network latency, reported by the net layer).
-// Cross-shard schedules are buffered in per-(src,dst) exchange queues and
-// merged into the destination heap at the epoch barrier; control-node events
-// run serially between windows (stop-the-world), so host crashes and other
-// global mutations never race a window.
+// The hot path: slab-pooled events with inline callback storage (SmallFn)
+// ordered by a 4-ary min-heap of trivially-copyable (time, node, seq)
+// entries, same-timestamp wakeups through an order-preserving ready ring,
+// recycled guard-paged fiber stacks. The engine_golden_test goldens pin that
+// the dispatch order equals the old single priority queue's.
 #pragma once
 
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -87,7 +70,7 @@ struct TimerEntry {
   EventNode* event;
 };
 
-/// The global total order every queue agrees on.
+/// The total order both queues agree on.
 inline bool event_key_before(Time a_at, NodeId a_node, uint64_t a_seq, Time b_at,
                              NodeId b_node, uint64_t b_seq) {
   if (a_at != b_at) return a_at < b_at;
@@ -137,8 +120,8 @@ struct ReadyEntry {
 /// Pushes insert in (at, node, seq) order from the back: wakes from one
 /// node arrive already ordered (zero shifts, the dominant case), and the
 /// rare same-time wake from a lower node shifts a handful of entries —
-/// keeping the front the global minimum, which the multi-node total order
-/// requires (a FIFO ring is only sorted when all wakes share one counter).
+/// keeping the front the minimum, which the multi-node total order requires
+/// (a FIFO ring is only sorted when all wakes share one counter).
 class ReadyQueue {
  public:
   bool empty() const { return count_ == 0; }
@@ -171,105 +154,27 @@ class ReadyQueue {
   size_t mask_ = 0;
 };
 
-/// A cross-shard schedule buffered until the epoch barrier.
-struct ExchangeMsg {
-  Time at;
-  NodeId origin;
-  uint64_t seq;
-  NodeId exec_node;
-  SmallFn fn;
-};
-
-/// One event-loop partition: the complete PR4 machinery, privately owned.
-/// Everything here is touched only by the shard's thread during a window,
-/// or by the coordinator between windows (barrier-synchronized). Internal
-/// to the engine; public members because Engine and Fiber share it.
-struct Shard {
-  Time now = 0;
-  TimerHeap timers;
-  ReadyQueue ready;
-  EventPool pool;
-  /// Shared with every fiber homed here (FiberPtrs can outlive the engine).
-  std::shared_ptr<StackPool> stack_pool = std::make_shared<StackPool>();
-  Fiber* current = nullptr;
-#if STARFISH_FAST_CONTEXT
-  /// Main context's saved stack pointer while a fiber runs.
-  void* main_sp = nullptr;
-#else
-  ucontext_t main_context{};
-#endif
-#if STARFISH_TSAN_FIBER_API
-  void* tsan_main = nullptr;  ///< TSan shadow context of the shard thread
-#endif
-  uint64_t events = 0;  ///< events dispatched on this shard, ever
-  /// Keeps fibers alive; swept opportunistically when finished.
-  std::vector<FiberPtr> fibers;
-  /// outbox[d]: cross-shard schedules destined for shard d this window.
-  std::vector<std::vector<ExchangeMsg>> outbox;
-  uint64_t cross_msgs = 0;       ///< cross-shard messages sent, ever
-  uint64_t barrier_wait_ns = 0;  ///< wall ns spent idle at barriers (S > 1)
-  // Published-so-far marks so metrics counters receive deltas per run.
-  uint64_t events_published = 0;
-  uint64_t cross_published = 0;
-  uint64_t wait_published = 0;
-
-  Shard() = default;
-  Shard(const Shard&) = delete;
-  Shard& operator=(const Shard&) = delete;
-};
-
 class Engine {
  public:
   /// The seed feeds the engine-owned RNG that randomized simulation
   /// components draw from, and derives the per-host fault streams in the
-  /// net layer. Two engines with the same seed replay bit-for-bit — at any
-  /// shard count.
+  /// net layer. Two engines with the same seed replay bit-for-bit.
   explicit Engine(uint64_t seed = 0);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Shard-aware clock: inside an event or fiber this is the executing
-  /// shard's clock (exact for everything the caller can observe); outside
-  /// run() it is the global clock. Daemon/GCS code calls this freely.
-  Time now() const {
-    const ExecCtx& c = tls_;
-    return c.engine == this ? c.shard->now : global_now_;
-  }
+  /// Virtual time: the dispatching event's time inside run(), the time the
+  /// last run stopped at outside it.
+  Time now() const { return now_; }
   uint64_t seed() const { return seed_; }
-  /// The engine's deterministic RNG. Serial contexts only (the control
-  /// node and code outside run()); shard-parallel code must use its own
-  /// per-node stream (the fault injector does).
-  util::Rng& rng() {
-    assert(!parallel_active_ && "Engine::rng() from a parallel window");
-    return rng_;
-  }
+  /// The engine's deterministic RNG.
+  util::Rng& rng() { return rng_; }
 
-  // --- Sharding ---
-
-  /// Partitions hosts across `n` worker threads (1 = sequential, the
-  /// default). Call before registering nodes or scheduling anything.
-  void set_shards(unsigned n);
-  unsigned shards() const { return shard_count_; }
-
-  /// Mints a new node (shard placement is fixed immediately). Hosts call
-  /// this at construction; everything else runs on the control node.
+  /// Mints a new node. Hosts call this at construction; everything else
+  /// runs on the control node.
   NodeId register_node();
   size_t node_count() const { return nodes_.size(); }
-
-  /// The conservative window slack: cross-shard events must be scheduled at
-  /// least this far in the future. The net layer reports its minimum
-  /// cross-host latency via note_min_latency(); set_lookahead() overrides.
-  Duration lookahead() const { return lookahead_ == 0 ? 1 : lookahead_; }
-  void set_lookahead(Duration d) {
-    assert(d >= 1);
-    lookahead_ = d;
-  }
-  /// Lower the lookahead to `d` if it is currently larger (or unset).
-  void note_min_latency(Duration d) {
-    if (d < 1) d = 1;
-    if (lookahead_ == 0 || d < lookahead_) lookahead_ = d;
-  }
 
   /// Observability hub recording this engine's metrics and trace events
   /// (nullptr = observability off, the default unless a process-default hub
@@ -282,57 +187,38 @@ class Engine {
     return obs_ != nullptr && obs_->tracer.enabled() ? &obs_->tracer : nullptr;
   }
 
-  /// Schedules a callback at now() + delay on the calling context's node.
+  /// Schedules a callback at now() + delay on the executing node.
   /// Callbacks run on the main context and must not block. Captures up to
   /// SmallFn::kInlineBytes are constructed directly inside the pooled event
   /// record — no allocation, no callable move.
   template <typename F>
   void schedule(Duration delay, F&& fn) {
-    const ExecCtx& c = tls_;
-    schedule_on(c.engine == this ? c.node : kControlNode, delay, std::forward<F>(fn));
+    schedule_on(exec_node_, delay, std::forward<F>(fn));
   }
 
-  /// Schedules a callback to execute under `exec_node`'s context (on its
-  /// shard). From inside a parallel window, a cross-shard target requires
-  /// delay >= lookahead() — the conservative-synchronization contract; the
-  /// net layer's minimum latency guarantees it for all message traffic.
+  /// Schedules a callback to execute under `exec_node`'s context.
   template <typename F>
   void schedule_on(NodeId exec_node, Duration delay, F&& fn) {
     assert(delay >= 0);
     assert(exec_node < nodes_.size());
-    const ExecCtx& c = tls_;
-    const bool own = c.engine == this;
-    const NodeId origin = own ? c.node : kControlNode;
-    const Time at = (own ? c.shard->now : global_now_) + delay;
-    const uint64_t seq = nodes_[origin].next_seq++;
-    const uint32_t dst_idx = nodes_[exec_node].shard;
-    Shard* dst = shards_[dst_idx].get();
-    if (parallel_active_ && own && dst != c.shard) {
-      assert(at >= window_end_ && "cross-shard schedule below the lookahead bound");
-      c.shard->outbox[dst_idx].push_back(
-          ExchangeMsg{at, origin, seq, exec_node, SmallFn(std::forward<F>(fn))});
-      ++c.shard->cross_msgs;
-      return;
-    }
-    EventNode* n = dst->pool.acquire();
+    const uint64_t seq = nodes_[exec_node_].next_seq++;
+    EventNode* n = pool_.acquire();
     n->fn.emplace(std::forward<F>(fn));
     n->exec_node = exec_node;
     if (obs_fn_heap_ != nullptr && n->fn.heap_allocated()) obs_fn_heap_->add(1);
-    dst->timers.push(TimerEntry{at, origin, seq, n});
+    timers_.push(TimerEntry{now_ + delay, exec_node_, seq, n});
   }
 
-  /// Creates a fiber on the calling context's node and schedules it to
-  /// start at now() + delay.
+  /// Creates a fiber on the executing node and schedules it to start at
+  /// now() + delay.
   FiberPtr spawn(std::string name, std::function<void()> body, Duration delay = 0);
-  /// Creates a fiber homed on `node` (Host::spawn uses this). Cross-shard
-  /// spawns are serial-phase only.
+  /// Creates a fiber homed on `node` (Host::spawn uses this).
   FiberPtr spawn_on(NodeId node, std::string name, std::function<void()> body,
                     Duration delay = 0);
 
   /// Kills a fiber: a blocked fiber is woken with WakeReason::kKilled (its
   /// blocking primitive throws FiberKilled); a runnable/running fiber throws
-  /// at its next blocking point. Idempotent. Cross-shard kills are
-  /// serial-phase only (host crashes run on the control node).
+  /// at its next blocking point. Idempotent.
   void kill(const FiberPtr& fiber);
 
   /// Runs events until the queue is empty.
@@ -340,29 +226,16 @@ class Engine {
   /// Runs events with timestamp <= now()+d, then sets now() = start+d.
   void run_for(Duration d);
   /// True if no events remain.
-  bool idle() const;
-  uint64_t events_executed() const;
-  /// Events dispatched by one shard. Sequential mode has a single shard
-  /// (index 0); parallel mode has shards()+1 — index 0 is the control
-  /// plane's, 1..shards() are the host workers. Out-of-range reads 0.
-  uint64_t shard_events(unsigned shard) const;
-  /// Parallel epochs (windows) executed; 0 in sequential mode.
-  uint64_t epochs() const { return epochs_; }
-  /// True while inside a parallel window (shared-state mutators assert
-  /// against this; serial phases and sequential mode return false).
-  bool in_parallel() const { return parallel_active_; }
+  bool idle() const { return timers_.empty() && ready_.empty(); }
+  uint64_t events_executed() const { return events_; }
 
-  /// The stack pool of shard 0 (sequential mode's only pool; stats for
-  /// tests and reporting).
-  const StackPool& stack_pool() const { return *shards_[0]->stack_pool; }
+  /// The fiber stack pool (stats for tests and reporting).
+  const StackPool& stack_pool() const { return *stack_pool_; }
 
   // --- Fiber-side API (call only from inside a fiber) ---
 
   /// The currently running fiber, or nullptr when on the main context.
-  Fiber* current() const {
-    const ExecCtx& c = tls_;
-    return c.engine == this ? c.shard->current : nullptr;
-  }
+  Fiber* current() const { return current_; }
 
   /// Suspends the current fiber until t (virtual time). Throws FiberKilled
   /// if killed while sleeping.
@@ -382,62 +255,32 @@ class Engine {
   WakeReason block_until(Time deadline);
 
   /// Wakes a blocked fiber (no-op if not blocked or already woken). The
-  /// resume is queued on the fiber's home ready ring — O(1) amortized, no
-  /// heap traffic — and dispatched in global (time, node, seq) order.
-  /// Cross-shard wakes are serial-phase only.
+  /// resume is queued on the ready ring — O(1) amortized, no heap traffic —
+  /// and dispatched in (time, node, seq) order.
   void wake(Fiber* fiber, WakeReason reason = WakeReason::kSignal);
 
  private:
   friend class Fiber;
 
-  /// Where execution currently stands on this thread: which engine, which
-  /// shard's event loop, and which node's context the running event holds.
-  struct ExecCtx {
-    Engine* engine;
-    Shard* shard;
-    NodeId node;
-  };
-  // Value-initialized (all null): no NSDMIs, which an in-class inline
-  // thread_local of the enclosing class's nested type cannot use.
-  inline static thread_local ExecCtx tls_{};
-
-  /// Per-node determinism state. Padded: shards bump different nodes'
-  /// counters concurrently.
-  struct alignas(64) NodeState {
+  /// Per-node determinism state.
+  struct NodeState {
     uint64_t next_seq = 0;
     uint64_t next_fiber = 1;
-    uint32_t shard = 0;  ///< index into shards_
   };
 
-  struct NextKey {
-    Time at;
-    NodeId node;
-    uint64_t seq;
-  };
-
-  /// Smallest pending key on a shard (heap top vs ready front).
-  bool next_key(const Shard& s, NextKey& out) const;
-
-  /// Dispatches the next event on `s` in (time, node, seq) order across the
-  /// ready ring and the timer heap; returns false when none remains at
+  /// Dispatches the next event in (time, node, seq) order across the ready
+  /// ring and the timer heap; returns false when none remains at
   /// <= deadline (inclusive).
-  bool dispatch_one(Shard& s, Time deadline);
-  void note_event_dispatched(Shard& s, size_t remaining);
+  bool dispatch_one(Time deadline);
+  void note_event_dispatched();
 
   void run_until(Time deadline, bool bounded);
-  void run_parallel(Time deadline, bool bounded);
-  /// Worker body: dispatch everything strictly below `limit`.
-  void run_shard_window(Shard& s, Time limit);
-  void worker_main(unsigned shard_idx);
-  void ensure_threads();
-  void stop_threads();
-  void merge_outboxes();
-  void publish_shard_metrics();
+  void resume(Fiber* fiber);
 
-  void resume(Shard& s, Fiber* fiber);
-  void fiber_exited();
-
-  Time global_now_ = 0;
+  Time now_ = 0;
+  /// The node whose context the dispatching event holds; the control node
+  /// outside events.
+  NodeId exec_node_ = kControlNode;
   uint64_t seed_ = 0;
   util::Rng rng_;
   obs::Hub* obs_ = nullptr;
@@ -449,23 +292,21 @@ class Engine {
   obs::Counter* obs_stack_misses_ = nullptr;
 
   std::vector<NodeState> nodes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  unsigned shard_count_ = 1;  ///< worker shards (1 = sequential)
-  Duration lookahead_ = 0;    ///< 0 = unset (treated as 1)
-  bool parallel_active_ = false;
-  Time window_end_ = 0;  ///< exclusive bound of the active window
-  uint64_t epochs_ = 0;
-  uint64_t epochs_published_ = 0;
-
-  // Worker thread pool (created at first parallel run).
-  std::vector<std::thread> threads_;
-  std::mutex wmu_;
-  std::condition_variable cv_go_;
-  std::condition_variable cv_done_;
-  uint64_t go_gen_ = 0;
-  unsigned pending_ = 0;
-  bool stopping_ = false;
-  Time window_ = 0;  ///< exclusive limit handed to workers
+  TimerHeap timers_;
+  ReadyQueue ready_;
+  EventPool pool_;
+  /// Shared with every fiber (FiberPtrs can outlive the engine).
+  std::shared_ptr<StackPool> stack_pool_ = std::make_shared<StackPool>();
+  Fiber* current_ = nullptr;
+#if STARFISH_FAST_CONTEXT
+  /// Main context's saved stack pointer while a fiber runs.
+  void* main_sp_ = nullptr;
+#else
+  ucontext_t main_context_{};
+#endif
+  uint64_t events_ = 0;  ///< events dispatched, ever
+  /// Keeps fibers alive; swept opportunistically when finished.
+  std::vector<FiberPtr> fibers_;
 };
 
 }  // namespace starfish::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -187,6 +188,16 @@ TEST(ClusterRun, UnknownBinaryFails) {
   f.cluster.submit(job);
   EXPECT_FALSE(f.cluster.run_until_done("ghost", seconds(10.0)));
   EXPECT_EQ(f.cluster.phase("ghost"), AppPhase::kFailed);
+}
+
+TEST(ClusterRun, RejectsShardsOtherThanOne) {
+  // The engine runs one event loop on one thread; a caller asking for
+  // worker shards must hear so instead of silently running sequentially.
+  ClusterOptions opts;
+  opts.shards = 2;
+  EXPECT_THROW(Cluster{opts}, std::invalid_argument);
+  opts.shards = 0;
+  EXPECT_THROW(Cluster{opts}, std::invalid_argument);
 }
 
 TEST(ClusterRun, TwoConcurrentApps) {

@@ -215,9 +215,7 @@ TEST(GcsDifferential, SameViewEventsAcrossInteriorCrash) {
 // per topology: a pass-through fault filter folds every inter-host
 // datagram's (send time, src, dst, payload bytes) into an FNV-1a hash per
 // source host, and a sampler fiber on every host folds its member's
-// retransmission_log_size() into the same hash every 5 ms. The filter runs
-// on the sending host's shard and the sampler on its own host, so each hash
-// is touched by one thread at any shard count.
+// retransmission_log_size() into the same hash every 5 ms.
 //
 // Regenerating (only when the wire format or the protocol changes on
 // purpose):
@@ -250,10 +248,9 @@ struct WireGolden {
 /// round-robin trickle of one per period — so the view-wide stable point
 /// often advances by exactly one entry — across a crash of host 2 (an
 /// interior tree node at k=4) and again after the view change.
-WireGolden run_wire_golden(Topology topo, unsigned shards, bool drop_orders) {
+WireGolden run_wire_golden(Topology topo, bool drop_orders) {
   constexpr size_t kMembers = 16;
   sim::Engine eng(/*seed=*/5);
-  eng.set_shards(shards);  // before any host registers its node
   net::Network net(eng);
   GroupConfig config;
   config.topology = topo;
@@ -276,8 +273,6 @@ WireGolden run_wire_golden(Topology topo, unsigned shards, bool drop_orders) {
   }
   for (auto& ep : eps) ep->start_founding(founders);
 
-  // The dropper's attempt map is shared across hosts, so drop runs stay
-  // sequential.
   const auto dropper = drop_orders ? order_dropper() : nullptr;
   net.faults().set_filter([&eng, &hash, &sent, dropper](const net::Packet& p,
                                                         net::TransportKind kind) {
@@ -358,18 +353,15 @@ void check_golden(const char* what, const WireGolden& got, const WireGolden& wan
 TEST(GcsDifferential, GoldenWireBytesAndPruneHistory) {
   const WireGolden flat = {.datagrams = 13452, .digest = 1652467480351814487ull};
   const WireGolden tree = {.datagrams = 2229, .digest = 15197812461387100993ull};
-  for (const unsigned shards : {1u, 4u}) {
-    const std::string at = " shards=" + std::to_string(shards);
-    check_golden(("flat" + at).c_str(), run_wire_golden(Topology::kFlat, shards, false), flat);
-    check_golden(("tree" + at).c_str(), run_wire_golden(Topology::kTree, shards, false), tree);
-  }
+  check_golden("flat", run_wire_golden(Topology::kFlat, false), flat);
+  check_golden("tree", run_wire_golden(Topology::kTree, false), tree);
 }
 
 TEST(GcsDifferential, GoldenWireBytesAndPruneHistoryUnderOrderLoss) {
   const WireGolden flat = {.datagrams = 13683, .digest = 8455847717673395453ull};
   const WireGolden tree = {.datagrams = 2616, .digest = 10872428911124204816ull};
-  check_golden("flat drops", run_wire_golden(Topology::kFlat, 1, true), flat);
-  check_golden("tree drops", run_wire_golden(Topology::kTree, 1, true), tree);
+  check_golden("flat drops", run_wire_golden(Topology::kFlat, true), flat);
+  check_golden("tree drops", run_wire_golden(Topology::kTree, true), tree);
 }
 
 // ------------------------------------------------------- cluster level ----

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -315,27 +314,6 @@ RunResult chaos_run(Hub* hub, uint64_t seed, CrProtocol proto = CrProtocol::kSto
   return r;
 }
 
-/// Drops the one metric family measured in host wall-clock time —
-/// sim.shard.<i>.barrier_wait_ns, how long each worker thread really waited
-/// at epoch barriers — which legitimately varies between same-seed runs when
-/// the suite executes with STARFISH_SHARDS > 1. Every virtual-domain line
-/// must still match bit for bit.
-std::string without_host_time_lines(const std::string& json) {
-  std::string out;
-  size_t pos = 0;
-  while (pos < json.size()) {
-    size_t end = json.find('\n', pos);
-    if (end == std::string::npos) end = json.size();
-    const std::string_view line(json.data() + pos, end - pos);
-    if (line.find("barrier_wait_ns") == std::string_view::npos) {
-      out.append(line);
-      out.push_back('\n');
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
 TEST(Obs, SameSeedRunsExportIdenticalArtifacts) {
   Hub h1, h2;
   h1.tracer.set_enabled(true);
@@ -344,10 +322,8 @@ TEST(Obs, SameSeedRunsExportIdenticalArtifacts) {
   const RunResult r2 = chaos_run(&h2, 7);
   ASSERT_TRUE(r1.done);
   ASSERT_TRUE(r2.done);
-  // Same seed, same virtual time: metrics and trace replay bit for bit
-  // (barrier wait excepted — it is host time by definition).
-  EXPECT_EQ(without_host_time_lines(h1.metrics.to_json()),
-            without_host_time_lines(h2.metrics.to_json()));
+  // Same seed, same virtual time: metrics and trace replay bit for bit.
+  EXPECT_EQ(h1.metrics.to_json(), h2.metrics.to_json());
   EXPECT_EQ(h1.tracer.to_chrome_json(), h2.tracer.to_chrome_json());
   EXPECT_GT(h1.tracer.recorded(), 0u);
 }

@@ -1,6 +1,6 @@
 // Diskless checkpoint storage (ckpt/replica.hpp): deterministic placement,
 // warm re-replication, crash invalidation, commit-after-transfer, recovery
-// fallback, and shard-count invariance of the replica tier.
+// fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -543,49 +543,6 @@ TEST(ReplicaChaos, SurvivesFaultsAndCrashWithInvariantsIntact) {
   EXPECT_TRUE(replicas->validate(&why)) << why;
   EXPECT_LE(replicas->puts_committed(), replicas->puts_started());
   EXPECT_GT(replicas->puts_committed(), 0u);
-}
-
-// ------------------------------------------------- shard determinism ----
-
-struct ReplicaRun {
-  std::vector<std::string> output;
-  uint64_t replica_hash = 0;
-  uint64_t store_hash = 0;
-  uint64_t shipped = 0;
-  sim::Time end = 0;
-};
-
-ReplicaRun replica_run(unsigned shards) {
-  ClusterOptions opts;
-  opts.nodes = 4;
-  opts.shards = shards;
-  opts.ckpt_backend = ckpt::CkptBackend::kReplica;
-  Cluster cluster(std::move(opts));
-  cluster.registry().register_vm("ring", ring_program(30, 100000));
-  cluster.submit(ring_job("shards", 4));
-  cluster.run_for(milliseconds(300));
-  cluster.crash_node(2);
-  EXPECT_TRUE(cluster.run_until_done("shards", seconds(240.0)));
-  ReplicaRun out;
-  out.output = cluster.output("shards");
-  out.replica_hash = cluster.store().replicas()->content_hash();
-  out.store_hash = cluster.store().content_hash();
-  out.shipped = cluster.store().replicas()->bytes_shipped();
-  out.end = cluster.engine().now();
-  return out;
-}
-
-TEST(ReplicaShardDeterminism, ContentHashIdenticalAt1248Shards) {
-  const ReplicaRun base = replica_run(1);
-  ASSERT_FALSE(base.output.empty());
-  for (unsigned shards : {2u, 4u, 8u}) {
-    const ReplicaRun run = replica_run(shards);
-    EXPECT_EQ(run.replica_hash, base.replica_hash) << shards << " shards";
-    EXPECT_EQ(run.store_hash, base.store_hash) << shards << " shards";
-    EXPECT_EQ(run.shipped, base.shipped) << shards << " shards";
-    EXPECT_EQ(run.output, base.output) << shards << " shards";
-    EXPECT_EQ(run.end, base.end) << shards << " shards";
-  }
 }
 
 }  // namespace

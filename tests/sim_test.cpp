@@ -78,6 +78,43 @@ TEST(Engine, RunForStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Engine, NowIsMonotonicOnEveryHostAcrossRunForBoundaries) {
+  // Host fibers timestamp messages and timers with now(); it must never run
+  // backwards on any host, and run_for() must land exactly on the requested
+  // boundary even when it cuts between a host's sleeps.
+  Engine eng(/*seed=*/5);
+  constexpr int kHosts = 8;
+  std::vector<HostPtr> hosts;
+  std::vector<std::vector<Time>> samples(kHosts);
+  for (int h = 0; h < kHosts; ++h) {
+    hosts.push_back(std::make_shared<Host>(eng, static_cast<HostId>(h), "h" + std::to_string(h),
+                                           default_machine()));
+  }
+  for (int h = 0; h < kHosts; ++h) {
+    hosts[h]->spawn("sampler", [&eng, &samples, h] {
+      for (int i = 0; i < 200; ++i) {
+        samples[h].push_back(eng.now());
+        eng.sleep(microseconds(7 + (h * 13 + i) % 91));
+        samples[h].push_back(eng.now());
+      }
+    });
+  }
+  // Odd increments, so run_for boundaries fall between the hosts' wakeups.
+  Time expected = eng.now();
+  for (const auto d : {microseconds(333), milliseconds(1), microseconds(4999), milliseconds(20)}) {
+    eng.run_for(d);
+    expected += d;
+    EXPECT_EQ(eng.now(), expected);
+  }
+  eng.run();
+  for (int h = 0; h < kHosts; ++h) {
+    ASSERT_EQ(samples[h].size(), 400u) << "host " << h;
+    for (size_t i = 1; i < samples[h].size(); ++i) {
+      ASSERT_LE(samples[h][i - 1], samples[h][i]) << "host " << h << " sample " << i;
+    }
+  }
+}
+
 TEST(Engine, DeterministicAcrossRuns) {
   auto run_once = [] {
     Engine eng;
