@@ -124,9 +124,21 @@ ApplicationProcess::ApplicationProcess(net::Network& net, sim::Host& host,
   ready.kind = daemon::LinkKind::kReady;
   ready.vni_addr = proc_->addr();
   send_uplink(std::move(ready));
+
+  // A crash kills the host's fibers but not this object, which its daemon
+  // still holds: drop the VM state with the host, as terminate() does. The
+  // hook runs in the main context, and the killed fibers only unwind from
+  // their blocking points, which never touch the interpreter again.
+  // Registered last, so a throwing constructor leaves no hook behind.
+  crash_hook_ = net_.add_crash_hook([this](sim::HostId h) {
+    if (h == host_.id()) interp_.reset();
+  });
 }
 
-ApplicationProcess::~ApplicationProcess() { terminate(); }
+ApplicationProcess::~ApplicationProcess() {
+  net_.remove_crash_hook(crash_hook_);
+  terminate();
+}
 
 void ApplicationProcess::send_uplink(daemon::LinkMsg msg) {
   if (uplink_) uplink_(msg);

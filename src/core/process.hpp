@@ -116,6 +116,7 @@ class ApplicationProcess : public daemon::ProcessHandle {
   std::optional<mpi::Comm> world_;
   std::unique_ptr<CrModule> cr_;
   std::unique_ptr<vm::Interpreter> interp_;  ///< VM apps only
+  net::Network::CrashHookId crash_hook_ = 0;  ///< releases interp_ on a crash
 
   sim::Channel<daemon::LinkMsg> inbox_;
   std::vector<sim::FiberPtr> owned_fibers_;

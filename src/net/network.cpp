@@ -352,11 +352,16 @@ void Network::crash_host(sim::HostId id) {
 
   // Fate-sharing state elsewhere (e.g. the replica checkpoint tier) learns
   // of the crash last, after the fabric state is consistent.
-  for (const auto& hook : crash_hooks_) hook(id);
+  for (const auto& entry : crash_hooks_) entry.second(id);
 }
 
-void Network::add_crash_hook(std::function<void(sim::HostId)> hook) {
-  crash_hooks_.push_back(std::move(hook));
+Network::CrashHookId Network::add_crash_hook(std::function<void(sim::HostId)> hook) {
+  crash_hooks_.emplace_back(next_crash_hook_, std::move(hook));
+  return next_crash_hook_++;
+}
+
+void Network::remove_crash_hook(CrashHookId id) {
+  std::erase_if(crash_hooks_, [id](const auto& entry) { return entry.first == id; });
 }
 
 }  // namespace starfish::net

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/faults.hpp"
@@ -166,9 +167,13 @@ class Network {
 
   /// Registers a callback run at the end of every crash_host, after the
   /// fabric state is consistent. Lets fate-sharing state
-  /// outside the fabric — e.g. in-memory checkpoint replicas — invalidate
-  /// what the dead host held. Hooks must outlive the network's last crash.
-  void add_crash_hook(std::function<void(sim::HostId)> hook);
+  /// outside the fabric — e.g. in-memory checkpoint replicas, a process's
+  /// VM — invalidate what the dead host held. A hook must be removed
+  /// before anything it captures is destroyed, or outlive the network's
+  /// last crash, and must not add or remove hooks itself.
+  using CrashHookId = uint64_t;
+  CrashHookId add_crash_hook(std::function<void(sim::HostId)> hook);
+  void remove_crash_hook(CrashHookId id);
 
   /// Message-level fault injection (loss, delay, duplication, partitions);
   /// consulted on every transmit/connect once configured. Fault-free by
@@ -237,7 +242,8 @@ class Network {
 
   sim::Engine& engine_;
   FaultInjector faults_{engine_};
-  std::vector<std::function<void(sim::HostId)>> crash_hooks_;
+  std::vector<std::pair<CrashHookId, std::function<void(sim::HostId)>>> crash_hooks_;
+  CrashHookId next_crash_hook_ = 0;
   std::vector<sim::HostPtr> hosts_;
   /// unique_ptr for address stability: add_host may grow the vector while
   /// a caller holds a HostNet reference.

@@ -65,6 +65,23 @@ enum class XOp : uint8_t {
 constexpr size_t kXOpCount = static_cast<size_t>(XOp::kCount);
 constexpr size_t kBaseOpCount = static_cast<size_t>(Op::kSyscall) + 1;
 
+/// Original instructions an entry of kind `op` covers: 1 for base ops and
+/// the checked escape, the idiom's component count for a superinstruction.
+/// The fast loop advances pc and the step count by this compile-time
+/// constant, never by the entry's `len` (which must equal it).
+constexpr uint8_t xop_len(XOp op) {
+  switch (op) {
+    case XOp::kFusedCmpBr: return 2;
+    case XOp::kFusedLoadLoadArith:
+    case XOp::kFusedLoadLoadALoad: return 3;
+    case XOp::kFusedIncLocal:
+    case XOp::kFusedLoadCmpBr:
+    case XOp::kFusedLoadLoadArithSt: return 4;
+    case XOp::kFusedLoadOffsetALoad: return 5;
+    default: return 1;
+  }
+}
+
 /// One decoded entry. Field use by XOp:
 ///  - base fast ops: `imm.i` / `imm.f` carry the original immediate
 ///    (push_int immediates are pre-wrapped to the interpreter's machine
@@ -86,7 +103,7 @@ constexpr size_t kBaseOpCount = static_cast<size_t>(Op::kSyscall) + 1;
 ///    imm.i = pre-wrapped index offset, aux = Op (kAdd or kSub).
 struct DecodedInstr {
   XOp op = XOp::kChecked;
-  uint8_t len = 1;  ///< original instructions covered (fused: 2..5)
+  uint8_t len = 1;  ///< original instructions covered: xop_len(op)
   uint8_t aux = 0;  ///< inner Op / proven Tag, per the table above
   uint8_t pad = 0;
   uint32_t b = 0;

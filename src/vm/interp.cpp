@@ -34,10 +34,11 @@ inline int64_t fast_int_arith(Op op, int64_t a, int64_t b) {
   }
 }
 
-/// The array `ref` when the checked aload/astore would not trap on its
-/// element `idx` (ref not dangling, an array, idx in bounds), else nullptr.
-inline HeapObject* array_at(std::vector<HeapObject>& heap, HeapIndex ref, int64_t idx) {
-  if (ref >= heap.size()) return nullptr;
+/// The array `ref` of the `heap_size`-object heap at `heap` when the checked
+/// aload/astore would not trap on its element `idx` (ref not dangling, an
+/// array, idx in bounds), else nullptr.
+inline HeapObject* array_at(HeapObject* heap, size_t heap_size, HeapIndex ref, int64_t idx) {
+  if (ref >= heap_size) return nullptr;
   HeapObject& obj = heap[ref];
   if (obj.kind != HeapObject::Kind::kArray || static_cast<uint64_t>(idx) >= obj.size()) {
     return nullptr;
@@ -624,27 +625,38 @@ Interpreter::StepOutcome Interpreter::step_checked_one(RunResult& out) {
   return StepOutcome::kContinue;
 }
 
+
 // ---------------------------------------------------------- fast loop ----
 //
 // Executes prepared code (vm/exec.hpp) with verifier-elided checks. The
 // invariants that keep it bit-identical to the checked loop:
-//  - pc and frames stay in ORIGINAL bytecode coordinates; a fused entry
-//    advances pc/steps by its full component count, and the budget check
-//    (`d->len > left`) guarantees a superinstruction never straddles a
-//    run() boundary — if the budget would expire inside one, the remaining
-//    components execute singly through the checked step instead.
-//  - steps are accumulated in `fast_done` and flushed to
-//    state_.steps_executed at every exit, so a checkpoint cut at any
-//    kSyscall/kRunning boundary sees the same count the checked loop
+//  - pc and frames stay in ORIGINAL bytecode coordinates; every handler
+//    advances pc and the step count by its op's compile-time length
+//    (xop_len: 1, or a superinstruction's component count), and a
+//    superinstruction first checks that the budget covers all of it — if
+//    the budget would expire inside one, the remaining components execute
+//    singly through the checked step instead, so it never straddles a run()
+//    boundary.
+//  - the budget `left` counts down per retired instruction; the fast
+//    instructions retired since the last flush (its drop since then) are
+//    flushed to state_.steps_executed at every exit, so a checkpoint cut at
+//    any kSyscall/kRunning boundary sees the same count the checked loop
 //    produces.
+//  - `sp` is the real operand-stack top. While the loop runs, the `stack`
+//    vector is at least the frame's headroom (depth + the verifier's
+//    max_stack) long; it is cut back to `sp` before every exit and every
+//    checked step, so the host and the checked code see the exact stack.
+//    Call and ret stay inside the loop and keep the headroom.
+//  - the heap is re-read at every frame entry: inside the loop only the
+//    checked step allocates, and it always returns through load_frame.
 //  - any entry the verifier could not prove runs through
 //    step_checked_one(), i.e. the original code with original messages.
 //  - guard-then-escape: a guarded body (heap ops; int arithmetic, div/mod
 //    zero) tests everything the facts leave open — dangling ref, array
-//    kind, bounds, int tags, zero divisor — BEFORE mutating anything, and on
-//    any failure jumps to the checked escape, which un-charges the fetch
-//    and re-runs the entry's first original instruction through the checked
-//    step, producing the identical trap, stack and step count.
+//    kind, bounds, int tags, zero divisor — BEFORE it mutates or charges
+//    anything, and on any failure jumps to the checked escape, which re-runs
+//    the entry's first original instruction through the checked step,
+//    producing the identical trap, stack and step count.
 //  - int/bool compares convert through double exactly like the checked
 //    loop (observable for |int| > 2^53); only proven underflow/type checks
 //    are gone.
@@ -656,17 +668,20 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
 
   std::vector<Value>& stack = state_.stack;
   std::vector<Frame>& frames = state_.frames;
-  std::vector<HeapObject>& heap = state_.heap;
 
-  uint64_t left = max_steps;  // local countdown, flushed in batches
-  uint64_t fast_done = 0;     // fast instructions retired since last flush
-  uint64_t fused_done = 0;    // superinstructions among them
+  uint64_t left = max_steps;     // local countdown
+  uint64_t flushed_left = left;  // `left` at the last flush: the fast
+                                 // instructions retired since are the gap
+  uint64_t fused_done = 0;       // superinstructions among them
   Frame* fr = nullptr;
   Value* locals = nullptr;
   const DecodedInstr* code = nullptr;
   size_t code_size = 0;
   size_t pc = 0;
   const DecodedInstr* d = nullptr;
+  Value* sp = nullptr;          // one past the operand-stack top
+  HeapObject* heap = nullptr;   // state_.heap as of the last frame entry
+  size_t heap_size = 0;
 
 #ifdef STARFISH_VM_CGOTO
   // Indexed by XOp; order must match vm/exec.hpp exactly.
@@ -695,25 +710,34 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
 
 // Fetch/decode shared by both dispatch flavors: budget first (the checked
 // loop's for-condition), then the pc bounds check the fast loop keeps.
-#define VM_FETCH()                                      \
-  do {                                                  \
-    if (left == 0) goto budget_out;                     \
-    if (pc >= code_size) goto pc_oob;                   \
-    d = &code[pc];                                      \
-    if (d->len > left) goto partial_fused;              \
-    left -= d->len;                                     \
-    fast_done += d->len;                                \
-    pc += d->len;                                       \
+// Nothing here depends on the entry: each handler advances by its own
+// static length.
+#define VM_FETCH()                    \
+  do {                                \
+    if (left == 0) goto budget_out;   \
+    if (pc >= code_size) goto pc_oob; \
+    d = &code[pc];                    \
   } while (0)
+
+// A superinstruction of `n` components runs only if the budget covers all
+// of them (left >= 1 is already known from the fetch).
+#define VM_FUSED_BUDGET(n)              \
+  do {                                  \
+    if (left < (n)) goto partial_fused; \
+  } while (0)
+
+// Cuts the operand-stack vector back to the cached top.
+#define VM_SYNC_STACK() stack.resize(static_cast<size_t>(sp - stack.data()))
 
 // Flush batched step accounting to the canonical state. Does not touch
 // fr->pc — exits that need it write it explicitly first.
-#define VM_FLUSH_STEPS()                \
-  do {                                  \
-    state_.steps_executed += fast_done; \
-    note_fast(fast_done, fused_done);   \
-    fast_done = 0;                      \
-    fused_done = 0;                     \
+#define VM_FLUSH_STEPS()                            \
+  do {                                              \
+    const uint64_t fast_done = flushed_left - left; \
+    state_.steps_executed += fast_done;             \
+    note_fast(fast_done, fused_done);               \
+    flushed_left = left;                            \
+    fused_done = 0;                                 \
   } while (0)
 
 #ifdef STARFISH_VM_CGOTO
@@ -728,8 +752,18 @@ RunResult Interpreter::run_fast(uint64_t max_steps) {
 #define VM_NEXT() continue
 #endif
 
+// Retires the `n` instructions at pc and dispatches the one after them.
+// Plain statements, not do/while (see VM_COMPARE): always a block's last.
+#define VM_NEXT_AFTER(n) \
+  pc += (n);             \
+  left -= (n);           \
+  VM_NEXT()
+
+  sp = stack.data() + stack.size();  // the host hands over the exact stack
+
 load_frame:
   if (frames.empty()) {
+    VM_SYNC_STACK();
     VM_FLUSH_STEPS();
     halted_ = true;
     out.status = RunStatus::kHalted;
@@ -737,6 +771,7 @@ load_frame:
   }
   fr = &frames.back();
   if (fr->function >= program_.functions.size()) {
+    VM_SYNC_STACK();
     VM_FLUSH_STEPS();
     return trap("bad function index");
   }
@@ -744,13 +779,17 @@ load_frame:
     const PreparedFunction& pf = prepared_.functions[fr->function];
     code = pf.code.data();
     code_size = pf.code.size();
-    // Reserve-backed operand stack: one capacity check per frame entry
-    // instead of a growth check per push.
-    if (stack.capacity() - stack.size() < pf.max_stack) {
-      stack.reserve(stack.size() + pf.max_stack);
+    // The frame's headroom, checked once per frame entry: no push below
+    // checks for growth or writes the vector's end back.
+    const auto depth = static_cast<size_t>(sp - stack.data());
+    if (stack.size() < depth + pf.max_stack) {
+      stack.resize(depth + pf.max_stack);
+      sp = stack.data() + depth;
     }
   }
   locals = fr->locals.data();
+  heap = state_.heap.data();
+  heap_size = state_.heap.size();
   pc = fr->pc;
 
 #ifdef STARFISH_VM_CGOTO
@@ -761,59 +800,58 @@ load_frame:
     switch (d->op) {
 #endif
 
-  VM_OP(Nop)
-    VM_NEXT();
+  VM_OP(Nop) {
+    VM_NEXT_AFTER(1);
+  }
 
   VM_OP(PushInt) {  // immediate pre-wrapped by prepare_program
-    stack.push_back(Value::integer(d->imm.i));
-    VM_NEXT();
+    *sp++ = Value::integer(d->imm.i);
+    VM_NEXT_AFTER(1);
   }
   VM_OP(PushFloat) {
-    stack.push_back(Value::real(d->imm.f));
-    VM_NEXT();
+    *sp++ = Value::real(d->imm.f);
+    VM_NEXT_AFTER(1);
   }
   VM_OP(PushBool) {
-    stack.push_back(Value::boolean(d->imm.i != 0));
-    VM_NEXT();
+    *sp++ = Value::boolean(d->imm.i != 0);
+    VM_NEXT_AFTER(1);
   }
   VM_OP(PushUnit) {
-    stack.push_back(Value::unit());
-    VM_NEXT();
+    *sp++ = Value::unit();
+    VM_NEXT_AFTER(1);
   }
   VM_OP(Pop) {
-    stack.pop_back();
-    VM_NEXT();
+    --sp;
+    VM_NEXT_AFTER(1);
   }
   VM_OP(Dup) {
-    const Value v = stack.back();
-    stack.push_back(v);
-    VM_NEXT();
+    *sp = sp[-1];
+    ++sp;
+    VM_NEXT_AFTER(1);
   }
   VM_OP(Swap) {
-    std::swap(stack[stack.size() - 1], stack[stack.size() - 2]);
-    VM_NEXT();
+    std::swap(sp[-1], sp[-2]);
+    VM_NEXT_AFTER(1);
   }
   VM_OP(LoadLocal) {
-    stack.push_back(locals[static_cast<size_t>(d->imm.i)]);
-    VM_NEXT();
+    *sp++ = locals[static_cast<size_t>(d->imm.i)];
+    VM_NEXT_AFTER(1);
   }
   VM_OP(StoreLocal) {
-    locals[static_cast<size_t>(d->imm.i)] = stack.back();
-    stack.pop_back();
-    VM_NEXT();
+    locals[static_cast<size_t>(d->imm.i)] = *--sp;
+    VM_NEXT_AFTER(1);
   }
   VM_OP(LoadGlobal) {
     const auto idx = static_cast<size_t>(d->imm.i);
     if (idx >= state_.globals.size()) state_.globals.resize(idx + 1, Value::unit());
-    stack.push_back(state_.globals[idx]);
-    VM_NEXT();
+    *sp++ = state_.globals[idx];
+    VM_NEXT_AFTER(1);
   }
   VM_OP(StoreGlobal) {
     const auto idx = static_cast<size_t>(d->imm.i);
     if (idx >= state_.globals.size()) state_.globals.resize(idx + 1, Value::unit());
-    state_.globals[idx] = stack.back();
-    stack.pop_back();
-    VM_NEXT();
+    state_.globals[idx] = *--sp;
+    VM_NEXT_AFTER(1);
   }
 
 // Int arithmetic: depth proven; both tags re-checked inline whether or not
@@ -821,15 +859,15 @@ load_frame:
 // div/mod. Plain block, see VM_COMPARE.
 #define VM_INT_ARITH(expr, zero_guard)                          \
   {                                                             \
-    Value* top = &stack.back();                                 \
+    Value* top = sp - 1;                                        \
     if (top[0].tag != Tag::kInt || top[-1].tag != Tag::kInt ||  \
         (zero_guard && top[0].i == 0)) {                        \
       goto checked_escape;                                      \
     }                                                           \
     const int64_t a = top[-1].i, b = top[0].i;                  \
     top[-1] = Value::integer(expr);                             \
-    stack.pop_back();                                           \
-    VM_NEXT();                                                  \
+    sp = top;                                                   \
+    VM_NEXT_AFTER(1);                                           \
   }
 
   VM_OP(Add) VM_INT_ARITH(wrap(a + b), false);
@@ -838,38 +876,27 @@ load_frame:
   VM_OP(Div) VM_INT_ARITH(wrap(a / b), true);
   VM_OP(Mod) VM_INT_ARITH(wrap(a % b), true);
   VM_OP(Neg) {
-    Value& t = stack.back();
+    Value& t = sp[-1];
     if (d->aux == static_cast<uint8_t>(Tag::kInt)) {
       t = Value::integer(wrap(-t.i));
     } else {
       t = Value::real(-t.f);
     }
-    VM_NEXT();
+    VM_NEXT_AFTER(1);
   }
-  VM_OP(FAdd) {
-    const double b = stack.back().f;
-    stack.pop_back();
-    stack.back() = Value::real(stack.back().f + b);
-    VM_NEXT();
+
+// Float arithmetic: depth and both tags proven. Plain block, see VM_COMPARE.
+#define VM_FLOAT_ARITH(op)                            \
+  {                                                   \
+    --sp;                                             \
+    sp[-1] = Value::real(sp[-1].f op sp[0].f);        \
+    VM_NEXT_AFTER(1);                                 \
   }
-  VM_OP(FSub) {
-    const double b = stack.back().f;
-    stack.pop_back();
-    stack.back() = Value::real(stack.back().f - b);
-    VM_NEXT();
-  }
-  VM_OP(FMul) {
-    const double b = stack.back().f;
-    stack.pop_back();
-    stack.back() = Value::real(stack.back().f * b);
-    VM_NEXT();
-  }
-  VM_OP(FDiv) {
-    const double b = stack.back().f;
-    stack.pop_back();
-    stack.back() = Value::real(stack.back().f / b);
-    VM_NEXT();
-  }
+
+  VM_OP(FAdd) VM_FLOAT_ARITH(+);
+  VM_OP(FSub) VM_FLOAT_ARITH(-);
+  VM_OP(FMul) VM_FLOAT_ARITH(*);
+  VM_OP(FDiv) VM_FLOAT_ARITH(/);
 
 // Compares convert int/bool operands through double like the checked loop
 // (d->aux is the verifier-proven shared operand tag). Plain block, not
@@ -877,9 +904,8 @@ load_frame:
 // dispatch loop, not a wrapper loop.
 #define VM_COMPARE(rel)                                         \
   {                                                             \
-    const Value vb = stack.back();                              \
-    stack.pop_back();                                           \
-    const Value va = stack.back();                              \
+    --sp;                                                       \
+    const Value va = sp[-1], vb = sp[0];                        \
     double a, b;                                                \
     if (d->aux == static_cast<uint8_t>(Tag::kFloat)) {          \
       a = va.f;                                                 \
@@ -888,8 +914,8 @@ load_frame:
       a = static_cast<double>(va.i);                            \
       b = static_cast<double>(vb.i);                            \
     }                                                           \
-    stack.back() = Value::boolean(a rel b);                     \
-    VM_NEXT();                                                  \
+    sp[-1] = Value::boolean(a rel b);                           \
+    VM_NEXT_AFTER(1);                                           \
   }
 
   VM_OP(Eq) VM_COMPARE(==);
@@ -902,29 +928,29 @@ load_frame:
   VM_OP(And) VM_INT_ARITH(a & b, false);  // not wrapped, as checked
   VM_OP(Or) VM_INT_ARITH(a | b, false);
   VM_OP(Not) {
-    Value& t = stack.back();
+    Value& t = sp[-1];
     t = Value::boolean(t.i == 0);
-    VM_NEXT();
+    VM_NEXT_AFTER(1);
   }
   VM_OP(I2F) {
-    Value& t = stack.back();
+    Value& t = sp[-1];
     t = Value::real(static_cast<double>(t.i));
-    VM_NEXT();
+    VM_NEXT_AFTER(1);
   }
   VM_OP(F2I) {
-    Value& t = stack.back();
+    Value& t = sp[-1];
     t = Value::integer(wrap(static_cast<int64_t>(t.f)));
-    VM_NEXT();
+    VM_NEXT_AFTER(1);
   }
 
   VM_OP(Jmp) {
+    left -= 1;
     pc = d->b;
     VM_NEXT();
   }
   VM_OP(JmpIfFalse) {
-    const int64_t cond = stack.back().i;
-    stack.pop_back();
-    if (cond == 0) pc = d->b;
+    left -= 1;
+    pc = (--sp)->i == 0 ? d->b : pc + 1;
     VM_NEXT();
   }
   VM_OP(Call) {
@@ -934,29 +960,30 @@ load_frame:
     next.function = static_cast<uint32_t>(callee_idx);
     next.pc = 0;
     next.locals.assign(callee.n_locals, Value::unit());
-    for (uint32_t a = callee.n_args; a > 0; --a) {
-      next.locals[a - 1] = stack.back();
-      stack.pop_back();
-    }
-    fr->pc = static_cast<uint32_t>(pc);  // caller resumes after the call
-    frames.push_back(std::move(next));   // may invalidate fr
+    for (uint32_t a = callee.n_args; a > 0; --a) next.locals[a - 1] = *--sp;
+    left -= 1;
+    fr->pc = static_cast<uint32_t>(pc + 1);  // caller resumes after the call
+    frames.push_back(std::move(next));       // may invalidate fr
     goto load_frame;
   }
   VM_OP(Ret) {
-    const Value v = stack.back();  // depth >= 1 proven by the verifier
-    stack.pop_back();
+    const Value v = *--sp;  // depth >= 1 proven by the verifier
+    left -= 1;
     frames.pop_back();
     if (frames.empty()) {
+      VM_SYNC_STACK();
       VM_FLUSH_STEPS();
       halted_ = true;
       out.status = RunStatus::kHalted;
       return out;
     }
-    stack.push_back(v);
+    *sp++ = v;  // the callee's headroom holds the caller's result slot
     goto load_frame;
   }
   VM_OP(Halt) {
-    fr->pc = static_cast<uint32_t>(pc);
+    left -= 1;
+    fr->pc = static_cast<uint32_t>(pc + 1);
+    VM_SYNC_STACK();
     VM_FLUSH_STEPS();
     halted_ = true;
     out.status = RunStatus::kHalted;
@@ -964,11 +991,10 @@ load_frame:
   }
 
   VM_OP(Syscall) {
-    // Restartable: rewind so pc stays AT the syscall and it is charged
-    // only by complete_syscall() — the checked loop's un-increment.
-    pc -= d->len;
-    fast_done -= d->len;
+    // Restartable: pc stays AT the syscall and it is charged only by
+    // complete_syscall() — the checked loop's un-increment.
     fr->pc = static_cast<uint32_t>(pc);
+    VM_SYNC_STACK();
     VM_FLUSH_STEPS();
     out.status = RunStatus::kSyscall;
     out.syscall = static_cast<Syscall>(d->imm.i);
@@ -977,28 +1003,28 @@ load_frame:
 
   // Heap ops: the ref/index tags are proven, the rest is guarded.
   VM_OP(ALoad) {
-    Value* top = &stack.back();
-    const HeapObject* arr = array_at(heap, top[-1].ref, top[0].i);
+    Value* top = sp - 1;
+    const HeapObject* arr = array_at(heap, heap_size, top[-1].ref, top[0].i);
     if (arr == nullptr) goto checked_escape;
     top[-1] = arr->get(static_cast<size_t>(top[0].i));
-    stack.pop_back();
-    VM_NEXT();
+    sp = top;
+    VM_NEXT_AFTER(1);
   }
   VM_OP(AStore) {
-    Value* top = &stack.back();
-    HeapObject* arr = array_at(heap, top[-2].ref, top[-1].i);
+    Value* top = sp - 1;
+    HeapObject* arr = array_at(heap, heap_size, top[-2].ref, top[-1].i);
     if (arr == nullptr) goto checked_escape;
     arr->set(static_cast<size_t>(top[-1].i), top[0]);
-    stack.resize(stack.size() - 3);
-    VM_NEXT();
+    sp -= 3;
+    VM_NEXT_AFTER(1);
   }
   VM_OP(ALen) {
-    Value& t = stack.back();
-    if (t.ref >= heap.size()) goto checked_escape;
+    Value& t = sp[-1];
+    if (t.ref >= heap_size) goto checked_escape;
     const HeapObject& obj = heap[t.ref];
     const size_t n = obj.kind == HeapObject::Kind::kArray ? obj.size() : obj.bytes.size();
     t = Value::integer(static_cast<int64_t>(n));
-    VM_NEXT();
+    VM_NEXT_AFTER(1);
   }
 
 #ifndef STARFISH_VM_CGOTO
@@ -1009,14 +1035,12 @@ load_frame:
   checked_escape: {
     // Escape hatch: allocation, anything the verifier could not prove, and
     // every failed guard run through the original fully-checked
-    // single-step (for a fused entry, its first component). Undo the
-    // speculative fetch charge (the checked step does its own pc/step
-    // accounting), then resynchronize the cached frame pointers, which the
-    // step may move.
-    pc -= d->len;
-    left += d->len;
-    fast_done -= d->len;
+    // single-step (for a fused entry, its first component). Nothing was
+    // charged for the entry yet; the checked step does its own pc/step
+    // accounting and may move the frame, the stack and the heap, so the
+    // loop re-enters through load_frame on the exact stack it left.
     fr->pc = static_cast<uint32_t>(pc);
+    VM_SYNC_STACK();
     VM_FLUSH_STEPS();
     {
       const uint64_t before = state_.steps_executed;
@@ -1025,23 +1049,27 @@ load_frame:
       if (so != StepOutcome::kContinue) return out;
       const uint64_t used = state_.steps_executed - before;
       left = left > used ? left - used : 0;
+      flushed_left = left;  // checked steps are not fast ones
     }
+    sp = stack.data() + stack.size();
     goto load_frame;
   }
 
   VM_OP(FusedIncLocal) {  // load_local b, push_int imm, add|sub, store_local c
+    constexpr size_t kLen = xop_len(XOp::kFusedIncLocal);
+    VM_FUSED_BUDGET(kLen);
     const int64_t a = locals[d->b].i;
     const int64_t r =
         d->aux == static_cast<uint8_t>(Op::kAdd) ? a + d->imm.i : a - d->imm.i;
     locals[d->c] = Value::integer(wrap(r));
     ++fused_done;
-    VM_NEXT();
+    VM_NEXT_AFTER(kLen);
   }
   VM_OP(FusedCmpBr) {  // <compare aux>, jmp_if_false b (operand class in c)
-    const Value vb = stack.back();
-    stack.pop_back();
-    const Value va = stack.back();
-    stack.pop_back();
+    constexpr size_t kLen = xop_len(XOp::kFusedCmpBr);
+    VM_FUSED_BUDGET(kLen);
+    sp -= 2;
+    const Value va = sp[0], vb = sp[1];
     double a, b;
     if (d->c == static_cast<uint32_t>(Tag::kFloat)) {
       a = va.f;
@@ -1050,49 +1078,61 @@ load_frame:
       a = static_cast<double>(va.i);
       b = static_cast<double>(vb.i);
     }
-    if (!fast_compare(static_cast<Op>(d->aux), a, b)) pc = d->b;
+    left -= kLen;
+    pc = fast_compare(static_cast<Op>(d->aux), a, b) ? pc + kLen : d->b;
     ++fused_done;
     VM_NEXT();
   }
   VM_OP(FusedLoadCmpBr) {  // load_local b, push_int imm, <cmp aux>, jif c
+    constexpr size_t kLen = xop_len(XOp::kFusedLoadCmpBr);
+    VM_FUSED_BUDGET(kLen);
     const double a = static_cast<double>(locals[d->b].i);
     const double b = static_cast<double>(d->imm.i);
-    if (!fast_compare(static_cast<Op>(d->aux), a, b)) pc = d->c;
+    left -= kLen;
+    pc = fast_compare(static_cast<Op>(d->aux), a, b) ? pc + kLen : d->c;
     ++fused_done;
     VM_NEXT();
   }
   VM_OP(FusedLoadLoadArith) {  // load_local b, load_local c, <arith aux>
+    constexpr size_t kLen = xop_len(XOp::kFusedLoadLoadArith);
+    VM_FUSED_BUDGET(kLen);
     const int64_t r =
         fast_int_arith(static_cast<Op>(d->aux), locals[d->b].i, locals[d->c].i);
-    stack.push_back(Value::integer(wrap(r)));
+    *sp++ = Value::integer(wrap(r));
     ++fused_done;
-    VM_NEXT();
+    VM_NEXT_AFTER(kLen);
   }
   VM_OP(FusedLoadLoadArithSt) {  // ... , store_local imm
+    constexpr size_t kLen = xop_len(XOp::kFusedLoadLoadArithSt);
+    VM_FUSED_BUDGET(kLen);
     const int64_t r =
         fast_int_arith(static_cast<Op>(d->aux), locals[d->b].i, locals[d->c].i);
     locals[static_cast<size_t>(d->imm.i)] = Value::integer(wrap(r));
     ++fused_done;
-    VM_NEXT();
+    VM_NEXT_AFTER(kLen);
   }
   VM_OP(FusedLoadLoadALoad) {  // load_local b (Ref), load_local c (Int), aload
+    constexpr size_t kLen = xop_len(XOp::kFusedLoadLoadALoad);
+    VM_FUSED_BUDGET(kLen);
     const int64_t idx = locals[d->c].i;
-    const HeapObject* arr = array_at(heap, locals[d->b].ref, idx);
+    const HeapObject* arr = array_at(heap, heap_size, locals[d->b].ref, idx);
     if (arr == nullptr) goto checked_escape;
-    stack.push_back(arr->get(static_cast<size_t>(idx)));
+    *sp++ = arr->get(static_cast<size_t>(idx));
     ++fused_done;
-    VM_NEXT();
+    VM_NEXT_AFTER(kLen);
   }
   VM_OP(FusedLoadOffsetALoad) {  // load_local b, load_local c, push_int imm,
                                  // add|sub aux, aload
+    constexpr size_t kLen = xop_len(XOp::kFusedLoadOffsetALoad);
+    VM_FUSED_BUDGET(kLen);
     const int64_t i = locals[d->c].i;
     const int64_t idx = wrap(d->aux == static_cast<uint8_t>(Op::kAdd) ? i + d->imm.i
                                                                       : i - d->imm.i);
-    const HeapObject* arr = array_at(heap, locals[d->b].ref, idx);
+    const HeapObject* arr = array_at(heap, heap_size, locals[d->b].ref, idx);
     if (arr == nullptr) goto checked_escape;
-    stack.push_back(arr->get(static_cast<size_t>(idx)));
+    *sp++ = arr->get(static_cast<size_t>(idx));
     ++fused_done;
-    VM_NEXT();
+    VM_NEXT_AFTER(kLen);
   }
 
 #ifndef STARFISH_VM_CGOTO
@@ -1104,6 +1144,7 @@ load_frame:
 
 budget_out:
   fr->pc = static_cast<uint32_t>(pc);
+  VM_SYNC_STACK();
   VM_FLUSH_STEPS();
   out.status = RunStatus::kRunning;
   return out;
@@ -1111,17 +1152,19 @@ budget_out:
 pc_oob:
   // Fetch-time trap, not charged as a step — same as the checked loop.
   fr->pc = static_cast<uint32_t>(pc);
+  VM_SYNC_STACK();
   VM_FLUSH_STEPS();
   return trap("pc out of range in " + program_.functions[fr->function].name);
 
 partial_fused:
-  // The budget expires inside a superinstruction (1 <= left < d->len).
+  // The budget expires inside a superinstruction (1 <= left < its length).
   // Retire the remaining budget one ORIGINAL instruction at a time through
   // the checked step so the pause lands on exactly the same instruction and
   // step count as the unfused interpreter. Every component but the last is
   // a proven load/push/arith/compare, and the last never runs here, so each
   // step continues.
   fr->pc = static_cast<uint32_t>(pc);
+  VM_SYNC_STACK();
   VM_FLUSH_STEPS();
   while (left > 0) {
     const uint64_t before = state_.steps_executed;
@@ -1134,11 +1177,15 @@ partial_fused:
   return out;
 
 #undef VM_FETCH
+#undef VM_FUSED_BUDGET
+#undef VM_SYNC_STACK
 #undef VM_FLUSH_STEPS
 #undef VM_OP
 #undef VM_NEXT
+#undef VM_NEXT_AFTER
 #undef VM_COMPARE
 #undef VM_INT_ARITH
+#undef VM_FLOAT_ARITH
 }
 
 }  // namespace starfish::vm

@@ -135,7 +135,12 @@ struct HeapObject {
   util::Bytes bytes;            ///< kBytes
 
   size_t size() const { return tags.size(); }
-  Value get(size_t i) const { return Value::from_parts(tags[i], words[i]); }
+  /// from_parts(tags[i], words[i]), with the common int case tested first.
+  Value get(size_t i) const {
+    const Tag t = tags[i];
+    if (t == Tag::kInt) return Value::integer(static_cast<int64_t>(words[i]));
+    return Value::from_parts(t, words[i]);
+  }
   void set(size_t i, const Value& v) {
     tags[i] = v.tag;
     words[i] = v.word();

@@ -694,6 +694,65 @@ spin:
   EXPECT_TRUE(proc->capture_app_state().empty());
 }
 
+TEST(Lifecycle, CrashedHostReleasesItsVmRanks) {
+  // A crash kills the host's fibers, but the process object lives on in
+  // whoever holds its handle (its daemon, a graveyard). Its VM state must
+  // go with the host, not with the handle.
+  ClusterOptions opts;
+  opts.nodes = 2;
+  Cluster cluster(opts);
+  cluster.registry().register_vm("hog", R"(
+func main 0 0
+  push_int 1000000
+  new_array
+  store_global 0
+spin:
+  push_int 1000
+  syscall spin
+  jmp spin
+)");
+  Launcher launcher(cluster.network(), cluster.store(), cluster.registry());
+  daemon::LaunchRequest req;
+  req.job.name = "hog";
+  req.job.binary = "hog";
+  req.job.nprocs = 1;
+  std::optional<net::NetAddr> addr;
+  auto on_host = [&](sim::HostId h) {
+    return launcher.launch(*cluster.network().host(h), req, [&](const daemon::LinkMsg& m) {
+      if (m.kind == daemon::LinkKind::kReady) addr = m.vni_addr;
+    });
+  };
+  auto victim = on_host(0);
+  ASSERT_TRUE(addr.has_value());
+  daemon::LinkMsg cfg;
+  cfg.kind = daemon::LinkKind::kConfigure;
+  cfg.world = {*addr};
+  victim->deliver(cfg);
+  auto bystander = on_host(1);  // never configured: its VM is idle but allocated
+  cluster.run_for(milliseconds(20));
+  auto* proc = dynamic_cast<ApplicationProcess*>(victim.get());
+  auto* other = dynamic_cast<ApplicationProcess*>(bystander.get());
+  ASSERT_NE(proc, nullptr);
+  ASSERT_NE(other, nullptr);
+  ASSERT_TRUE(proc->is_vm_app());
+  ASSERT_GT(proc->capture_app_state().size(), 1'000'000u);  // the array is live
+
+  cluster.crash_node(0);
+  EXPECT_FALSE(proc->is_vm_app());
+  EXPECT_TRUE(proc->capture_app_state().empty());
+  EXPECT_TRUE(other->is_vm_app());  // another host's rank keeps its VM
+  cluster.run_for(milliseconds(20));  // the kill-unwinds land
+  EXPECT_FALSE(proc->is_vm_app());
+
+  // A destroyed process leaves no hook behind for a later crash to run
+  // (the handle outlives its fibers' kill-unwinds, as in a graveyard).
+  bystander->terminate();
+  cluster.run_for(milliseconds(20));
+  bystander.reset();
+  cluster.crash_node(1);
+  cluster.run_for(milliseconds(20));
+}
+
 // ------------------------------------------------------- heterogeneity ----
 
 TEST(Heterogeneous, VmLevelCheckpointRestoresAcrossRepresentations) {
@@ -868,7 +927,11 @@ TEST(IncrementalCheckpoint, WritesFewerBytesForSparseState) {
   // A native app with a large, mostly-static state: incremental images
   // should write far fewer bytes than full images.
   auto run = [](bool incremental) {
-    Fixture f(2);
+    // Raw payloads: a delta-coding store would shrink the full images too
+    // and erase the premise (STARFISH_CKPT_COMPRESS must not reach here).
+    ClusterOptions opts;
+    opts.ckpt_compress = ckpt::CompressMode::kOff;
+    Fixture f(2, opts);
     f.cluster.registry().register_native("sparse", [](AppContext& ctx) {
       util::Bytes state(1024 * 1024, std::byte{0});
       int64_t step = 0;

@@ -17,12 +17,14 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "ckpt/image.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/interp.hpp"
+#include "workloads.hpp"
 
 namespace starfish::vm {
 namespace {
@@ -550,6 +552,245 @@ TEST(VmDifferential, RestoredImageResumesIdenticallyOnBothDispatchers) {
       service_syscall(d, rd.syscall);
     }
   }
+}
+
+// ------------------------------------------------- fast-loop invariants ----
+//
+// The fast loop keeps its dispatch state in registers: it advances pc and
+// the step count by each op's compile-time length (xop_len), never by the
+// entry's `len`; it checks only that the budget covers a superinstruction
+// before running it; and it holds the operand-stack top in a pointer,
+// cutting the stack vector back to it at every exit.
+
+/// Asserts that every entry prepare_program emits for `prog` on `machine`,
+/// fused and unfused, covers exactly its op's static length and ends
+/// inside the function; adds the superinstruction kinds seen to `fused`.
+void expect_static_lengths(const Program& prog, const sim::Machine& machine,
+                           const std::string& what, std::set<XOp>& fused) {
+  const ProgramFacts facts = analyze(prog);
+  for (const bool fuse : {true, false}) {
+    const PreparedProgram prepared = prepare_program(prog, facts, machine, fuse);
+    for (size_t f = 0; f < prepared.functions.size(); ++f) {
+      const std::vector<DecodedInstr>& code = prepared.functions[f].code;
+      for (size_t pc = 0; pc < code.size(); ++pc) {
+        const DecodedInstr& d = code[pc];
+        ASSERT_EQ(d.len, xop_len(d.op))
+            << what << " fn " << f << " pc " << pc << " xop " << static_cast<int>(d.op);
+        ASSERT_LE(pc + d.len, code.size()) << what << " fn " << f << " pc " << pc;
+        if (d.len > 1) fused.insert(d.op);
+      }
+    }
+  }
+}
+
+TEST(VmDifferential, PreparedEntriesCarryTheirStaticLength) {
+  std::set<XOp> fused;
+  for (uint32_t seed = 1; seed <= 360; ++seed) {
+    expect_static_lengths(random_program(seed), seed % 2 == 0 ? kM32 : kM64,
+                          "seed " + std::to_string(seed), fused);
+    if (HasFatalFailure()) return;
+  }
+  // The benchmark's interpreted workloads, as the cluster runs them.
+  for (const char* name : {"stencil16_vm", "sparse8_ckpt"}) {
+    auto prog = assemble(perfbench::make_workload(name, 1).program);
+    ASSERT_TRUE(prog.ok()) << name;
+    expect_static_lengths(prog.value(), kM32, name, fused);
+    if (HasFatalFailure()) return;
+  }
+  // Not vacuous: every superinstruction kind occurs in the corpus.
+  EXPECT_EQ(fused.size(), kXOpCount - static_cast<size_t>(XOp::kFusedIncLocal));
+}
+
+/// A loop that runs every superinstruction kind each iteration, on ints
+/// only, without syscalls.
+const char* const kEveryFusedKind = R"(
+func main 0 4
+  push_int 8
+  new_array
+  store_local 0
+  load_local 0
+  push_int 0
+  push_int 5
+  astore
+  push_int 1
+  store_local 1
+  push_int 0
+  store_local 2
+loop:
+  load_local 1          # load, compare, branch
+  push_int 7
+  lt
+  jmp_if_false done
+  load_local 0          # a[i] = i * 3
+  load_local 1
+  load_local 1
+  push_int 3
+  mul
+  astore
+  load_local 2          # load, load, arith, store: s = s + i
+  load_local 1
+  add
+  store_local 2
+  load_local 0          # both array loads: a[i] + a[i - 1]
+  load_local 1
+  aload
+  load_local 0
+  load_local 1
+  push_int 1
+  sub
+  aload
+  add
+  store_local 3
+  load_local 2          # load, load, arith; then compare, branch
+  load_local 1
+  mul
+  load_local 1
+  gt
+  jmp_if_false skip
+  load_local 3
+  pop
+skip:
+  load_local 1          # increment
+  push_int 1
+  add
+  store_local 1
+  jmp loop
+done:
+  load_local 2
+  halt
+)";
+
+TEST(VmDifferential, BudgetCutsEveryFusedKindAtEveryInteriorOffset) {
+  // Walk the checked loop one instruction at a time. Wherever the fused
+  // code starts a superinstruction, bring all three dispatchers to that
+  // step, then give them a budget that expires inside it, at each interior
+  // offset: the pause, and the run to the end from it, must be identical.
+  auto assembled = assemble(kEveryFusedKind);
+  ASSERT_TRUE(assembled.ok());
+  const Program prog = assembled.value();
+  const PreparedProgram prepared = prepare_program(prog, analyze(prog), kM32);
+  std::set<XOp> cut;
+  Interpreter walker(prog, kM32, Interpreter::Dispatch::kChecked);
+  walker.start();
+  for (uint64_t step = 0; !walker.halted(); ++step) {
+    const Frame& top = walker.state().frames.back();
+    const XOp op = prepared.functions[top.function].code[top.pc].op;
+    for (uint64_t k = 1; k < xop_len(op); ++k) {
+      cut.insert(op);
+      Interpreter checked(prog, kM32, Interpreter::Dispatch::kChecked);
+      Interpreter fast(prog, kM32, Interpreter::Dispatch::kFast);
+      Interpreter nofuse(prog, kM32, Interpreter::Dispatch::kFastNoFuse);
+      for (Interpreter* in : {&checked, &fast, &nofuse}) {
+        in->start();
+        if (step > 0) {
+          ASSERT_EQ(in->run(step).status, RunStatus::kRunning);
+        }
+        ASSERT_EQ(in->run(k).status, RunStatus::kRunning) << "step " << step << " +" << k;
+        ASSERT_EQ(in->state().steps_executed, step + k);
+      }
+      const util::Bytes img = image_of(checked, kM32);
+      ASSERT_EQ(img, image_of(fast, kM32)) << "xop " << static_cast<int>(op) << " step "
+                                           << step << " +" << k;
+      ASSERT_EQ(img, image_of(nofuse, kM32)) << "step " << step << " +" << k;
+      for (Interpreter* in : {&checked, &fast, &nofuse}) {
+        ASSERT_EQ(in->run().status, RunStatus::kHalted);
+      }
+      ASSERT_EQ(image_of(checked, kM32), image_of(fast, kM32));
+      ASSERT_EQ(image_of(checked, kM32), image_of(nofuse, kM32));
+    }
+    ASSERT_NE(walker.run(1).status, RunStatus::kTrap);
+  }
+  EXPECT_EQ(walker.state().stack.back(), Value::integer(21));  // 1 + 2 + ... + 6
+  EXPECT_EQ(cut.size(), kXOpCount - static_cast<size_t>(XOp::kFusedIncLocal));
+}
+
+TEST(VmDifferential, SyscallAfterFastPushesSeesTheExactStack) {
+  // A syscall two frames deep, right after fast pushes and below the
+  // callee's deepest point: the host must see the exact operand stack (no
+  // headroom slots above the top, the caller's slot below), and resume on
+  // it.
+  auto assembled = assemble(R"(
+func main 0 0
+  push_int 7
+  push_int 11
+  call f
+  add
+  halt
+func f 1 1
+  load_local 0
+  push_int 22
+  push_float 3.5
+  syscall print
+  push_int 1
+  push_int 2
+  push_int 3
+  add
+  add
+  add
+  add
+  ret
+)");
+  ASSERT_TRUE(assembled.ok());
+  const Program prog = assembled.value();
+  Interpreter checked(prog, kM64, Interpreter::Dispatch::kChecked);
+  checked.start();
+  ASSERT_EQ(checked.run().status, RunStatus::kSyscall);
+  for (const auto dispatch : {Interpreter::Dispatch::kFast, Interpreter::Dispatch::kFastNoFuse}) {
+    Interpreter interp(prog, kM64, dispatch);
+    interp.start();
+    const RunResult r = interp.run();
+    ASSERT_EQ(r.status, RunStatus::kSyscall);
+    EXPECT_EQ(r.syscall, Syscall::kPrint);
+    EXPECT_TRUE(interp.fast_dispatch());
+    EXPECT_EQ(interp.exec_stats().checked_instrs, 0u);
+    ASSERT_EQ(interp.stack_depth(), 4u);
+    EXPECT_EQ(interp.peek_value(0), Value::real(3.5));
+    EXPECT_EQ(interp.peek_value(1), Value::integer(22));
+    EXPECT_EQ(interp.peek_value(2), Value::integer(11));
+    EXPECT_EQ(interp.peek_value(3), Value::integer(7));  // the caller's slot
+    EXPECT_EQ(interp.peek_value(4), Value::unit());      // past the bottom
+    EXPECT_EQ(interp.state().steps_executed, 6u);
+    EXPECT_EQ(interp.state(), checked.state());
+    EXPECT_EQ(interp.pop_value(), Value::real(3.5));
+    interp.complete_syscall();
+    ASSERT_EQ(interp.run().status, RunStatus::kHalted);
+    ASSERT_EQ(interp.stack_depth(), 1u);
+    EXPECT_EQ(interp.peek_value(0), Value::integer(46));  // 7 + 11 + 22 + 6
+  }
+}
+
+TEST(VmDifferential, ArraysAllocatedMidRunStayOnTheFastPath) {
+  // The fast loop reads the heap once per frame entry; an allocation runs
+  // through the checked step, which re-enters the frame. An array made in
+  // the middle of a run is therefore reached by the guarded fast ops at
+  // once: only the two allocations take the checked step.
+  auto assembled = assemble(R"(
+func main 0 3
+  push_int 4
+  new_array
+  store_local 0
+  push_int 6
+  new_array
+  store_local 1
+  load_local 1
+  push_int 5
+  push_int 9
+  astore
+  load_local 1
+  push_int 5
+  aload
+  load_local 1
+  alen
+  add
+  halt
+)");
+  ASSERT_TRUE(assembled.ok());
+  Interpreter interp(assembled.value(), kM64, Interpreter::Dispatch::kFast);
+  interp.start();
+  ASSERT_EQ(interp.run().status, RunStatus::kHalted);
+  EXPECT_EQ(interp.state().stack.back(), Value::integer(15));
+  EXPECT_EQ(interp.exec_stats().checked_instrs, 2u);
+  EXPECT_EQ(interp.exec_stats().fast_instrs, 15u);
 }
 
 // ----------------------------------------------------- mixed-tag arrays ----
