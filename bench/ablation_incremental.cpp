@@ -1,27 +1,25 @@
-// Incremental-checkpointing ablation (libckpt's optimization, paper §6),
-// plus the PR10 compressed-epoch sweep.
+// Incremental-checkpointing ablation (libckpt's page-delta optimization,
+// paper §6). Page-delta checkpointing is the store's payload delta codec:
+// full images go in, and a warm epoch's frame carries only its changed
+// pages.
 //
 // Part 1 — a native application with a large, sparsely-mutating state
-// checkpoints periodically under stop-and-sync. Full images rewrite the
-// whole state every epoch; incremental images write only the dirty pages
-// (with a full anchor every 4 epochs). We compare bytes written and
-// checkpoint latency.
+// checkpoints periodically under stop-and-sync, at 1 MB and 4 MB of state,
+// swept across the codec lever (STARFISH_CKPT_COMPRESS): off / lz / delta /
+// delta+lz, reporting disk bytes written, the ckpt.codec.* raw-vs-encoded
+// ratio, and mean epoch latency.
 //
-// Part 2 — the same sparse workload swept across the codec lever
-// (STARFISH_CKPT_COMPRESS): off / lz / delta / delta+lz, reporting disk
-// bytes written, the ckpt.codec.* raw-vs-encoded ratio, and mean epoch
-// latency. The codec delta is the store-side cousin of part 1's page
-// tracker: full images go in, O(dirty pages) frames hit the disk.
-//
-// Part 3 — replica warm-ship accounting: with the delta codec on, a warm
-// epoch ships only its literal pages to each holder. We measure cold
-// (anchor) and warm (one dirty page) ship bytes under off and delta+lz;
-// the acceptance line is a >= 3x warm reduction with the cold ship
-// unchanged (incompressible anchors fall back to raw frames).
+// Part 2 — replica warm-ship accounting: the replica tier ships each
+// payload as stored, so under `off` a warm epoch ships in full and under a
+// delta mode it ships the coded frame, its literal pages only. We measure
+// cold (anchor) and warm (16 dirty pages) ship bytes under off and
+// delta+lz; the acceptance line is a >= 3x warm reduction with the cold
+// ship unchanged (incompressible anchors fall back to raw frames).
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "ckpt/codec.hpp"
+#include "ckpt/incremental.hpp"
 #include "ckpt/replica.hpp"
 #include "ckpt/store.hpp"
 #include "net/network.hpp"
@@ -34,15 +32,13 @@ namespace {
 
 struct Outcome {
   uint64_t bytes = 0;
-  size_t images = 0;
   double mean_epoch_s = 0;
   uint64_t epochs = 0;
   uint64_t codec_raw = 0;      ///< ckpt.codec.raw_bytes (0 when mode is off)
   uint64_t codec_encoded = 0;  ///< ckpt.codec.encoded_bytes
 };
 
-Outcome run(bool incremental, uint64_t state_bytes, int dirty_pages_per_step,
-            ckpt::CompressMode mode = ckpt::CompressMode::kOff) {
+Outcome run(uint64_t state_bytes, int dirty_pages_per_step, ckpt::CompressMode mode) {
   obs::Hub hub;
   obs::set_default_hub(&hub);
   Outcome out;
@@ -74,14 +70,12 @@ Outcome run(bool incremental, uint64_t state_bytes, int dirty_pages_per_step,
     job.protocol = daemon::CrProtocol::kStopAndSync;
     job.level = daemon::CkptLevel::kNative;
     job.ckpt_interval = sim::milliseconds(60);
-    job.incremental_ckpt = incremental;
     cluster.submit(job);
     if (!cluster.run_until_done("sparse", sim::seconds(300.0))) {
       obs::set_default_hub(nullptr);
       return out;
     }
     out.bytes = cluster.store().bytes_written();
-    out.images = cluster.store().image_count();
     // epoch_stats covers every completed epoch, including those whose
     // per-epoch timestamps checkpoint gc already folded away.
     const auto stats = cluster.store().epoch_stats("sparse");
@@ -101,16 +95,16 @@ Outcome run(bool incremental, uint64_t state_bytes, int dirty_pages_per_step,
 
 struct ShipOutcome {
   uint64_t cold = 0;  ///< bytes shipped for the epoch-1 anchor (both holders)
-  uint64_t warm = 0;  ///< bytes shipped for the 1-dirty-page epoch 2
+  uint64_t warm = 0;  ///< bytes shipped for the 16-dirty-page epoch 2
 };
 
 /// Direct-store harness (same shape as the ReplicaWarmShip test): one rank,
 /// a 64-page incompressible payload replicated to two holders, then a warm
 /// epoch that rewrites 16 pages with structured (compressible) content —
-/// the shape of a tracker table growing by a wave of similar records. The
-/// replica tier's own page diff already skips clean pages under `off`, so
-/// the codec's win here is lz shrinking the dirty literals below page
-/// granularity. Deterministic — no cluster scheduling in the measurement.
+/// the shape of a tracker table growing by a wave of similar records.
+/// Under `off` the warm epoch ships all 64 pages; under delta+lz the frame
+/// carries the 16 dirty pages, lz-shrunk below page granularity.
+/// Deterministic — no cluster scheduling in the measurement.
 ShipOutcome warm_ship(ckpt::CompressMode mode) {
   sim::Engine eng;
   net::Network net{eng};
@@ -151,60 +145,41 @@ ShipOutcome warm_ship(ckpt::CompressMode mode) {
 int main(int argc, char** argv) {
   benchutil::JsonReporter reporter(argc, argv);
 
-  benchutil::header("Incremental-checkpointing ablation (full vs page-delta images)");
+  benchutil::header("Incremental checkpointing: STARFISH_CKPT_COMPRESS x disk bytes");
   std::printf("native app, 2 ranks, periodic stop-and-sync; a handful of pages dirty\n"
-              "between consecutive epochs; full anchor every 4 epochs\n\n");
-  std::printf("%10s %6s %14s %14s %8s %12s\n", "state", "mode", "bytes written",
-              "mean ckpt [s]", "epochs", "reduction");
+              "between consecutive epochs; full anchor every 4 epochs under delta\n\n");
+  std::printf("%10s %10s %14s %14s %12s %14s %8s\n", "state", "mode", "bytes written",
+              "codec ratio", "reduction", "mean ckpt [s]", "epochs");
   for (uint64_t mb : {1ull, 4ull}) {
-    const uint64_t state_bytes = mb * 1024 * 1024;
-    const Outcome full = run(false, state_bytes, 4);
-    const Outcome incr = run(true, state_bytes, 4);
-    std::printf("%8lluMB %6s %14s %14.4f %8llu %12s\n",
-                static_cast<unsigned long long>(mb), "full",
-                util::format_bytes(full.bytes).c_str(), full.mean_epoch_s,
-                static_cast<unsigned long long>(full.epochs), "-");
-    char red[32];
-    std::snprintf(red, sizeof red, "%.1fx",
-                  static_cast<double>(full.bytes) / static_cast<double>(incr.bytes));
-    std::printf("%8lluMB %6s %14s %14.4f %8llu %12s\n",
-                static_cast<unsigned long long>(mb), "incr",
-                util::format_bytes(incr.bytes).c_str(), incr.mean_epoch_s,
-                static_cast<unsigned long long>(incr.epochs), red);
-  }
-  std::printf("\nshape checks: bytes written drop by the dirty-page ratio; checkpoint\n"
-              "latency drops with them (less data on the disk's critical path).\n");
-
-  benchutil::header("Compressed-epoch sweep: STARFISH_CKPT_COMPRESS x disk bytes");
-  std::printf("same sparse workload, full (non-incremental) images, 1 MB state;\n"
-              "the codec lever turns those full puts into lz / delta frames\n\n");
-  std::printf("%10s %14s %14s %12s %14s\n", "mode", "bytes written", "codec ratio",
-              "reduction", "mean ckpt [s]");
-  double off_bytes = 0;
-  for (ckpt::CompressMode mode :
-       {ckpt::CompressMode::kOff, ckpt::CompressMode::kLz, ckpt::CompressMode::kDelta,
-        ckpt::CompressMode::kDeltaLz}) {
-    benchutil::HostTimer timer;
-    const Outcome o = run(false, 1024 * 1024, 4, mode);
-    if (mode == ckpt::CompressMode::kOff) off_bytes = static_cast<double>(o.bytes);
-    char ratio[32], red[32];
-    if (o.codec_raw > 0 && o.codec_encoded > 0) {
-      std::snprintf(ratio, sizeof ratio, "%.1fx",
-                    static_cast<double>(o.codec_raw) / static_cast<double>(o.codec_encoded));
-    } else {
-      std::snprintf(ratio, sizeof ratio, "-");
+    double off_bytes = 0;
+    for (ckpt::CompressMode mode :
+         {ckpt::CompressMode::kOff, ckpt::CompressMode::kLz, ckpt::CompressMode::kDelta,
+          ckpt::CompressMode::kDeltaLz}) {
+      benchutil::HostTimer timer;
+      const Outcome o = run(mb * 1024 * 1024, 4, mode);
+      if (mode == ckpt::CompressMode::kOff) off_bytes = static_cast<double>(o.bytes);
+      char ratio[32], red[32];
+      if (o.codec_raw > 0 && o.codec_encoded > 0) {
+        std::snprintf(ratio, sizeof ratio, "%.1fx",
+                      static_cast<double>(o.codec_raw) / static_cast<double>(o.codec_encoded));
+      } else {
+        std::snprintf(ratio, sizeof ratio, "-");
+      }
+      std::snprintf(red, sizeof red, "%.1fx", off_bytes / static_cast<double>(o.bytes));
+      std::printf("%8lluMB %10s %14s %14s %12s %14.4f %8llu\n",
+                  static_cast<unsigned long long>(mb), ckpt::compress_mode_name(mode),
+                  util::format_bytes(o.bytes).c_str(), ratio, red, o.mean_epoch_s,
+                  static_cast<unsigned long long>(o.epochs));
+      reporter.add({.name = "ckpt_codec/disk/state=" + std::to_string(mb) + "MB/mode=" +
+                            ckpt::compress_mode_name(mode),
+                    .host_ns = timer.ns(),
+                    .sim_ns = static_cast<uint64_t>(sim::seconds(o.mean_epoch_s)),
+                    .value = static_cast<double>(o.bytes)});
     }
-    std::snprintf(red, sizeof red, "%.1fx", off_bytes / static_cast<double>(o.bytes));
-    std::printf("%10s %14s %14s %12s %14.4f\n", ckpt::compress_mode_name(mode),
-                util::format_bytes(o.bytes).c_str(), ratio, red, o.mean_epoch_s);
-    reporter.add({.name = std::string("ckpt_codec/disk/mode=") + ckpt::compress_mode_name(mode),
-                  .host_ns = timer.ns(),
-                  .sim_ns = static_cast<uint64_t>(sim::seconds(o.mean_epoch_s)),
-                  .value = static_cast<double>(o.bytes)});
   }
   std::printf("\nshape checks: the zero-heavy sparse state compresses hard under lz;\n"
-              "delta adds the O(dirty pages) warm epochs on top. Mean epoch latency\n"
-              "must not regress vs off — smaller files spend less time on the disk.\n");
+              "delta writes O(dirty pages) warm epochs. Mean epoch latency must not\n"
+              "regress vs off — smaller files spend less time on the disk.\n");
 
   benchutil::header("Replica warm-ship: delta+lz vs off (bytes to holders per epoch)");
   std::printf("1 rank, 64-page incompressible state, R=2 holders; epoch 1 is the\n"

@@ -6,8 +6,8 @@
 // mid-run under each protocol and reports how much work the failure costs:
 // total completion time vs the crash-free run, and the recovery line used.
 //
-// Part 2 holds the protocol fixed (stop-and-sync, warm incremental
-// checkpoints) and varies where the images live: the modeled local disk
+// Part 2 holds the protocol fixed (stop-and-sync, delta-coded
+// checkpoints: ckpt_compress = delta) and varies where the images live: the modeled local disk
 // (22 MB/s + setup, serialized per host) vs. the in-memory replica tier
 // (ckpt/replica.hpp: peer memory over the 60 MB/s data network, copies
 // sharing fate with their hosts). Killing 1..R replica-holder hosts shows
@@ -69,7 +69,7 @@ struct DisklessOutcome {
 constexpr uint32_t kDisklessRanks = 16;
 constexpr int kDisklessRounds = 72;
 
-/// One measured run: 16 ranks, warm incremental checkpoints, and (when
+/// One measured run: 16 ranks, delta-coded checkpoints, and (when
 /// `kills` > 0) that many replica-holder hosts crashed at once. Restore
 /// reads only ever happen during crash recovery, so the obs read-time
 /// histograms both backends record (ckpt.store.read_ns /
@@ -83,6 +83,7 @@ DisklessOutcome diskless_run(ckpt::CkptBackend backend, uint32_t kills) {
     opts.nodes = kDisklessRanks + 2;  // spare hosts so restart placement has room
     opts.ckpt_backend = backend;
     opts.ckpt_replication = 2;
+    opts.ckpt_compress = ckpt::CompressMode::kDelta;
     core::Cluster cluster(opts);
     cluster.registry().register_vm("ring", benchutil::ring_program(kDisklessRounds, 100000));
     daemon::JobSpec job;
@@ -93,10 +94,9 @@ DisklessOutcome diskless_run(ckpt::CkptBackend backend, uint32_t kills) {
     job.protocol = daemon::CrProtocol::kStopAndSync;
     job.level = daemon::CkptLevel::kVm;
     job.ckpt_interval = sim::milliseconds(60);
-    job.incremental_ckpt = true;
     cluster.submit(job);
     if (kills > 0) {
-      // Let several epochs commit so the incremental chains are warm (full
+      // Let several epochs commit so the delta chains are warm (full
       // anchor + deltas) before the failure. Rank r lives on host r; rank
       // 0's R=2 copies live on hosts 1 and 2 (ckpt/replica.hpp placement),
       // so killing hosts 1..kills removes `kills` of them — at kills = R
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
               "precisely why Starfish supports coordinated protocols side by side.\n");
 
   benchutil::header("Diskless sweep: disk vs in-memory replicated checkpoints (R=2)");
-  std::printf("%u ranks, stop-and-sync + warm incremental checkpoints, crash at\n"
+  std::printf("%u ranks, stop-and-sync + delta-coded checkpoints, crash at\n"
               "t=0.5 s; restore I/O = summed restore-read time across all ranks'\n"
               "recovery chains (obs read-time histograms; reads only happen there)\n\n",
               kDisklessRanks);

@@ -217,88 +217,6 @@ void BM_PortableImageCrossDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_PortableImageCrossDecode);
 
-// --- incremental checkpoint encoding, mostly-unchanged state -------------
-//
-// The interesting case for incremental checkpoints is a long-running app
-// whose state barely moves between epochs: a few dirty pages in a large
-// blob. BM_IncrementalEncodeTwoPass replicates the original encoder (one
-// full memcmp pass to count changed pages, a second to emit them);
-// BM_IncrementalEncodeHashed is the shipped single-pass encoder with a warm
-// PageHashCache, which fingerprints the current state once and never reads
-// the previous epoch at all.
-
-constexpr size_t kIncrStateBytes = 16 * 1024 * 1024;
-constexpr size_t kIncrDirtyPages = 4;
-
-/// Faithful replica of the pre-optimization two-pass encoder, kept here so
-/// the speedup stays measurable against the real baseline.
-util::Bytes incremental_encode_two_pass(const util::Bytes& prev, const util::Bytes& cur) {
-  util::Bytes out;
-  util::Writer w(out);
-  w.u64(cur.size());
-  const size_t n_pages = (cur.size() + ckpt::kPageBytes - 1) / ckpt::kPageBytes;
-  uint32_t changed = 0;
-  auto page_differs = [&](size_t p) {
-    const size_t off = p * ckpt::kPageBytes;
-    const size_t len = std::min(ckpt::kPageBytes, cur.size() - off);
-    if (off >= prev.size()) return true;
-    const size_t prev_len = std::min(ckpt::kPageBytes, prev.size() - off);
-    if (prev_len != len) return true;
-    return std::memcmp(prev.data() + off, cur.data() + off, len) != 0;
-  };
-  for (size_t p = 0; p < n_pages; ++p) {
-    if (page_differs(p)) ++changed;
-  }
-  w.u32(changed);
-  for (size_t p = 0; p < n_pages; ++p) {
-    if (!page_differs(p)) continue;
-    const size_t off = p * ckpt::kPageBytes;
-    const size_t len = std::min(ckpt::kPageBytes, cur.size() - off);
-    w.u32(static_cast<uint32_t>(p));
-    w.bytes({cur.data() + off, len});
-  }
-  return out;
-}
-
-/// Two `bytes`-sized states differing in kIncrDirtyPages pages, spread
-/// across the blob. Benchmarks ping-pong between them so every iteration
-/// diffs a state against a genuinely different predecessor.
-std::pair<util::Bytes, util::Bytes> incr_states(size_t bytes = kIncrStateBytes) {
-  util::Bytes a(bytes, std::byte{0x11});
-  util::Bytes b = a;
-  const size_t n_pages = bytes / ckpt::kPageBytes;
-  for (size_t i = 0; i < kIncrDirtyPages; ++i) {
-    b[(i * (n_pages / kIncrDirtyPages) + 1) * ckpt::kPageBytes] = std::byte{0xee};
-  }
-  return {std::move(a), std::move(b)};
-}
-
-void BM_IncrementalEncodeTwoPass(benchmark::State& state) {
-  auto [a, b] = incr_states();
-  bool flip = false;
-  for (auto _ : state) {
-    auto delta = incremental_encode_two_pass(flip ? b : a, flip ? a : b);
-    flip = !flip;
-    benchmark::DoNotOptimize(delta.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kIncrStateBytes);
-}
-BENCHMARK(BM_IncrementalEncodeTwoPass);
-
-void BM_IncrementalEncodeHashed(benchmark::State& state) {
-  auto [a, b] = incr_states();
-  ckpt::PageHashCache cache;
-  cache.rebuild(util::as_bytes_view(a));  // warm, as after a full epoch
-  bool flip = false;                      // first iteration diffs a -> b
-  for (auto _ : state) {
-    auto delta = ckpt::incremental_encode(flip ? b : a, flip ? a : b, nullptr, &cache);
-    flip = !flip;
-    benchmark::DoNotOptimize(delta.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kIncrStateBytes);
-}
-BENCHMARK(BM_IncrementalEncodeHashed);
-
 // --- VM instruction dispatch -------------------------------------------
 //
 // The VM is the compute substrate of fig4/table2: every simulated
@@ -610,36 +528,6 @@ void BM_FingerprintScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintDispatch)->Arg(4096)->Arg(16 * 1024 * 1024);
 BENCHMARK(BM_FingerprintScalar)->Arg(4096)->Arg(16 * 1024 * 1024);
-
-// The warm incremental-checkpoint encode (fingerprint-dominated: one hash
-// pass, 4 dirty pages) — the end-to-end path the dispatch layer was built
-// for, A/B'd against the scalar reference. 512 KB state so both copies of
-// the ping-pong stay L2-resident and the A/B measures the hash kernels,
-// not this host's cache hierarchy (the 16 MB streaming case keeps its own
-// BM_IncrementalEncode* benches above).
-constexpr size_t kWarmEncodeBytes = 512 * 1024;
-
-void warm_encode_bench(benchmark::State& state, simd::Isa isa) {
-  ScopedIsa forced(isa);
-  auto [a, b] = incr_states(kWarmEncodeBytes);
-  ckpt::PageHashCache cache;
-  cache.rebuild(util::as_bytes_view(a));
-  bool flip = false;
-  for (auto _ : state) {
-    auto delta = ckpt::incremental_encode(flip ? b : a, flip ? a : b, nullptr, &cache);
-    flip = !flip;
-    benchmark::DoNotOptimize(delta.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kWarmEncodeBytes);
-}
-void BM_FingerprintWarmEncodeDispatch(benchmark::State& state) {
-  warm_encode_bench(state, simd::level());
-}
-void BM_FingerprintWarmEncodeScalar(benchmark::State& state) {
-  warm_encode_bench(state, simd::Isa::kScalar);
-}
-BENCHMARK(BM_FingerprintWarmEncodeDispatch);
-BENCHMARK(BM_FingerprintWarmEncodeScalar);
 
 /// Int-heavy state whose portable image is dominated by the integer column.
 vm::VmState convert_state(size_t n_ints) {

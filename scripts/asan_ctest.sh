@@ -73,9 +73,11 @@ STARFISH_CKPT_COMPRESS=delta+lz ctest --output-on-failure -R 'Chaos|Replica|Code
 # Data-plane tiers again with SIMD dispatch forced to the scalar reference:
 # the env repoints the kernel table, so the sanitizer sweeps the exact
 # loops the vector kernels are differenced against (the differential suite
-# itself still exercises every compiled level via simd::table()).
+# itself still exercises every compiled level via simd::table()). The
+# Incremental* and PayloadCodec suites drive the delta codec's page diff
+# and frame fingerprints through the scalar kernels.
 [ "$(ctest -N | grep -c "SimdDifferential")" -gt 0 ] || { echo "simd differential tests missing from ctest registration" >&2; exit 1; }
-STARFISH_SIMD=scalar ctest --output-on-failure -R 'Simd|PortableImage|Datatype|Incremental' -j "$@"
+STARFISH_SIMD=scalar ctest --output-on-failure -R 'Simd|PortableImage|Datatype|Incremental|PayloadCodec' -j "$@"
 
 # Perf smoke rides along on the non-sanitized Release tree: warn-only
 # comparison of the engine hot-path benches vs scripts/perf_baseline.json.

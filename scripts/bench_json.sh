@@ -8,13 +8,14 @@
 #   - the scaling_nodes node-count sweep and its 64-host simulator
 #     throughput run (events/sec), and
 #   - the ablation_recovery diskless sweep (disk vs in-memory replicated
-#     checkpoints: restore I/O per backend at 1..R holder crashes), and
+#     checkpoints under the delta codec: restore I/O per backend at 1..R
+#     holder crashes), and
 #   - the ablation_gcs_scale membership sweep (flat vs tree dissemination:
 #     sequencer sends per multicast, heartbeat datagrams per period,
 #     marker-barrier and view-change latency at 16/64/256 members), and
 #   - the ablation_incremental compressed-epoch sweep (disk bytes per
-#     STARFISH_CKPT_COMPRESS mode plus the replica warm-ship reduction
-#     under delta+lz).
+#     STARFISH_CKPT_COMPRESS mode at 1 MB and 4 MB of state, plus the
+#     replica warm-ship reduction of delta+lz over off).
 # The figures' human-readable stdout is unchanged and discarded here.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -102,10 +102,16 @@ struct DeltaLiteral {
   BytesView bytes;
 };
 
+/// Smallest encoding of one literal: its u32 page index and u32 length.
+constexpr size_t kLiteralHeaderBytes = 8;
+
 /// Parses and checksum-verifies a delta frame; fills the header and the
 /// literal list (views into `frame`). Base-independent: everything except
-/// "does my base match" is validated here.
-Result<DeltaHeader> parse_delta(BytesView frame, std::vector<DeltaLiteral>& literals) {
+/// "does my base match" is validated here. The announced payload size is
+/// checked against `max_bytes`, and the literal count against the bytes
+/// left in the frame, before anything is sized from them.
+Result<DeltaHeader> parse_delta(BytesView frame, uint64_t max_bytes,
+                                std::vector<DeltaLiteral>& literals) {
   if (frame.size() < sizeof(uint64_t)) return codec_error("delta frame too short");
   const size_t body_len = frame.size() - sizeof(uint64_t);
   Reader tail(frame.subspan(body_len));
@@ -127,8 +133,15 @@ Result<DeltaHeader> parse_delta(BytesView frame, std::vector<DeltaLiteral>& lite
   if (!raw_len || !base_len || !base_check || !n_literals) {
     return codec_error("truncated delta header");
   }
+  if (raw_len.value() > max_bytes) {
+    return codec_error("delta announces oversized payload (" + std::to_string(raw_len.value()) +
+                       " > " + std::to_string(max_bytes) + " bytes)");
+  }
   const size_t n_pages = page_count(raw_len.value());
   if (n_literals.value() > n_pages) return codec_error("delta carries more pages than the payload");
+  if (n_literals.value() > r.remaining() / kLiteralHeaderBytes) {
+    return codec_error("delta announces more literals than the frame holds");
+  }
   literals.clear();
   literals.reserve(n_literals.value());
   uint32_t prev_page = 0;
@@ -165,13 +178,8 @@ Result<DeltaHeader> parse_delta(BytesView frame, std::vector<DeltaLiteral>& lite
 
 Result<Bytes> delta_decode(BytesView frame, BytesView base, uint64_t max_bytes) {
   std::vector<DeltaLiteral> literals;
-  auto header = parse_delta(frame, literals);
+  auto header = parse_delta(frame, max_bytes, literals);
   if (!header) return header.error();
-  if (header.value().raw_len > max_bytes) {
-    return codec_error("delta announces oversized payload (" +
-                       std::to_string(header.value().raw_len) + " > " +
-                       std::to_string(max_bytes) + " bytes)");
-  }
   if (header.value().base_len != base.size() ||
       header.value().base_check != simd::fingerprint(base.data(), base.size())) {
     return codec_error("delta base payload mismatch");
@@ -296,7 +304,7 @@ Status verify_payload(PayloadCodec codec, BytesView encoded) {
       return util::codec::lz_verify(encoded);
     case PayloadCodec::kDelta: {
       std::vector<DeltaLiteral> literals;
-      auto header = parse_delta(encoded, literals);
+      auto header = parse_delta(encoded, kMaxIncrementalStateBytes, literals);
       if (!header) return header.error();
       return Status::ok_status();
     }
@@ -307,7 +315,8 @@ Status verify_payload(PayloadCodec codec, BytesView encoded) {
       auto frame = util::codec::lz_decompress(encoded, kMaxIncrementalStateBytes);
       if (!frame) return frame.error();
       std::vector<DeltaLiteral> literals;
-      auto header = parse_delta(util::as_bytes_view(frame.value()), literals);
+      auto header =
+          parse_delta(util::as_bytes_view(frame.value()), kMaxIncrementalStateBytes, literals);
       if (!header) return header.error();
       return Status::ok_status();
     }

@@ -1,19 +1,20 @@
-// Checkpoint payload compression: the epoch transfer codec (PR 10).
+// Checkpoint payload compression: the epoch transfer codec, and the one
+// page-delta mechanism of the checkpoint path.
 //
-// Between the image encoders (image.hpp, incremental.hpp) and the storage
-// backends (store.hpp, replica.hpp) sits an optional payload codec that
-// shrinks what an epoch actually writes to disk or ships to replica
-// holders. Two orthogonal reducers compose:
+// Between the image encoders (image.hpp) and the storage backends
+// (store.hpp, replica.hpp) sits an optional payload codec that shrinks
+// what an epoch actually writes to disk or ships to replica holders. Two
+// orthogonal reducers compose:
 //
 //   - "lz": the deterministic block codec of util/codec/lz.hpp, applied to
 //     the payload bytes. Wins on run- and structure-heavy container bytes.
 //   - "delta": pages of the payload that are byte-identical (same offset,
 //     same bytes) to the previous durable epoch's payload are encoded as
-//     references; only changed pages travel as literals. This is the
-//     payload-level analogue of incremental checkpointing, but it applies
-//     to the *stored/shipped* bytes, so it also collapses the parts of the
-//     container that incremental app-state deltas cannot (tracker, channel
-//     state, replay log framing).
+//     references; only changed pages travel as literals. This is
+//     incremental checkpointing after libckpt [33], applied to the whole
+//     stored/shipped container (app state, tracker, channel state, replay
+//     log framing). It is also the replica tier's warm ship: a holder's
+//     copy of the base is what the frame's references point into.
 //
 // The mode is a CheckpointStore-level setting (STARFISH_CKPT_COMPRESS env
 // or ClusterOptions), default off; encode falls back to raw whenever a
@@ -30,7 +31,9 @@
 // at the same offset. "delta+lz" is lz(delta frame). The trailing
 // fingerprint makes verification a single hash pass; the base fingerprint
 // pins a delta to the exact payload it was diffed against, so a chain
-// walker can detect a wrong or corrupted base before reconstruction.
+// walker can detect a wrong or corrupted base before reconstruction. The
+// counts a frame announces are bounded by the bytes it holds and by the
+// caller's size cap before anything is allocated for them.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +56,11 @@ enum class CompressMode : uint8_t { kOff = 0, kLz = 1, kDelta = 2, kDeltaLz = 3 
 /// A mode is a policy; a codec is a fact about one image's bytes — under
 /// any mode an image degrades to kRaw when coding would not pay.
 enum class PayloadCodec : uint8_t { kRaw = 0, kLz = 1, kDelta = 2, kDeltaLz = 3 };
+
+/// True for the codecs whose payload references a base epoch's payload.
+constexpr bool is_delta(PayloadCodec codec) {
+  return codec == PayloadCodec::kDelta || codec == PayloadCodec::kDeltaLz;
+}
 
 const char* compress_mode_name(CompressMode mode);
 /// Parses "off" | "lz" | "delta" | "delta+lz" (also accepts "delta_lz").
@@ -89,8 +97,9 @@ util::Result<util::Bytes> decode_payload(PayloadCodec codec, util::BytesView enc
 /// Structural + checksum validation without reconstructing the payload and
 /// without the base: frame sanity, literal bounds, fingerprints. A kDeltaLz
 /// frame is LZ-decompressed in full to parse its inner delta frame; the
-/// other codecs verify without decoding. A frame that verifies clean
-/// decodes clean against its matching base.
+/// other codecs verify without decoding. Announced sizes are held to
+/// kMaxIncrementalStateBytes. A frame that verifies clean decodes clean
+/// against its matching base under that bound.
 util::Status verify_payload(PayloadCodec codec, util::BytesView encoded);
 
 }  // namespace starfish::ckpt

@@ -244,6 +244,17 @@ bool verify_stored(const StoredImage& image) {
   return image.verified;
 }
 
+bool chain_complete(uint64_t epoch, const StoredLookup& lookup) {
+  for (;;) {
+    const StoredImage* image = lookup(epoch);
+    // A stored-but-corrupt link is as unrecoverable as a missing one.
+    if (image == nullptr || !verify_stored(*image)) return false;
+    if (!is_delta(image->codec)) return true;
+    if (image->codec_base_epoch >= epoch) return false;
+    epoch = image->codec_base_epoch;
+  }
+}
+
 util::Endian repr_endian(uint16_t code) { return static_cast<Endian>(code >> 8); }
 uint8_t repr_word_bytes(uint16_t code) { return static_cast<uint8_t>(code & 0xff); }
 

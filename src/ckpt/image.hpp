@@ -24,9 +24,14 @@
 // fused representation into frames, pcs or step counts, so the bytes
 // portable_encode produces are identical across fast/checked/fused
 // dispatch configurations — the differential tests pin this.
+//
+// An image as a store holds it records how its payload is coded
+// (codec.hpp) and, for a delta, its one chain base; chain_complete below
+// is the chain walk both store tiers run.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "ckpt/codec.hpp"
@@ -51,10 +56,6 @@ struct ImageInfo {
   /// Simulated on-disk file size: payload plus the run-time image the real
   /// system would have dumped (not materialized in memory here).
   uint64_t file_bytes = 0;
-  /// Incremental checkpointing (ckpt/incremental.hpp): this image's
-  /// app-state is a page delta against `base_epoch`'s image.
-  bool incremental = false;
-  uint64_t base_epoch = 0;
   /// Payload compression (ckpt/codec.hpp): how the payload is coded as
   /// stored/shipped. The storage layer codes on put and decodes on get, so
   /// everything above the store only ever sees kRaw images.
@@ -62,9 +63,7 @@ struct ImageInfo {
   /// Length of the raw (decoded) payload when codec != kRaw.
   uint64_t raw_payload_bytes = 0;
   /// For kDelta/kDeltaLz: the epoch whose raw payload this delta references
-  /// (same app/rank). Distinct from the incremental `base_epoch` chain — an
-  /// image carries at most one of the two (codec deltas apply only to
-  /// non-incremental images).
+  /// (same app/rank) — the one chain base an image can have.
   uint64_t codec_base_epoch = 0;
 };
 
@@ -87,6 +86,16 @@ struct StoredImage : ImageInfo {
 /// verify_payload of a stored image, run at most once per stored payload:
 /// a pass is recorded in `image.verified` and answers every later call.
 bool verify_stored(const StoredImage& image);
+
+/// One store tier's zero-cost lookup of one (app, rank)'s image by epoch:
+/// the stored image, or nullptr when the tier holds no copy.
+using StoredLookup = std::function<const StoredImage*(uint64_t epoch)>;
+
+/// The restore-chain walk of both store tiers: true iff the image at
+/// `epoch` and every delta base back to its anchor (codec_base_epoch links)
+/// is found by `lookup` and passes verify_stored. A link whose base epoch
+/// is not below its own breaks the chain.
+bool chain_complete(uint64_t epoch, const StoredLookup& lookup);
 
 /// Fault injection for the recovery tests: a copy of the non-empty
 /// `payload` with the byte at `offset % size` flipped, or cut to

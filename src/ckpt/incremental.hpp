@@ -1,98 +1,38 @@
-// Incremental checkpointing (after libckpt [33], discussed in paper §6).
+// The page grid and chain anchoring of page-delta checkpointing (after
+// libckpt [33], discussed in paper §6).
 //
-// Instead of writing the full state every epoch, an incremental image holds
-// only the 4 KB pages that changed since the previous epoch, anchored by a
-// periodic full image. Restores resolve the chain: full image + deltas in
-// epoch order. Checkpoint garbage collection must keep everything back to
-// the most recent full image (the CrModule handles that).
-//
-// Change detection is hash-based: the encoder keeps a per-page 64-bit
-// fingerprint of the previous epoch's state (PageHashCache, owned by the
-// CrModule and carried between epochs). With a warm cache an unchanged page
-// costs one hash of the current page plus one integer compare — the
-// previous state is never re-read — instead of the naive two full memcmp
-// passes. The encoder is single-pass: the changed-page count is patched
-// into the header after the scan rather than recomputed by a second sweep.
+// Page-delta checkpointing has one mechanism: the store's payload delta
+// codec (codec.hpp). A warm epoch's stored payload references the 4 KB
+// pages it shares with the rank's previous epoch and carries only the
+// changed ones. This header holds what the codec, the store and the C/R
+// module must agree on: the page size, the full-epoch grid that bounds a
+// restore chain, and the size bound a decoder accepts for an announced
+// payload. (The name predates the codec; perfbench includes this header,
+// so renaming it waits for a benchmark change.)
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "util/buffer.hpp"
-#include "util/result.hpp"
 
 namespace starfish::ckpt {
 
 constexpr size_t kPageBytes = 4096;
 
-/// Chain anchoring grid, shared by incremental checkpointing (CrModule) and
-/// the payload delta codec (store.hpp + codec.hpp): every kFullEvery-th
-/// epoch (1, 5, 9, ...) is self-contained, bounding restore-chain length,
-/// and checkpoint gc must keep everything back to the last full epoch while
-/// any chained encoding is active.
+/// Chain anchoring grid, shared by the payload delta codec (store.hpp +
+/// codec.hpp) and checkpoint gc (core/cr.cpp): every kFullEvery-th epoch
+/// (1, 5, 9, ...) is self-contained, bounding restore-chain length, and gc
+/// must keep everything back to the last full epoch while a chained codec
+/// is active.
 constexpr uint64_t kFullEvery = 4;
 constexpr bool is_full_epoch(uint64_t epoch) { return epoch % kFullEvery == 1; }
 /// Latest full epoch <= `epoch` (epoch must be >= 1).
 constexpr uint64_t last_full_at_or_before(uint64_t epoch) {
   return ((epoch - 1) / kFullEvery) * kFullEvery + 1;
 }
-/// On-disk metadata of an incremental image (page table, headers) — the
-/// "base" cost replacing the full run-time dump.
-constexpr uint64_t kIncrementalBaseBytes = 64ull * 1024;
 
-/// Upper bound incremental_apply accepts for a delta's announced state size
-/// unless the caller passes a tighter one: a corrupt or hostile delta must
-/// not drive a multi-gigabyte allocation before any other validation runs.
+/// Upper bound a decoder accepts for an announced payload size unless the
+/// caller passes a tighter one: a corrupt or hostile frame must not drive a
+/// multi-gigabyte allocation before any other validation runs.
 constexpr uint64_t kMaxIncrementalStateBytes = 8ull * 1024 * 1024 * 1024;
-
-/// 64-bit per-page fingerprint (the util/simd wide hash: eight XXH3-style
-/// lanes, runtime-dispatched over scalar/AVX2/AVX-512/NEON with bit-identical
-/// outputs, so the cache is ISA-independent). Collisions
-/// would silently drop a changed page, so the mixing must be strong; at
-/// 64 bits the chance over any realistic checkpoint stream is negligible —
-/// the same trade libckpt-style dirty-page hashing makes.
-uint64_t page_fingerprint(util::BytesView page);
-
-/// Per-page fingerprints of one epoch's state, carried between epochs by
-/// the owner (CrModule). `valid` is false after a restore or protocol
-/// change; the next encode then falls back to single-memcmp detection and
-/// re-warms the cache in the same pass.
-struct PageHashCache {
-  std::vector<uint64_t> hashes;  ///< hashes[p] fingerprints page p
-  uint64_t state_len = 0;        ///< length of the state the hashes describe
-  bool valid = false;
-
-  /// Recomputes the fingerprints so the cache describes `state`. Used after
-  /// full epochs and restores, where no incremental_encode pass runs to warm
-  /// the cache as a side effect.
-  void rebuild(util::BytesView state);
-};
-
-/// Per-pass accounting of one incremental_encode call, for the obs layer:
-/// how much work the scan did and how much of the state was dirty.
-struct EncodeStats {
-  uint64_t pages_scanned = 0;  ///< pages of `cur` examined
-  uint64_t pages_hashed = 0;   ///< fingerprints computed (cache present)
-  uint64_t pages_dirty = 0;    ///< changed pages emitted into the delta
-};
-
-/// Encodes the pages of `cur` that differ from `prev` (or lie beyond its
-/// end) in one pass over `cur`. With a warm `cache` (describing `prev`),
-/// unchanged pages are detected by fingerprint compare and `prev` is not
-/// read at all; cold or absent caches fall back to one memcmp per page.
-/// On return the cache describes `cur`, warm for the next epoch.
-/// Optionally reports how many pages changed and the pass accounting.
-util::Bytes incremental_encode(const util::Bytes& prev, const util::Bytes& cur,
-                               uint64_t* changed_pages = nullptr,
-                               PageHashCache* cache = nullptr, EncodeStats* stats = nullptr);
-
-/// Reconstructs the full state from `base` plus one delta. Rejects deltas
-/// whose announced size exceeds `max_state_bytes`, whose page indices are
-/// duplicated or out of range, or whose page data does not fit the
-/// announced state — a corrupt chain surfaces as a decode error, never as
-/// a huge allocation or out-of-bounds write.
-util::Result<util::Bytes> incremental_apply(
-    const util::Bytes& base, const util::Bytes& delta,
-    uint64_t max_state_bytes = kMaxIncrementalStateBytes);
 
 }  // namespace starfish::ckpt

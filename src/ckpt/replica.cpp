@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ckpt/codec.hpp"
 #include "net/chunk.hpp"
 #include "obs/obs.hpp"
 
@@ -56,52 +55,19 @@ ReplicaStore::ReplicaStore(sim::Engine& engine, ReplicaOptions options,
   assert(options_.replication >= 1);
 }
 
-uint64_t ReplicaStore::pages_to_ship(util::BytesView payload, const HolderCache* cache,
-                                     std::vector<uint64_t>& fresh, uint64_t* ship_bytes) {
-  const size_t pages = (payload.size() + kPageBytes - 1) / kPageBytes;
-  fresh.resize(pages);
-  uint64_t ship = 0;
-  uint64_t bytes = 0;
-  for (size_t p = 0; p < pages; ++p) {
-    const size_t off = p * kPageBytes;
-    const size_t len = std::min(kPageBytes, payload.size() - off);
-    fresh[p] = page_fingerprint(payload.subspan(off, len));
-    if (cache == nullptr || p >= cache->hashes.size() || cache->hashes[p] != fresh[p]) {
-      ++ship;
-      bytes += len;
-    }
-  }
-  if (ship_bytes != nullptr) *ship_bytes = bytes;
-  return ship;
-}
-
 void ReplicaStore::put(sim::Host& writer, const CkptKey& key, StoredImage image,
                        const std::vector<sim::HostId>& holders) {
   const sim::Time start = engine_.now();
   const net::TransportModel& model = net::model_for(options_.transport);
 
-  // Phase 1 (read-only): price each copy. Warm holders receive only the
-  // payload pages whose fingerprint changed since the image they already
-  // hold; cold holders receive the full payload. No state mutates here —
-  // the transfer has not happened yet.
-  std::vector<uint64_t> fresh_hashes;
+  // Phase 1 (read-only): price each copy, the header plus the payload as
+  // stored. No state mutates here — the transfer has not happened yet.
+  const uint64_t bytes = kReplicaHeaderBytes + image.payload.size();
   uint64_t total_bytes = 0;
-  uint64_t pages_shipped = 0, pages_skipped = 0;
   sim::Duration transfer = 0;
   ++puts_started_;
   for (sim::HostId holder : holders) {
-    const HolderCache* cache = nullptr;
-    auto it = holder_caches_.find({holder, key.app, key.rank});
-    if (it != holder_caches_.end()) cache = &it->second;
-    std::vector<uint64_t> hashes;
-    const uint64_t pages = (image.payload.size() + kPageBytes - 1) / kPageBytes;
-    uint64_t ship_bytes = 0;
-    const uint64_t ship = pages_to_ship(image.payload, cache, hashes, &ship_bytes);
-    if (fresh_hashes.empty()) fresh_hashes = std::move(hashes);
-    const uint64_t bytes = kReplicaHeaderBytes + ship_bytes;
     total_bytes += bytes;
-    pages_shipped += ship;
-    pages_skipped += pages - ship;
     transfer += holder == writer.id() ? loopback_time(bytes)
                                       : model.one_way_fixed() + model.wire_time(bytes);
   }
@@ -116,8 +82,7 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, StoredImage image,
 
   // Phase 3: install. Holders that died during the transfer are dropped;
   // their memory is gone. Mutations are commutative: identical re-puts
-  // overwrite with identical content, holder sets union, caches install
-  // under epoch-max.
+  // overwrite with identical content and holder sets union.
   uint64_t survivors = 0;
   ++puts_committed_;
   Entry* entry = nullptr;
@@ -129,20 +94,12 @@ void ReplicaStore::put(sim::Host& writer, const CkptKey& key, StoredImage image,
       entry->image = image;  // a shared handle, not a copy
     }
     entry->holders.insert(holder);
-    HolderCache& cache = holder_caches_[{holder, key.app, key.rank}];
-    if (key.epoch >= cache.epoch) {
-      cache.hashes = fresh_hashes;
-      cache.payload_len = image.payload.size();
-      cache.epoch = key.epoch;
-    }
   }
   bytes_shipped_ += total_bytes;
 
   if (obs::Hub* hub = engine_.obs()) {
     hub->metrics.counter("ckpt.replica.puts").add(1);
     hub->metrics.counter("ckpt.replica.bytes_shipped").add(total_bytes);
-    hub->metrics.counter("ckpt.replica.pages_shipped").add(pages_shipped);
-    hub->metrics.counter("ckpt.replica.pages_skipped_warm").add(pages_skipped);
     if (survivors == 0) hub->metrics.counter("ckpt.replica.puts_no_survivor").add(1);
     hub->metrics.histogram("ckpt.replica.put_ns")
         .record(static_cast<uint64_t>(engine_.now() - start));
@@ -216,27 +173,12 @@ std::optional<uint64_t> ReplicaStore::latest_stored(const std::string& app,
 }
 
 bool ReplicaStore::recoverable(const CkptKey& key) const {
-  CkptKey at = key;
-  for (;;) {
-    auto it = entries_.find(at);
-    if (it == entries_.end() || it->second.holders.empty()) return false;
-    const StoredImage& img = it->second.image;
-    // A surviving but corrupt copy cannot rebuild state — structural codec
-    // verification disqualifies it here (a fingerprint pass, except that a
-    // delta+lz copy is LZ-decompressed in full to parse its inner delta),
-    // once per stored copy.
-    if (!verify_stored(img)) return false;
-    if (img.incremental) {
-      at.epoch = img.base_epoch;
-      continue;
-    }
-    if (img.codec == PayloadCodec::kDelta || img.codec == PayloadCodec::kDeltaLz) {
-      if (img.codec_base_epoch >= at.epoch) return false;
-      at.epoch = img.codec_base_epoch;
-      continue;
-    }
-    return true;
-  }
+  // A surviving but corrupt copy cannot rebuild state: chain_complete
+  // verifies each link once per stored copy.
+  return chain_complete(key.epoch, [&](uint64_t e) -> const StoredImage* {
+    auto it = entries_.find({key.app, key.rank, e});
+    return it == entries_.end() || it->second.holders.empty() ? nullptr : &it->second.image;
+  });
 }
 
 bool ReplicaStore::corrupt_payload(const CkptKey& key, size_t offset, bool truncate) {
@@ -259,13 +201,6 @@ void ReplicaStore::on_host_crash(sim::HostId host) {
       ++it;
     }
   }
-  for (auto it = holder_caches_.begin(); it != holder_caches_.end();) {
-    if (std::get<0>(it->first) == host) {
-      it = holder_caches_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   if (obs::Hub* hub = engine_.obs()) {
     hub->metrics.counter("ckpt.replica.copies_invalidated").add(lost);
   }
@@ -274,12 +209,11 @@ void ReplicaStore::on_host_crash(sim::HostId host) {
 void ReplicaStore::rebalance(sim::Host& shipper, const std::string& app, uint32_t rank,
                              const std::vector<sim::HostId>& holders) {
   // Phase 1 (read-only): which (entry, holder) copies are missing, and what
-  // each costs. Warm caches make repeat rebalances cheap.
+  // each costs: the header plus the payload as stored.
   struct Shipment {
     CkptKey key;
     sim::HostId holder;
     uint64_t bytes;
-    std::vector<uint64_t> hashes;
   };
   std::vector<Shipment> ships;
   sim::Duration transfer = 0;
@@ -288,18 +222,10 @@ void ReplicaStore::rebalance(sim::Host& shipper, const std::string& app, uint32_
     if (key.app != app || key.rank != rank || entry.holders.empty()) continue;
     for (sim::HostId holder : holders) {
       if (entry.holders.contains(holder) || !alive_(holder)) continue;
-      const HolderCache* cache = nullptr;
-      auto it = holder_caches_.find({holder, app, rank});
-      if (it != holder_caches_.end()) cache = &it->second;
-      Shipment s;
-      s.key = key;
-      s.holder = holder;
-      uint64_t ship_bytes = 0;
-      pages_to_ship(entry.image.payload, cache, s.hashes, &ship_bytes);
-      s.bytes = kReplicaHeaderBytes + ship_bytes;
-      transfer += holder == shipper.id() ? loopback_time(s.bytes)
-                                         : model.one_way_fixed() + model.wire_time(s.bytes);
-      ships.push_back(std::move(s));
+      const uint64_t bytes = kReplicaHeaderBytes + entry.image.payload.size();
+      transfer += holder == shipper.id() ? loopback_time(bytes)
+                                         : model.one_way_fixed() + model.wire_time(bytes);
+      ships.push_back({key, holder, bytes});
     }
   }
   if (ships.empty()) return;
@@ -319,12 +245,6 @@ void ReplicaStore::rebalance(sim::Host& shipper, const std::string& app, uint32_
     if (it == entries_.end() || it->second.holders.empty()) continue;
     if (!alive_(s.holder)) continue;
     it->second.holders.insert(s.holder);
-    HolderCache& cache = holder_caches_[{s.holder, app, rank}];
-    if (s.key.epoch >= cache.epoch) {
-      cache.hashes = s.hashes;
-      cache.payload_len = it->second.image.payload.size();
-      cache.epoch = s.key.epoch;
-    }
     shipped_bytes += s.bytes;
     ++copies;
   }
@@ -339,38 +259,6 @@ size_t ReplicaStore::gc(const std::string& app, uint64_t keep_epoch) {
   return std::erase_if(entries_, [&](const auto& entry) {
     return entry.first.app == app && entry.first.epoch < keep_epoch;
   });
-}
-
-uint64_t ReplicaStore::content_hash() const {
-  uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& [key, entry] : entries_) {
-    mix(key.app.data(), key.app.size());
-    mix(&key.rank, sizeof key.rank);
-    mix(&key.epoch, sizeof key.epoch);
-    mix(&entry.image.kind, sizeof entry.image.kind);
-    mix(&entry.image.repr_code, sizeof entry.image.repr_code);
-    mix(&entry.image.file_bytes, sizeof entry.image.file_bytes);
-    mix(entry.image.payload.data(), entry.image.payload.size());
-    for (sim::HostId holder : entry.holders) mix(&holder, sizeof holder);
-    if (entry.meta) mix(entry.meta->data(), entry.meta->size());
-  }
-  for (const auto& [hk, cache] : holder_caches_) {
-    const auto& [host, app, rank] = hk;
-    mix(&host, sizeof host);
-    mix(app.data(), app.size());
-    mix(&rank, sizeof rank);
-    mix(&cache.epoch, sizeof cache.epoch);
-    mix(&cache.payload_len, sizeof cache.payload_len);
-    mix(cache.hashes.data(), cache.hashes.size() * sizeof(uint64_t));
-  }
-  return h;
 }
 
 void ReplicaStore::for_each_stored(

@@ -18,9 +18,14 @@
 // placement every daemon and process already derives deterministically from
 // the GCS view), so *writers compute holder sets locally* — no shared
 // placement state exists. All mutations are commutative (holder-set
-// unions, epoch-max cache installs, content-identical overwrites), so the
-// final state does not depend on the order in which overlapping puts and
-// rebalances install.
+// unions, content-identical overwrites), so the final state does not
+// depend on the order in which overlapping puts and rebalances install.
+//
+// Every put or rebalance ships the 4 KB header plus the payload as stored.
+// The tier keeps no per-holder page cache: skipping unchanged pages is the
+// payload delta codec's job (codec.hpp). Under a delta mode the coded frame
+// carries only the changed pages, so it is the warm ship; under `off` an
+// epoch ships in full.
 //
 // Durability rule (commit-after-transfer): a put mutates nothing until the
 // full transfer time has elapsed. The putter crashing mid-transfer kills
@@ -39,7 +44,6 @@
 #include <vector>
 
 #include "ckpt/image.hpp"
-#include "ckpt/incremental.hpp"
 #include "ckpt/key.hpp"
 #include "net/model_params.hpp"
 #include "sim/host.hpp"
@@ -54,9 +58,9 @@ struct ReplicaOptions {
   net::TransportKind transport = net::TransportKind::kBipMyrinet;
 };
 
-/// Fixed per-image metadata shipped alongside replica pages (page table,
-/// header) — the in-memory analogue of kIncrementalBaseBytes, far smaller
-/// because no run-time dump accompanies an in-memory copy.
+/// Fixed per-image metadata shipped alongside every replica payload — far
+/// smaller than the disk file's run-time base because no run-time dump
+/// accompanies an in-memory copy.
 constexpr uint64_t kReplicaHeaderBytes = 4ull * 1024;
 
 /// The deterministic placement function: which hosts hold rank `rank`'s
@@ -80,11 +84,10 @@ class ReplicaStore {
   const ReplicaOptions& options() const { return options_; }
 
   /// Replicates `image` to `holders`, charging the writer's fiber the
-  /// network time to ship every copy. Warm path: when a holder already
-  /// holds this rank's previous image, only the 4 KB pages of the payload
-  /// whose fingerprint changed are shipped (PageHashCache). Nothing is
-  /// installed until the transfer completes (commit-after-transfer);
-  /// holders that died mid-transfer are dropped at install.
+  /// network time to ship kReplicaHeaderBytes plus the stored payload to
+  /// each. Nothing is installed until the transfer completes
+  /// (commit-after-transfer); holders that died mid-transfer are dropped
+  /// at install.
   void put(sim::Host& writer, const CkptKey& key, StoredImage image,
            const std::vector<sim::HostId>& holders);
 
@@ -105,10 +108,9 @@ class ReplicaStore {
   /// Highest surviving epoch/index for (app, rank), if any copy survives.
   std::optional<uint64_t> latest_stored(const std::string& app, uint32_t rank) const;
 
-  /// True iff `key` and its whole restore chain (incremental bases and
-  /// codec delta bases) each have >= 1 surviving copy whose payload passes
-  /// structural verification — the replica tier alone can rebuild this
-  /// state.
+  /// True iff `key` and its whole restore chain (codec delta bases) each
+  /// have >= 1 surviving copy whose payload passes structural verification
+  /// — the replica tier alone can rebuild this state.
   bool recoverable(const CkptKey& key) const;
 
   /// Test-only fault injection: swaps in a copy of `key`'s stored payload
@@ -117,8 +119,7 @@ class ReplicaStore {
   bool corrupt_payload(const CkptKey& key, size_t offset, bool truncate = false);
 
   /// Crash invalidation: drops every copy `host` held (its memory is
-  /// gone) and forgets its warm-transfer caches. Entries left with no
-  /// holder are erased. Network::crash_host drives this through the crash
+  /// gone). Entries left with no holder are erased. Network::crash_host drives this through the crash
   /// hook.
   void on_host_crash(sim::HostId host);
 
@@ -134,10 +135,6 @@ class ReplicaStore {
   /// store's checkpoint garbage collection).
   size_t gc(const std::string& app, uint64_t keep_epoch);
 
-  /// FNV-1a over every entry (key, image fields, payload, sorted holders,
-  /// meta) plus the warm-transfer caches, in map order. Zero-cost;
-  /// determinism tests compare it across runs.
-  uint64_t content_hash() const;
   /// Zero-cost read-only walk over every entry with a surviving copy, in
   /// key order, payload as stored (see CheckpointStore::for_each_stored).
   void for_each_stored(const std::function<void(const CkptKey&, const StoredImage&)>& fn) const;
@@ -156,33 +153,16 @@ class ReplicaStore {
   bool validate(std::string* why = nullptr) const;
 
  private:
-  /// Warm-transfer state: fingerprints of the payload this holder last
-  /// received for (app, rank), plus the epoch it describes. Epoch-max
-  /// install keeps the newest epoch whatever order copies install in.
-  struct HolderCache {
-    std::vector<uint64_t> hashes;
-    uint64_t payload_len = 0;
-    uint64_t epoch = 0;
-  };
   struct Entry {
     StoredImage image;
     std::set<sim::HostId> holders;
     std::optional<util::Bytes> meta;
   };
-  using HolderKey = std::tuple<sim::HostId, std::string, uint32_t>;
-
-  /// Pages of `payload` a holder with `cache` still needs (changed or new
-  /// fingerprints); fills `fresh` with the payload's full fingerprint set
-  /// and `ship_bytes` with the actual byte total of the shipped pages
-  /// (tail pages count their real length, not a full 4 KB).
-  static uint64_t pages_to_ship(util::BytesView payload, const HolderCache* cache,
-                                std::vector<uint64_t>& fresh, uint64_t* ship_bytes);
 
   sim::Engine& engine_;
   ReplicaOptions options_;
   std::function<bool(sim::HostId)> alive_;
   std::map<CkptKey, Entry> entries_;
-  std::map<HolderKey, HolderCache> holder_caches_;
   uint64_t bytes_shipped_ = 0;
   uint64_t puts_started_ = 0;
   uint64_t puts_committed_ = 0;

@@ -11,10 +11,6 @@ namespace starfish::ckpt {
 
 namespace {
 
-bool codec_is_delta(PayloadCodec codec) {
-  return codec == PayloadCodec::kDelta || codec == PayloadCodec::kDeltaLz;
-}
-
 /// Hands an image's payload to a store tier without copying it.
 StoredImage to_stored(Image&& image) {
   return StoredImage{{image}, util::SharedBytes(std::move(image.payload))};
@@ -24,10 +20,7 @@ StoredImage to_stored(Image&& image) {
 
 StoredImage CheckpointStore::encode_for_store(const CkptKey& key, Image image) {
   if (compress_ == CompressMode::kOff) return to_stored(std::move(image));
-  // Incremental images stay out of the delta chain: their payloads are
-  // already app-state deltas, and a codec delta would add a second base
-  // chain to the same image.
-  const bool chained = compress_chained() && !image.incremental;
+  const bool chained = compress_chained();
   util::SharedBytes base;
   uint64_t base_epoch = 0;
   if (chained && !is_full_epoch(key.epoch)) {
@@ -60,7 +53,7 @@ StoredImage CheckpointStore::encode_for_store(const CkptKey& key, Image image) {
   if (coded.codec == PayloadCodec::kRaw) return stored;  // coding did not pay off
   stored.codec = coded.codec;
   stored.raw_payload_bytes = raw_bytes;
-  stored.codec_base_epoch = codec_is_delta(coded.codec) ? base_epoch : 0;
+  stored.codec_base_epoch = is_delta(coded.codec) ? base_epoch : 0;
   stored.file_bytes = stored.file_bytes - raw_bytes + coded.bytes.size();
   stored.payload = util::SharedBytes(std::move(coded.bytes));
   return stored;
@@ -120,7 +113,7 @@ std::optional<Image> CheckpointStore::get(sim::Host& host, const CkptKey& key) {
   if (!found) return std::nullopt;
   // Resolve the raw payload before handing it up: a delta link's
   // ancestors are read through the same tier path, each read charging its
-  // real cost, mirroring incremental restore chains.
+  // real cost.
   const LinkFetch fetch = [this, &host](const CkptKey& k) { return fetch_stored(host, k); };
   std::optional<util::SharedBytes> raw = resolve_payload(key, *found, fetch, engine_.obs());
   if (!raw) return std::nullopt;  // corrupt: caller falls back, never aborts
@@ -144,7 +137,7 @@ std::optional<util::SharedBytes> CheckpointStore::resolve_payload(const CkptKey&
   // link decodes, so a chain is read newest-first; it terminates because
   // every link's base epoch is strictly smaller.
   util::SharedBytes base;
-  if (codec_is_delta(link.codec)) {
+  if (is_delta(link.codec)) {
     if (link.codec_base_epoch >= key.epoch) {
       if (hub != nullptr) hub->metrics.counter("ckpt.codec.decode_errors").add(1);
       return std::nullopt;
@@ -287,30 +280,6 @@ std::optional<uint64_t> CheckpointStore::latest_committed(const std::string& app
   return it->second;
 }
 
-bool CheckpointStore::disk_chain_complete(const CkptKey& key) const {
-  CkptKey at = key;
-  for (;;) {
-    auto it = images_.find(at);
-    if (it == images_.end()) return false;
-    const StoredImage& img = it->second;
-    // A stored-but-corrupt link is as unrecoverable as a missing one. The
-    // structural verify is a fingerprint pass for lz and delta links, but a
-    // delta+lz link is LZ-decompressed in full to parse its inner delta
-    // frame, so each link is verified once, not at every walk.
-    if (!verify_stored(img)) return false;
-    if (img.incremental) {
-      at.epoch = img.base_epoch;
-      continue;
-    }
-    if (codec_is_delta(img.codec)) {
-      if (img.codec_base_epoch >= at.epoch) return false;
-      at.epoch = img.codec_base_epoch;
-      continue;
-    }
-    return true;
-  }
-}
-
 std::optional<uint64_t> CheckpointStore::latest_recoverable(const std::string& app,
                                                             uint32_t nprocs) const {
   auto committed = latest_committed(app);
@@ -326,9 +295,11 @@ std::optional<uint64_t> CheckpointStore::latest_recoverable(const std::string& a
   for (uint64_t epoch = *committed; epoch >= 1; --epoch) {
     bool all = true;
     for (uint32_t rank = 0; rank < nprocs && all; ++rank) {
-      const CkptKey key{app, rank, epoch};
-      if (replica_backend && replica_->recoverable(key)) continue;
-      all = disk_chain_complete(key);
+      if (replica_backend && replica_->recoverable({app, rank, epoch})) continue;
+      all = chain_complete(epoch, [&](uint64_t e) -> const StoredImage* {
+        auto it = images_.find({app, rank, e});
+        return it == images_.end() ? nullptr : &it->second;
+      });
     }
     if (all) {
       if (epoch != *committed) {

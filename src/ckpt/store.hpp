@@ -18,6 +18,12 @@
 // unrecoverable and the daemons restart from scratch instead of
 // deadlocking. DESIGN.md section 14 describes the full failure model.
 //
+// Page deltas: puts code each payload under the store's compress mode
+// (codec.hpp), the checkpoint path's one page-delta mechanism, and gets
+// resolve a delta chain back to the raw payload. An image has one chain
+// base, `codec_base_epoch`; both tiers check a chain with the same walk
+// (chain_complete in image.hpp), each through its own lookup.
+//
 // Epochs: coordinated protocols write every process's image under one epoch
 // number, then atomically commit it, making that epoch the recovery line.
 // Uncoordinated protocols store per-process checkpoints keyed by their own
@@ -80,8 +86,7 @@ class CheckpointStore {
   void set_compress_mode(CompressMode mode) { compress_ = mode; }
   CompressMode compress_mode() const { return compress_; }
   /// True when the mode produces cross-epoch chains (delta references):
-  /// checkpoint gc must then keep everything back to the last full epoch,
-  /// exactly like incremental checkpointing.
+  /// checkpoint gc must then keep everything back to the last full epoch.
   bool compress_chained() const {
     return compress_ == CompressMode::kDelta || compress_ == CompressMode::kDeltaLz;
   }
@@ -179,10 +184,6 @@ class CheckpointStore {
   /// that read costs.
   using LinkFetch = std::function<std::optional<StoredImage>(const CkptKey&)>;
 
-  /// True iff `key`'s restore chain (incremental bases and codec delta
-  /// bases) is complete in the disk maps and every link's payload passes
-  /// structural verification.
-  bool disk_chain_complete(const CkptKey& key) const;
   /// Codes `image`'s payload per compress_ (delta base = the raw payload
   /// of this rank's previous stored epoch) and tracks the raw payload for
   /// the next epoch's delta, moved in, never copied. Under kOff it only

@@ -1,5 +1,6 @@
 #include "core/cr.hpp"
 
+#include "ckpt/incremental.hpp"
 #include "core/process.hpp"
 #include "util/log.hpp"
 
@@ -23,9 +24,8 @@ constexpr sim::Duration kPerMemberSyncCost = sim::milliseconds(15);
 constexpr sim::Duration kForkCost = sim::milliseconds(3);
 
 // The full-epoch grid (every kFullEvery-th epoch is self-contained) lives
-// in ckpt/incremental.hpp since PR 10: the store's payload delta codec
-// anchors on the same grid, so both layers must agree on it.
-using ckpt::is_full_epoch;
+// in ckpt/incremental.hpp: the store's payload delta codec anchors its
+// chains on it, so the gc keep line below must agree with it.
 using ckpt::last_full_at_or_before;
 
 util::Bytes encode_epoch(uint64_t epoch) {
@@ -211,14 +211,11 @@ void CrModule::handle_ack(uint64_t epoch, uint32_t from) {
   acks_.insert(from);
   if (acks_.size() < process_.nprocs()) return;
   // Every rank's image is on stable storage: commit the recovery line and
-  // garbage-collect older epochs. Incremental chains keep everything back
-  // to the most recent full image.
+  // garbage-collect older epochs. Payload codec delta chains need their
+  // base images back to the last full epoch to stay restorable.
   process_.store().commit(process_.job().name, epoch);
-  // Chained encodings (incremental app-state deltas, payload codec deltas)
-  // need their base images back to the last full epoch to stay restorable.
-  const bool chained =
-      process_.job().incremental_ckpt || process_.store().compress_chained();
-  const uint64_t keep = chained ? last_full_at_or_before(epoch) : epoch;
+  const uint64_t keep =
+      process_.store().compress_chained() ? last_full_at_or_before(epoch) : epoch;
   process_.store().gc(process_.job().name, keep);
   initiating_ = false;
   send_coord(CoordKind::kCommit, epoch);
@@ -353,7 +350,7 @@ void CrModule::take_uncoordinated_checkpoint() {
 void CrModule::store_image(uint64_t epoch, util::Bytes app_state, util::Bytes channel_state,
                            std::vector<mpi::Envelope> recorded) {
   ckpt::Image img =
-      build_image(epoch, std::move(app_state), std::move(channel_state), std::move(recorded));
+      build_image(std::move(app_state), std::move(channel_state), std::move(recorded));
 
   const ckpt::CkptKey key{process_.job().name, process_.rank(), epoch};
   if (process_.store().backend() == ckpt::CkptBackend::kReplica &&
@@ -377,56 +374,21 @@ void CrModule::store_image(uint64_t epoch, util::Bytes app_state, util::Bytes ch
                              << " stored checkpoint " << epoch;
 }
 
-ckpt::Image CrModule::build_image(uint64_t epoch, util::Bytes app_state,
-                                  util::Bytes channel_state,
+ckpt::Image CrModule::build_image(util::Bytes app_state, util::Bytes channel_state,
                                   std::vector<mpi::Envelope> recorded) {
   ckpt::Image img;
   const bool portable =
       process_.job().level == daemon::CkptLevel::kVm && process_.is_vm_app();
-  const bool incremental = process_.job().incremental_ckpt;
-  const util::Bytes tracker = tracker_.encode();
-  const auto state_pages =
-      (app_state.size() + ckpt::kPageBytes - 1) / ckpt::kPageBytes;
-  util::Bytes delta;
-  if (incremental && have_prev_ && !is_full_epoch(epoch)) {
-    // Warm cache: one fingerprint pass over app_state, prev_app_state_ is
-    // not read; the pass leaves the cache describing app_state.
-    ckpt::EncodeStats enc;
-    delta = ckpt::incremental_encode(prev_app_state_, app_state, nullptr, &page_cache_, &enc);
-    img.incremental = true;
-    img.base_epoch = prev_epoch_;
-    if (obs::Hub* hub = process_.engine().obs()) {
-      hub->metrics.counter("ckpt.pages_scanned").add(enc.pages_scanned);
-      hub->metrics.counter("ckpt.pages_hashed").add(enc.pages_hashed);
-      hub->metrics.counter("ckpt.pages_dirty").add(enc.pages_dirty);
-      hub->metrics.counter("ckpt.pages_written").add(enc.pages_dirty);
-    }
-  } else {
-    // Full epoch: no encode pass ran, so warm the cache here — otherwise the
-    // next delta epoch would fall back to the memcmp path.
-    if (incremental) page_cache_.rebuild(app_state);
-    if (obs::Hub* hub = process_.engine().obs()) {
-      if (incremental) hub->metrics.counter("ckpt.pages_hashed").add(state_pages);
-      hub->metrics.counter("ckpt.pages_written").add(state_pages);
-    }
+  if (obs::Hub* hub = process_.engine().obs()) {
+    hub->metrics.counter("ckpt.pages_written")
+        .add((app_state.size() + ckpt::kPageBytes - 1) / ckpt::kPageBytes);
   }
-
+  const util::Bytes tracker = tracker_.encode();
   img.kind = portable ? ckpt::ImageKind::kPortable : ckpt::ImageKind::kNative;
   img.repr_code = process_.host().machine().repr_code();
-  img.payload = Container{tracker, img.incremental ? delta : app_state, channel_state,
-                          std::move(recorded)}
-                    .encode();
-  img.file_bytes = (img.incremental
-                        ? ckpt::kIncrementalBaseBytes
-                        : (portable ? ckpt::kPortableBaseBytes : ckpt::kNativeBaseBytes)) +
-                   img.payload.size();
-  if (incremental) {
-    // The state stays on as the next epoch's delta base: the one copy of
-    // the capture that outlives the put.
-    prev_app_state_ = std::move(app_state);
-    prev_epoch_ = epoch;
-    have_prev_ = true;
-  }
+  img.payload = Container{tracker, app_state, channel_state, std::move(recorded)}.encode();
+  img.file_bytes =
+      (portable ? ckpt::kPortableBaseBytes : ckpt::kNativeBaseBytes) + img.payload.size();
   return img;
 }
 
@@ -448,46 +410,6 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
   if (!container.ok()) return container.error();
   Container c = std::move(container).take();
 
-  util::Bytes app_state;
-  if (img->incremental) {
-    // Resolve the delta chain: read ancestors back to the last full image
-    // (each read is a real disk read), then apply deltas oldest-first.
-    std::vector<util::Bytes> deltas = {util::Bytes(c.app_state.begin(), c.app_state.end())};
-    uint64_t at = img->base_epoch;
-    for (;;) {
-      auto ancestor = process_.store().get(
-          process_.host(), ckpt::CkptKey{process_.job().name, process_.rank(), at});
-      if (!ancestor) {
-        return util::Error::make("missing", "incremental chain broken at epoch " +
-                                                std::to_string(at));
-      }
-      auto anc_container = Container::decode(ancestor->payload);
-      if (!anc_container.ok()) return anc_container.error();
-      const util::BytesView anc_state = anc_container.value().app_state;
-      if (!ancestor->incremental) {
-        app_state.assign(anc_state.begin(), anc_state.end());
-        break;
-      }
-      deltas.emplace_back(anc_state.begin(), anc_state.end());
-      at = ancestor->base_epoch;
-    }
-    for (auto it = deltas.rbegin(); it != deltas.rend(); ++it) {
-      auto applied = ckpt::incremental_apply(app_state, *it);
-      if (!applied.ok()) return applied.error();
-      app_state = std::move(applied).take();
-    }
-  } else {
-    app_state.assign(c.app_state.begin(), c.app_state.end());
-  }
-  // Seed the incremental chain so post-restore epochs diff against the
-  // restored state.
-  if (process_.job().incremental_ckpt) {
-    prev_app_state_ = app_state;
-    page_cache_.rebuild(prev_app_state_);
-    prev_epoch_ = epoch;
-    have_prev_ = true;
-  }
-
   auto tracker = ckpt::DependencyTracker::decode(c.tracker);
   if (!tracker.ok()) return tracker.error();
   tracker_ = std::move(tracker).take();
@@ -500,7 +422,7 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
   RestoredState out;
   out.kind = img->kind;
   out.repr_code = img->repr_code;
-  out.app_state = std::move(app_state);
+  out.app_state.assign(c.app_state.begin(), c.app_state.end());
   return out;
 }
 

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "ckpt/image.hpp"
-#include "ckpt/incremental.hpp"
 #include "ckpt/recovery.hpp"
 #include "daemon/job.hpp"
 #include "mpi/proc.hpp"
@@ -110,7 +109,7 @@ class CrModule {
   /// Builds that image: the container payload, exactly sized. The capture
   /// passed in dies when this returns, so store_image's put() blocks on
   /// the disk write or replica transfer holding the payload alone.
-  ckpt::Image build_image(uint64_t epoch, util::Bytes app_state, util::Bytes channel_state,
+  ckpt::Image build_image(util::Bytes app_state, util::Bytes channel_state,
                           std::vector<mpi::Envelope> recorded);
   void handle_ack(uint64_t epoch, uint32_t from);
 
@@ -136,13 +135,6 @@ class CrModule {
   util::Bytes cl_channel_state_;
   std::set<uint32_t> cl_markers_from_;
   std::vector<mpi::Envelope> cl_recorded_;
-
-  // Incremental checkpointing state (previous epoch's resolved app state,
-  // plus its per-page fingerprints so delta epochs never re-read it).
-  util::Bytes prev_app_state_;
-  ckpt::PageHashCache page_cache_;
-  uint64_t prev_epoch_ = 0;
-  bool have_prev_ = false;
 
   // Stats.
   uint64_t checkpoints_taken_ = 0;

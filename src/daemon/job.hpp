@@ -49,15 +49,12 @@ struct JobSpec {
   /// the epoch commits once every image is stable. Cuts the blocking time
   /// from disk-write-dominated to snapshot-dominated.
   bool forked_ckpt = false;
-  /// Incremental checkpointing, after libckpt [33]: native images store
-  /// only the pages changed since the previous epoch (a full image every
-  /// few epochs anchors the chain). Cuts bytes written for apps whose
-  /// state mutates sparsely.
-  bool incremental_ckpt = false;
   std::vector<std::string> args;
   std::string owner = "user";  ///< submitting user (suspend/delete rights)
 
   util::Bytes encode() const;
+  /// Fails closed: a short field, or a policy, protocol, level or flag
+  /// byte outside its range, is Error{"decode"}.
   static util::Result<JobSpec> decode(util::Reader& r);
 };
 

@@ -34,28 +34,55 @@ util::Bytes JobSpec::encode() const {
   for (const auto& a : args) w.str(a);
   w.str(owner);
   w.boolean(forked_ckpt);
-  w.boolean(incremental_ckpt);
   return out;
 }
 
 util::Result<JobSpec> JobSpec::decode(util::Reader& r) {
+  // Reads an enum or flag byte and rejects values above `max`, so no
+  // out-of-range enum value reaches the code that switches on it.
+  const auto bounded = [&r](uint8_t max, const char* what) -> util::Result<uint8_t> {
+    auto v = r.u8();
+    if (!v) return v.error();
+    if (v.value() > max) {
+      return util::Error::make("decode", std::string("job spec ") + what + " byte out of range");
+    }
+    return v.value();
+  };
   JobSpec j;
   auto name = r.str();
   if (!name) return name.error();
-  j.name = name.value();
+  j.name = std::move(name).take();
   auto binary = r.str();
   if (!binary) return binary.error();
-  j.binary = binary.value();
-  j.nprocs = r.u32().value_or(1);
-  j.policy = static_cast<FtPolicy>(r.u8().value_or(0));
-  j.protocol = static_cast<CrProtocol>(r.u8().value_or(0));
-  j.level = static_cast<CkptLevel>(r.u8().value_or(1));
-  j.ckpt_interval = r.i64().value_or(0);
-  const uint32_t n = r.u32().value_or(0);
-  for (uint32_t i = 0; i < n; ++i) j.args.push_back(r.str().value_or(""));
-  j.owner = r.str().value_or("user");
-  j.forked_ckpt = r.boolean().value_or(false);
-  j.incremental_ckpt = r.boolean().value_or(false);
+  j.binary = std::move(binary).take();
+  auto nprocs = r.u32();
+  if (!nprocs) return nprocs.error();
+  j.nprocs = nprocs.value();
+  auto policy = bounded(static_cast<uint8_t>(FtPolicy::kNotifyViews), "policy");
+  if (!policy) return policy.error();
+  j.policy = static_cast<FtPolicy>(policy.value());
+  auto protocol = bounded(static_cast<uint8_t>(CrProtocol::kUncoordinated), "protocol");
+  if (!protocol) return protocol.error();
+  j.protocol = static_cast<CrProtocol>(protocol.value());
+  auto level = bounded(static_cast<uint8_t>(CkptLevel::kVm), "level");
+  if (!level) return level.error();
+  j.level = static_cast<CkptLevel>(level.value());
+  auto interval = r.i64();
+  if (!interval) return interval.error();
+  j.ckpt_interval = interval.value();
+  auto n_args = r.u32();
+  if (!n_args) return n_args.error();
+  for (uint32_t i = 0; i < n_args.value(); ++i) {
+    auto arg = r.str();
+    if (!arg) return arg.error();
+    j.args.push_back(std::move(arg).take());
+  }
+  auto owner = r.str();
+  if (!owner) return owner.error();
+  j.owner = std::move(owner).take();
+  auto forked = bounded(1, "forked_ckpt");
+  if (!forked) return forked.error();
+  j.forked_ckpt = forked.value() != 0;
   return j;
 }
 

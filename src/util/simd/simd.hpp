@@ -1,8 +1,9 @@
 // Runtime-dispatched SIMD kernels for the data plane.
 //
-// The per-byte work left on Starfish's hot paths — page fingerprints for
-// incremental checkpoints, portable-image endianness/word conversion, MPI
-// datatype pack/unpack — runs through this one small kernel table. Each
+// The per-byte work left on Starfish's hot paths — the checkpoint codecs'
+// frame fingerprints and page compares, portable-image endianness/word
+// conversion, MPI datatype pack/unpack — runs through this one small
+// kernel table. Each
 // kernel exists in up to four implementations (scalar reference, AVX2,
 // AVX-512, NEON) compiled into separate translation units; a CPU-feature
 // probe selects one table at startup, overridable with
@@ -48,8 +49,9 @@ const CpuFeatures& cpu_features();
 struct Ops {
   Isa isa;
 
-  /// 64-bit content fingerprint (page-change detection, replica warm
-  /// re-replication). Bit-identical across ISA levels; seed folded length.
+  /// 64-bit content fingerprint (checksums of the LZ and delta frames, the
+  /// delta frame's base pin). Bit-identical across ISA levels; seed folded
+  /// length.
   uint64_t (*fingerprint)(const std::byte* p, size_t n);
 
   /// Bulk copy of n bytes. dst and src must not overlap (memcpy rules).
@@ -67,7 +69,7 @@ struct Ops {
   void (*narrow_i64_i32)(std::byte* dst, const std::byte* src, size_t n);
 
   /// First index at which a and b differ, or n when the ranges are equal
-  /// (LZ match extension, incremental page change detection).
+  /// (LZ match extension, the delta codec's page compare).
   size_t (*mismatch)(const std::byte* a, const std::byte* b, size_t n);
 };
 

@@ -599,7 +599,8 @@ TEST(ReplicaFaultInjection, CorruptedReplicaChunkMovesTheRecoveryLine) {
 
 // --------------------------------------------------- replica warm ship ----
 
-// Satellite (c): with the delta codec on, a warm epoch ships O(dirty pages)
+// The replica tier ships each payload as stored, so with the delta codec
+// on the coded frame is the warm ship: a warm epoch ships O(dirty pages)
 // bytes to each holder, visible both in bytes_shipped and in the
 // ckpt.codec.* counters.
 TEST(ReplicaWarmShip, DeltaEpochsShipOnlyDirtyPages) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "ckpt/codec.hpp"
 #include "ckpt/image.hpp"
 #include "ckpt/incremental.hpp"
 #include "ckpt/recovery.hpp"
@@ -10,6 +14,8 @@
 #include "ckpt/store.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
+#include "util/codec/lz.hpp"
+#include "util/simd/simd.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/interp.hpp"
 
@@ -297,14 +303,29 @@ TEST(Store, GcDropsOldEpochs) {
 }
 
 // -------------------------------------------------------- incremental ----
+//
+// Page-delta (incremental) checkpointing has one mechanism: the payload
+// delta codec (codec.hpp). A delta frame references the pages a payload
+// shares with its base and carries only the changed ones.
+
+EncodedPayload delta_of(const util::Bytes& base, const util::Bytes& cur) {
+  return encode_payload(CompressMode::kDelta, util::as_bytes_view(cur), util::as_bytes_view(base),
+                        nullptr);
+}
+
+util::Result<util::Bytes> apply_delta(const util::Bytes& base, const EncodedPayload& enc) {
+  return decode_payload(enc.codec, util::as_bytes_view(enc.bytes), util::as_bytes_view(base),
+                        kMaxIncrementalStateBytes, nullptr);
+}
 
 TEST(Incremental, IdenticalStateProducesEmptyDelta) {
   util::Bytes state(3 * kPageBytes + 100, std::byte{7});
-  uint64_t changed = 99;
-  auto delta = incremental_encode(state, state, &changed);
-  EXPECT_EQ(changed, 0u);
-  EXPECT_LT(delta.size(), 64u);  // header only
-  auto back = incremental_apply(state, delta);
+  const EncodedPayload delta = delta_of(state, state);
+  ASSERT_EQ(delta.codec, PayloadCodec::kDelta);
+  EXPECT_EQ(delta.delta_page_literals, 0u);
+  EXPECT_EQ(delta.delta_page_refs, 4u);
+  EXPECT_LT(delta.bytes.size(), 64u);  // header only
+  auto back = apply_delta(state, delta);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), state);
 }
@@ -313,11 +334,11 @@ TEST(Incremental, SinglePageChangeEncodesOnePage) {
   util::Bytes prev(10 * kPageBytes, std::byte{1});
   util::Bytes cur = prev;
   cur[5 * kPageBytes + 17] = std::byte{99};
-  uint64_t changed = 0;
-  auto delta = incremental_encode(prev, cur, &changed);
-  EXPECT_EQ(changed, 1u);
-  EXPECT_LT(delta.size(), kPageBytes + 64);
-  auto back = incremental_apply(prev, delta);
+  const EncodedPayload delta = delta_of(prev, cur);
+  ASSERT_EQ(delta.codec, PayloadCodec::kDelta);
+  EXPECT_EQ(delta.delta_page_literals, 1u);
+  EXPECT_LT(delta.bytes.size(), kPageBytes + 64);
+  auto back = apply_delta(prev, delta);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), cur);
 }
@@ -326,8 +347,10 @@ TEST(Incremental, StateGrowthCoveredByDelta) {
   util::Bytes prev(2 * kPageBytes, std::byte{3});
   util::Bytes cur(5 * kPageBytes + 123, std::byte{3});
   cur.back() = std::byte{42};
-  auto delta = incremental_encode(prev, cur, nullptr);
-  auto back = incremental_apply(prev, delta);
+  const EncodedPayload delta = delta_of(prev, cur);
+  ASSERT_EQ(delta.codec, PayloadCodec::kDelta);
+  EXPECT_EQ(delta.delta_page_literals, 4u);  // every page past the base's end
+  auto back = apply_delta(prev, delta);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), cur);
 }
@@ -335,8 +358,9 @@ TEST(Incremental, StateGrowthCoveredByDelta) {
 TEST(Incremental, StateShrinkTruncates) {
   util::Bytes prev(5 * kPageBytes, std::byte{3});
   util::Bytes cur(2 * kPageBytes - 7, std::byte{3});
-  auto delta = incremental_encode(prev, cur, nullptr);
-  auto back = incremental_apply(prev, delta);
+  const EncodedPayload delta = delta_of(prev, cur);
+  ASSERT_EQ(delta.codec, PayloadCodec::kDelta);
+  auto back = apply_delta(prev, delta);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), cur);
 }
@@ -345,10 +369,10 @@ TEST(Incremental, UnalignedTailPageHandled) {
   util::Bytes prev(kPageBytes + 5, std::byte{1});
   util::Bytes cur = prev;
   cur[kPageBytes + 2] = std::byte{8};  // in the partial tail page
-  uint64_t changed = 0;
-  auto delta = incremental_encode(prev, cur, &changed);
-  EXPECT_EQ(changed, 1u);
-  auto back = incremental_apply(prev, delta);
+  const EncodedPayload delta = delta_of(prev, cur);
+  ASSERT_EQ(delta.codec, PayloadCodec::kDelta);
+  EXPECT_EQ(delta.delta_page_literals, 1u);
+  auto back = apply_delta(prev, delta);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), cur);
 }
@@ -356,21 +380,22 @@ TEST(Incremental, UnalignedTailPageHandled) {
 TEST(Incremental, ChainOfDeltasResolves) {
   util::Rng rng(5);
   util::Bytes state(8 * kPageBytes, std::byte{0});
-  util::Bytes base = state;
-  std::vector<util::Bytes> deltas;
+  const util::Bytes base = state;
+  std::vector<EncodedPayload> deltas;
   std::vector<util::Bytes> truth;
   for (int step = 0; step < 5; ++step) {
     util::Bytes next = state;
     for (int k = 0; k < 3; ++k) {
       next[rng.below(next.size())] = static_cast<std::byte>(rng.below(256));
     }
-    deltas.push_back(incremental_encode(state, next, nullptr));
+    deltas.push_back(delta_of(state, next));
+    EXPECT_EQ(deltas.back().codec, PayloadCodec::kDelta);
     truth.push_back(next);
     state = next;
   }
   util::Bytes resolved = base;
   for (size_t i = 0; i < deltas.size(); ++i) {
-    auto r = incremental_apply(resolved, deltas[i]);
+    auto r = apply_delta(resolved, deltas[i]);
     ASSERT_TRUE(r.ok());
     resolved = std::move(r).take();
     EXPECT_EQ(resolved, truth[i]);
@@ -378,70 +403,130 @@ TEST(Incremental, ChainOfDeltasResolves) {
 }
 
 TEST(Incremental, CorruptDeltaFailsGracefully) {
-  util::Bytes prev(kPageBytes, std::byte{1});
-  util::Bytes cur(kPageBytes, std::byte{2});
-  auto delta = incremental_encode(prev, cur, nullptr);
-  delta.resize(delta.size() / 2);
-  EXPECT_FALSE(incremental_apply(prev, delta).ok());
+  util::Bytes prev(4 * kPageBytes, std::byte{1});
+  util::Bytes cur = prev;
+  std::fill(cur.begin(), cur.begin() + kPageBytes, std::byte{2});
+  EncodedPayload delta = delta_of(prev, cur);
+  ASSERT_EQ(delta.codec, PayloadCodec::kDelta);
+  delta.bytes.resize(delta.bytes.size() / 2);
+  auto back = apply_delta(prev, delta);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code, "codec");
 }
 
-// Hostile-delta hardening: a corrupt chain must surface as a decode error
-// before it can drive a huge allocation or an out-of-bounds write.
+// Forged frames, one per structural reject of the delta parser. Each
+// carries a valid trailing fingerprint, so the checksum cannot catch it
+// first: the parser's own bounds must, before any count or size in the
+// frame drives an allocation or a copy.
+
+struct ForgedLiteral {
+  uint32_t page = 0;
+  size_t len = kPageBytes;
+};
+
+/// A "SDL1" frame announcing `raw_len` and `n_literals`, pinned to `base`,
+/// carrying `literals` (filler bytes) and `trailing` extra zero bytes,
+/// sealed with the fingerprint of everything before it.
+util::Bytes forge_delta(uint64_t raw_len, const util::Bytes& base, uint32_t n_literals,
+                        const std::vector<ForgedLiteral>& literals, size_t trailing = 0) {
+  util::Bytes frame;
+  util::Writer w(frame);
+  w.u32(0x314C4453);  // "SDL1"
+  w.u8(1);
+  w.u64(raw_len);
+  w.u64(base.size());
+  w.u64(util::simd::fingerprint(base.data(), base.size()));
+  w.u32(n_literals);
+  for (const ForgedLiteral& lit : literals) {
+    w.u32(lit.page);
+    w.bytes(util::as_bytes_view(util::Bytes(lit.len, std::byte{9})));
+  }
+  for (size_t i = 0; i < trailing; ++i) w.u8(0);
+  w.u64(util::simd::fingerprint(frame.data(), frame.size()));
+  return frame;
+}
+
+/// The frame is refused with Error{"codec"} by decode_payload under
+/// `max_bytes` and, when that is verify_payload's own bound, by
+/// verify_payload too; bare and wrapped in lz.
+void expect_fails_closed(const util::Bytes& frame, const util::Bytes& base,
+                         uint64_t max_bytes = kMaxIncrementalStateBytes) {
+  const util::Bytes wrapped = util::codec::lz_compress(util::as_bytes_view(frame));
+  for (const auto& [codec, bytes] : {std::pair{PayloadCodec::kDelta, &frame},
+                                     std::pair{PayloadCodec::kDeltaLz, &wrapped}}) {
+    const util::Status verified = verify_payload(codec, util::as_bytes_view(*bytes));
+    if (max_bytes == kMaxIncrementalStateBytes) {
+      ASSERT_FALSE(verified.ok()) << static_cast<int>(codec);
+      EXPECT_EQ(verified.error().code, "codec");
+    }
+    auto decoded = decode_payload(codec, util::as_bytes_view(*bytes), util::as_bytes_view(base),
+                                  max_bytes, nullptr);
+    ASSERT_FALSE(decoded.ok()) << static_cast<int>(codec);
+    EXPECT_EQ(decoded.error().code, "codec");
+  }
+}
 
 TEST(Incremental, ApplyRejectsOversizedTotalBeforeAllocating) {
-  util::Bytes delta;
-  util::Writer w(delta);
-  w.u64(kMaxIncrementalStateBytes + 1);
-  w.u32(0);
-  EXPECT_FALSE(incremental_apply({}, delta).ok());
-  // A caller-supplied tighter bound also rejects.
-  util::Bytes small;
-  util::Writer w2(small);
-  w2.u64(4 * kPageBytes);
-  w2.u32(0);
-  EXPECT_FALSE(incremental_apply({}, small, 2 * kPageBytes).ok());
-  EXPECT_TRUE(incremental_apply({}, small, 4 * kPageBytes).ok());
+  // 2^44 bytes announced with 2^32-1 literals and none carried: a 41-byte
+  // frame that must not reach an allocation sized from either count.
+  const util::Bytes forged = forge_delta(1ull << 44, {}, 0xFFFFFFFFu, {});
+  EXPECT_EQ(forged.size(), 41u);
+  expect_fails_closed(forged, {});
+  expect_fails_closed(forged, {}, 1024 * 1024);
+  // A well-formed frame over the caller's tighter bound: verify (which
+  // holds sizes to kMaxIncrementalStateBytes) passes, decode refuses.
+  const util::Bytes base(4 * kPageBytes, std::byte{1});
+  const util::Bytes frame = forge_delta(4 * kPageBytes, base, 1, {{3}});
+  EXPECT_TRUE(verify_payload(PayloadCodec::kDelta, util::as_bytes_view(frame)).ok());
+  expect_fails_closed(frame, base, 2 * kPageBytes);
+  EXPECT_TRUE(decode_payload(PayloadCodec::kDelta, util::as_bytes_view(frame),
+                             util::as_bytes_view(base), 4 * kPageBytes, nullptr)
+                  .ok());
 }
 
 TEST(Incremental, ApplyRejectsMorePagesThanStateHolds) {
-  util::Bytes delta;
-  util::Writer w(delta);
-  w.u64(kPageBytes);  // one page of state...
-  w.u32(3);           // ...but three pages announced
-  EXPECT_FALSE(incremental_apply({}, delta).ok());
+  const util::Bytes base(kPageBytes, std::byte{1});
+  // One page of payload, three literals announced.
+  expect_fails_closed(forge_delta(kPageBytes, base, 3, {}), base);
+  // Within the page count, but more literals than the frame's bytes could
+  // hold: refused before the literal list is sized from the count.
+  const util::Bytes base256(256 * kPageBytes, std::byte{1});
+  const util::Bytes frame = forge_delta(256 * kPageBytes, base256, 200, {});
+  expect_fails_closed(frame, base256);
+  const util::Status verified = verify_payload(PayloadCodec::kDelta, util::as_bytes_view(frame));
+  ASSERT_FALSE(verified.ok());
+  EXPECT_NE(verified.error().message.find("more literals than the frame holds"), std::string::npos)
+      << verified.error().message;
 }
 
 TEST(Incremental, ApplyRejectsOutOfRangePageIndex) {
-  util::Bytes delta;
-  util::Writer w(delta);
-  w.u64(kPageBytes);
-  w.u32(1);
-  w.u32(5);  // page 5 of a 1-page state
-  w.bytes(util::as_bytes_view(util::Bytes(kPageBytes, std::byte{9})));
-  EXPECT_FALSE(incremental_apply({}, delta).ok());
+  const util::Bytes base(kPageBytes, std::byte{1});
+  expect_fails_closed(forge_delta(kPageBytes, base, 1, {{5, kPageBytes}}), base);
 }
 
 TEST(Incremental, ApplyRejectsDuplicatePage) {
-  const util::Bytes page(kPageBytes, std::byte{9});
-  util::Bytes delta;
-  util::Writer w(delta);
-  w.u64(2 * kPageBytes);
-  w.u32(2);
-  w.u32(0);
-  w.bytes(util::as_bytes_view(page));
-  w.u32(0);  // page 0 again
-  w.bytes(util::as_bytes_view(page));
-  EXPECT_FALSE(incremental_apply({}, delta).ok());
+  const util::Bytes base(3 * kPageBytes, std::byte{1});
+  expect_fails_closed(forge_delta(3 * kPageBytes, base, 2, {{0}, {0}}), base);  // repeated
+  expect_fails_closed(forge_delta(3 * kPageBytes, base, 2, {{2}, {1}}), base);  // decreasing
 }
 
 TEST(Incremental, ApplyRejectsWrongPageLength) {
-  util::Bytes delta;
-  util::Writer w(delta);
-  w.u64(2 * kPageBytes);
-  w.u32(1);
-  w.u32(0);
-  w.bytes(util::as_bytes_view(util::Bytes(7, std::byte{9})));  // not a full page
-  EXPECT_FALSE(incremental_apply({}, delta).ok());
+  const util::Bytes base(2 * kPageBytes, std::byte{1});
+  expect_fails_closed(forge_delta(2 * kPageBytes, base, 1, {{0, 7}}), base);  // not a full page
+  // The tail page of a 5-byte-overhanging payload must be exactly 5 bytes.
+  const util::Bytes tail_base(kPageBytes + 5, std::byte{1});
+  expect_fails_closed(forge_delta(kPageBytes + 5, tail_base, 1, {{1, kPageBytes}}), tail_base);
+}
+
+TEST(Incremental, ApplyRejectsTrailingBytes) {
+  const util::Bytes base(2 * kPageBytes, std::byte{1});
+  expect_fails_closed(forge_delta(2 * kPageBytes, base, 1, {{1}}, 3), base);
+}
+
+TEST(Incremental, ApplyRejectsReferenceBeyondBase) {
+  // Page 1 is not carried, so it references the base, which ends at page 0.
+  const util::Bytes base(kPageBytes, std::byte{1});
+  expect_fails_closed(forge_delta(3 * kPageBytes, base, 1, {{2}}), base);
 }
 
 // ----------------------------------------------------------- recovery ----

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/incremental.hpp"
 #include "core/bus.hpp"
 #include "core/cluster.hpp"
 #include "core/cr.hpp"
@@ -923,14 +924,19 @@ TEST(ForkedCheckpoint, RestartFromForkedEpochIsCorrect) {
       output_contains(f.cluster.output("fkr"), std::to_string(expected_ring_token(4, 40))));
 }
 
+// Incremental checkpointing is the store's delta codec: ckpt_compress =
+// kDelta against kOff.
+
 TEST(IncrementalCheckpoint, WritesFewerBytesForSparseState) {
-  // A native app with a large, mostly-static state: incremental images
+  // A native app with a large, mostly-static state: delta-coded epochs
   // should write far fewer bytes than full images.
-  auto run = [](bool incremental) {
-    // Raw payloads: a delta-coding store would shrink the full images too
-    // and erase the premise (STARFISH_CKPT_COMPRESS must not reach here).
+  struct Written {
+    uint64_t bytes = 0;
+    uint64_t images = 0;
+  };
+  auto run = [](ckpt::CompressMode mode) {
     ClusterOptions opts;
-    opts.ckpt_compress = ckpt::CompressMode::kOff;
+    opts.ckpt_compress = mode;
     Fixture f(2, opts);
     f.cluster.registry().register_native("sparse", [](AppContext& ctx) {
       util::Bytes state(1024 * 1024, std::byte{0});
@@ -957,34 +963,106 @@ TEST(IncrementalCheckpoint, WritesFewerBytesForSparseState) {
     job.protocol = CrProtocol::kStopAndSync;
     job.level = CkptLevel::kNative;
     job.ckpt_interval = milliseconds(40);
-    job.incremental_ckpt = incremental;
     f.cluster.submit(job);
     EXPECT_TRUE(f.cluster.run_until_done("sp", seconds(60.0)));
-    return f.cluster.store().bytes_written();
+    Written out;
+    out.bytes = f.cluster.store().bytes_written();
+    // Stop-and-sync epochs are numbered 1, 2, ...: a rank's newest epoch
+    // is how many images it wrote.
+    for (uint32_t rank = 0; rank < 2; ++rank) {
+      out.images += f.cluster.store().latest_stored("sp", rank).value_or(0);
+    }
+    return out;
   };
-  const uint64_t full = run(false);
-  const uint64_t incr = run(true);
-  EXPECT_LT(incr, full / 2);
+  // Every image carries the 632 KB native run-time base, which no payload
+  // codec shrinks, and the cheaper delta epochs let more of them fit in
+  // the run: compare what one image writes beyond its base. At most one
+  // epoch in kFullEvery writes its whole state, the others a few pages.
+  const auto beyond_base = [](const Written& w) {
+    EXPECT_GT(w.images, 0u);
+    EXPECT_GT(w.bytes, w.images * ckpt::kNativeBaseBytes);
+    return (w.bytes - w.images * ckpt::kNativeBaseBytes) / std::max<uint64_t>(w.images, 1);
+  };
+  const uint64_t full = beyond_base(run(ckpt::CompressMode::kOff));
+  const uint64_t delta = beyond_base(run(ckpt::CompressMode::kDelta));
+  EXPECT_LT(delta, full / 2);
+}
+
+constexpr size_t kStatePages = 32;
+
+/// One step of a native state: the step counter in its head and one byte
+/// flipped on one of its first 8 pages, so an epoch dirties at most 8
+/// pages and leaves the rest to delta references.
+void step_pages(util::Bytes& state, int64_t step) {
+  util::Bytes head;
+  util::Writer w(head);
+  w.i64(step);
+  std::copy(head.begin(), head.end(), state.begin());
+  state[static_cast<size_t>(step % 8) * ckpt::kPageBytes + 100] ^= static_cast<std::byte>(step);
+}
+
+uint64_t fold_bytes(const util::Bytes& state) {
+  uint64_t h = 1469598103934665603ull;
+  for (std::byte b : state) h = (h ^ static_cast<uint64_t>(b)) * 1099511628211ull;
+  return h;
 }
 
 TEST(IncrementalCheckpoint, RestoreFromDeltaEpochResolvesChain) {
-  Fixture f(3);
-  auto job = ring_job("inc", 3);
+  // A crash while the recovery line is a delta-coded epoch: every rank
+  // restores through its delta chain (anchor plus links) and ends with
+  // the state a crash-free run computes.
+  constexpr int64_t kSteps = 200;
+  ClusterOptions opts;
+  opts.ckpt_compress = ckpt::CompressMode::kDelta;
+  Fixture f(3, opts);
+  f.cluster.registry().register_native("pages", [](AppContext& ctx) {
+    util::Bytes state(kStatePages * ckpt::kPageBytes, std::byte{0});
+    int64_t step = 0;
+    ctx.set_state_capture([&] { return state; });
+    ctx.set_state_restore([&](const util::Bytes& b) {
+      state = b;
+      util::Reader r(util::as_bytes_view(state));
+      step = r.i64().value_or(0);
+    });
+    while (step < kSteps) {
+      ctx.compute(milliseconds(5));
+      step_pages(state, ++step);
+    }
+    ctx.print("fold=" + std::to_string(fold_bytes(state)));
+  });
+  JobSpec job;
+  job.name = "inc";
+  job.binary = "pages";
+  job.nprocs = 3;
   job.policy = FtPolicy::kRestart;
   job.protocol = CrProtocol::kStopAndSync;
-  job.level = CkptLevel::kVm;
-  job.ckpt_interval = milliseconds(40);
-  job.incremental_ckpt = true;
+  job.level = CkptLevel::kNative;
+  job.ckpt_interval = milliseconds(20);
   f.cluster.submit(job);
-  // Let several epochs commit so the latest is (almost surely) a delta.
-  f.cluster.run_for(milliseconds(200));
-  auto committed = f.cluster.store().latest_committed("inc");
+  // Run until the recovery line is a warm epoch, not a full anchor.
+  std::optional<uint64_t> committed;
+  for (int i = 0; i < 100; ++i) {
+    f.cluster.run_for(milliseconds(5));
+    committed = f.cluster.store().latest_committed("inc");
+    if (committed && !ckpt::is_full_epoch(*committed)) break;
+  }
   ASSERT_TRUE(committed.has_value());
-  EXPECT_GE(*committed, 2u);
+  ASSERT_FALSE(ckpt::is_full_epoch(*committed));
+  uint64_t delta_links = 0;
+  f.cluster.store().for_each_stored([&](const ckpt::CkptKey& key, const ckpt::StoredImage& img) {
+    if (key.app == "inc" && key.epoch == *committed && ckpt::is_delta(img.codec)) ++delta_links;
+  });
+  EXPECT_EQ(delta_links, 3u) << "epoch " << *committed << " is not delta-coded for every rank";
   f.cluster.crash_node(1);
   ASSERT_TRUE(f.cluster.run_until_done("inc"));
-  EXPECT_TRUE(
-      output_contains(f.cluster.output("inc"), std::to_string(expected_ring_token(3, 40))));
+  EXPECT_EQ(f.cluster.daemon_at(0).restarts_performed(), 1u);
+  util::Bytes expected(kStatePages * ckpt::kPageBytes, std::byte{0});
+  for (int64_t step = 1; step <= kSteps; ++step) step_pages(expected, step);
+  const std::string line = "fold=" + std::to_string(fold_bytes(expected));
+  const auto& out = f.cluster.output("inc");
+  EXPECT_EQ(std::count_if(out.begin(), out.end(),
+                          [&](const std::string& l) { return l.find(line) != std::string::npos; }),
+            3);
 }
 
 // ---------------------------------------------------- MPI-2 dynamic spawn ----

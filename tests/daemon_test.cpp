@@ -10,6 +10,7 @@
 
 #include "ckpt/store.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/wire.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 
@@ -321,6 +322,89 @@ TEST(DaemonUnit, PlacementStrategySwitchAffectsOnlyLaterJobs) {
   // Packed: both ranks land on node 0.
   EXPECT_EQ(f.daemons[0]->local_ranks("after"), (std::vector<uint32_t>{0, 1}));
   EXPECT_TRUE(f.daemons[1]->local_ranks("after").empty());
+}
+
+// ------------------------------------------------------------ job wire ----
+
+JobSpec full_spec() {
+  JobSpec j;
+  j.name = "wire-job";
+  j.binary = "ring";
+  j.nprocs = 7;
+  j.policy = FtPolicy::kNotifyViews;
+  j.protocol = CrProtocol::kUncoordinated;
+  j.level = CkptLevel::kNative;
+  j.ckpt_interval = milliseconds(40);
+  j.forked_ckpt = true;
+  j.args = {"-n", "12"};
+  j.owner = "alice";
+  return j;
+}
+
+util::Result<JobSpec> decode_spec(util::BytesView bytes) {
+  util::Reader r(bytes);
+  auto out = JobSpec::decode(r);
+  if (out.ok()) {
+    EXPECT_TRUE(r.exhausted()) << "decode left bytes of its own encoding unread";
+  }
+  return out;
+}
+
+TEST(JobSpecWire, FullSpecRoundTrips) {
+  const JobSpec in = full_spec();
+  auto out = decode_spec(in.encode());
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  const JobSpec& j = out.value();
+  EXPECT_EQ(j.name, in.name);
+  EXPECT_EQ(j.binary, in.binary);
+  EXPECT_EQ(j.nprocs, in.nprocs);
+  EXPECT_EQ(j.policy, in.policy);
+  EXPECT_EQ(j.protocol, in.protocol);
+  EXPECT_EQ(j.level, in.level);
+  EXPECT_EQ(j.ckpt_interval, in.ckpt_interval);
+  EXPECT_EQ(j.forked_ckpt, in.forked_ckpt);
+  EXPECT_EQ(j.args, in.args);
+  EXPECT_EQ(j.owner, in.owner);
+}
+
+// A truncated spec must not decode as defaults (nprocs 1, protocol none,
+// interval 0): every cut point is a decode error.
+TEST(JobSpecWire, EveryTruncationFailsClosed) {
+  const util::Bytes bytes = full_spec().encode();
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    auto out = decode_spec(util::BytesView(bytes.data(), cut));
+    ASSERT_FALSE(out.ok()) << "cut=" << cut;
+    EXPECT_EQ(out.error().code, "decode") << "cut=" << cut;
+  }
+}
+
+TEST(JobSpecWire, OutOfRangeEnumAndFlagBytesFailClosed) {
+  const JobSpec spec = full_spec();
+  const util::Bytes bytes = spec.encode();
+  // name and binary (u32 length + bytes each), then u32 nprocs.
+  const size_t policy_at = 4 + spec.name.size() + 4 + spec.binary.size() + 4;
+  struct Field {
+    const char* name;
+    size_t at;
+    uint8_t max;  ///< largest valid byte
+  };
+  const Field fields[] = {
+      {"policy", policy_at, static_cast<uint8_t>(FtPolicy::kNotifyViews)},
+      {"protocol", policy_at + 1, static_cast<uint8_t>(CrProtocol::kUncoordinated)},
+      {"level", policy_at + 2, static_cast<uint8_t>(CkptLevel::kVm)},
+      {"forked_ckpt", bytes.size() - 1, 1},
+  };
+  for (const Field& field : fields) {
+    for (unsigned v = 0; v <= 0xff; ++v) {
+      util::Bytes mutated = bytes;
+      mutated[field.at] = static_cast<std::byte>(v);
+      auto out = decode_spec(mutated);
+      EXPECT_EQ(out.ok(), v <= field.max) << field.name << " byte " << v;
+      if (!out.ok()) {
+        EXPECT_EQ(out.error().code, "decode") << field.name << " byte " << v;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "ckpt/codec.hpp"
 #include "ckpt/image.hpp"
 #include "ckpt/incremental.hpp"
 #include "ckpt/recovery.hpp"
@@ -69,17 +71,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChannelProperty, ::testing::Values(1u, 7u, 42u, 
 
 class IncrementalProperty : public ::testing::TestWithParam<uint64_t> {};
 
+/// Pages of `cur` a delta against `base` must carry: those past the base's
+/// end and those whose bytes differ (memcmp) at the same offset.
+uint64_t memcmp_dirty_pages(const util::Bytes& base, const util::Bytes& cur) {
+  uint64_t dirty = 0;
+  for (size_t off = 0; off < cur.size(); off += ckpt::kPageBytes) {
+    const size_t len = std::min(ckpt::kPageBytes, cur.size() - off);
+    if (off + len > base.size() || std::memcmp(base.data() + off, cur.data() + off, len) != 0) {
+      ++dirty;
+    }
+  }
+  return dirty;
+}
+
 TEST_P(IncrementalProperty, RandomEvolutionRoundTripsAndMatchesMemcmp) {
   // A state evolves over many epochs — pages mutated, the blob grown and
-  // shrunk through partial tail pages, the hash cache occasionally thrown
-  // away. Invariants per epoch: the hash-cache encoder emits a
-  // byte-identical delta to the cacheless (memcmp) encoder, and applying
-  // the delta to the previous state reproduces the current one exactly.
+  // shrunk through partial tail pages. Invariants per epoch: a delta frame
+  // carries exactly the pages a memcmp scan finds dirty and references the
+  // rest, and decoding it against the previous state reproduces the
+  // current one exactly (a frame that does not pay falls back to raw).
   util::Rng rng(GetParam());
   util::Bytes state((1 + rng.below(4)) * ckpt::kPageBytes + rng.below(ckpt::kPageBytes));
   for (auto& b : state) b = static_cast<std::byte>(rng.next());
-  ckpt::PageHashCache cache;
-  cache.rebuild(util::as_bytes_view(state));
   for (int epoch = 0; epoch < 16; ++epoch) {
     util::Bytes next = state;
     switch (rng.below(4)) {
@@ -98,17 +111,19 @@ TEST_P(IncrementalProperty, RandomEvolutionRoundTripsAndMatchesMemcmp) {
     for (uint64_t m = rng.below(6); m > 0 && !next.empty(); --m) {
       next[rng.below(next.size())] = static_cast<std::byte>(rng.next());
     }
-    if (rng.chance(0.2)) cache.valid = false;  // exercise the cold-cache path
 
-    uint64_t changed_hashed = 0;
-    uint64_t changed_plain = 0;
-    auto delta_hashed = ckpt::incremental_encode(state, next, &changed_hashed, &cache);
-    auto delta_plain = ckpt::incremental_encode(state, next, &changed_plain, nullptr);
-    EXPECT_EQ(delta_hashed, delta_plain);
-    EXPECT_EQ(changed_hashed, changed_plain);
-
-    auto back = ckpt::incremental_apply(state, delta_hashed);
-    ASSERT_TRUE(back.ok());
+    const ckpt::EncodedPayload enc = ckpt::encode_payload(
+        ckpt::CompressMode::kDelta, util::as_bytes_view(next), util::as_bytes_view(state), nullptr);
+    if (enc.codec == ckpt::PayloadCodec::kDelta) {
+      const uint64_t pages = (next.size() + ckpt::kPageBytes - 1) / ckpt::kPageBytes;
+      EXPECT_EQ(enc.delta_page_literals, memcmp_dirty_pages(state, next)) << "epoch " << epoch;
+      EXPECT_EQ(enc.delta_page_refs + enc.delta_page_literals, pages) << "epoch " << epoch;
+    } else {
+      EXPECT_EQ(enc.codec, ckpt::PayloadCodec::kRaw);
+    }
+    auto back = ckpt::decode_payload(enc.codec, util::as_bytes_view(enc.bytes),
+                                     util::as_bytes_view(state), next.size(), nullptr);
+    ASSERT_TRUE(back.ok()) << back.error().to_string();
     EXPECT_EQ(back.value(), next);
     state = std::move(next);
   }
@@ -340,10 +355,14 @@ TEST_P(ImageProperty, RandomStatesRoundtripAcrossAllMachinePairs) {
 }
 
 TEST_P(ImageProperty, RandomIncrementalChainsResolve) {
+  // A 6-link delta chain over a randomly mutated and resized state: each
+  // link is coded against the link before it and resolves oldest-first to
+  // the state it was coded from.
   util::Rng rng(GetParam());
   util::Bytes state(ckpt::kPageBytes * (1 + rng.below(8)) + rng.below(1000), std::byte{0});
-  util::Bytes base = state;
-  std::vector<util::Bytes> deltas;
+  const util::Bytes base = state;
+  std::vector<ckpt::EncodedPayload> links;
+  std::vector<util::Bytes> truth;
   for (int step = 0; step < 6; ++step) {
     util::Bytes next = state;
     // Random mutations, possibly resizing.
@@ -351,14 +370,21 @@ TEST_P(ImageProperty, RandomIncrementalChainsResolve) {
     for (size_t k = rng.below(20); k > 0 && !next.empty(); --k) {
       next[rng.below(next.size())] = static_cast<std::byte>(rng.below(256));
     }
-    deltas.push_back(ckpt::incremental_encode(state, next, nullptr));
+    links.push_back(ckpt::encode_payload(ckpt::CompressMode::kDelta, util::as_bytes_view(next),
+                                         util::as_bytes_view(state), nullptr));
+    truth.push_back(next);
     state = next;
   }
   util::Bytes resolved = base;
-  for (const auto& d : deltas) {
-    auto r = ckpt::incremental_apply(resolved, d);
-    ASSERT_TRUE(r.ok());
+  for (size_t i = 0; i < links.size(); ++i) {
+    const ckpt::EncodedPayload& link = links[i];
+    ASSERT_TRUE(ckpt::verify_payload(link.codec, util::as_bytes_view(link.bytes)).ok());
+    auto r = ckpt::decode_payload(link.codec, util::as_bytes_view(link.bytes),
+                                  util::as_bytes_view(resolved),
+                                  ckpt::kMaxIncrementalStateBytes, nullptr);
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
     resolved = std::move(r).take();
+    EXPECT_EQ(resolved, truth[i]) << "link " << i;
   }
   EXPECT_EQ(resolved, state);
 }

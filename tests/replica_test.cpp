@@ -1,5 +1,5 @@
 // Diskless checkpoint storage (ckpt/replica.hpp): deterministic placement,
-// warm re-replication, crash invalidation, commit-after-transfer, recovery
+// full-payload ships, crash invalidation, commit-after-transfer, recovery
 // fallback.
 #include <gtest/gtest.h>
 
@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/codec.hpp"
+#include "ckpt/incremental.hpp"
 #include "ckpt/replica.hpp"
 #include "ckpt/store.hpp"
 #include "core/cluster.hpp"
@@ -97,8 +99,13 @@ TEST(ReplicaStoreTest, PutStoresCopiesWithoutTouchingDisk) {
   EXPECT_GT(f.store.replicas()->bytes_shipped(), 2 * 16 * kPageBytes);
 }
 
-TEST(ReplicaStoreTest, WarmRepeatPutShipsOnlyChangedPages) {
+// The tier keeps no per-holder page cache: under `off` a repeat put ships
+// the header plus the full payload to every holder, however few pages
+// changed. Skipping clean pages is the delta codec's job
+// (ReplicaWarmShip.DeltaEpochsShipOnlyDirtyPages).
+TEST(ReplicaStoreTest, RepeatPutShipsTheFullPayloadUnderOff) {
   ReplicaFixture f;
+  f.store.set_compress_mode(CompressMode::kOff);
   uint64_t cold = 0, warm = 0;
   f.net.host(0)->spawn("writer", [&] {
     Image first = f.image(64);
@@ -110,9 +117,8 @@ TEST(ReplicaStoreTest, WarmRepeatPutShipsOnlyChangedPages) {
     warm = f.store.replicas()->bytes_shipped() - cold;
   });
   f.eng.run();
-  // Cold: 64 pages + header, per holder. Warm: 1 page + header, per holder.
   EXPECT_EQ(cold, 2 * (kReplicaHeaderBytes + 64 * kPageBytes));
-  EXPECT_EQ(warm, 2 * (kReplicaHeaderBytes + 1 * kPageBytes));
+  EXPECT_EQ(warm, 2 * (kReplicaHeaderBytes + 64 * kPageBytes));
 }
 
 TEST(ReplicaStoreTest, CrashInvalidatesExactlyTheCopiesTheHostHeld) {
@@ -236,21 +242,27 @@ TEST(ReplicaStoreTest, ReportsUnrecoverableWhenNoTierHoldsACopy) {
   EXPECT_FALSE(f.store.latest_recoverable("app", 1).has_value());
 }
 
-// Incremental chains: an epoch is only recoverable if every link back to
-// the full anchor survives.
-TEST(ReplicaStoreTest, RecoverableFollowsIncrementalChains) {
+// Delta chains: an epoch is only recoverable if every link back to the
+// full anchor survives.
+TEST(ReplicaStoreTest, RecoverableFollowsDeltaChains) {
   ReplicaFixture f;
+  f.store.set_compress_mode(CompressMode::kDelta);
   f.net.host(0)->spawn("writer", [&] {
     f.store.put(*f.net.host(0), CkptKey{"app", 0, 1}, f.image(8), {1});  // full anchor
-    Image delta = f.image(1);
-    delta.incremental = true;
-    delta.base_epoch = 1;
-    f.store.put(*f.net.host(0), CkptKey{"app", 0, 2}, std::move(delta), {2});
+    Image next = f.image(8);
+    next.payload[3 * kPageBytes] = std::byte{0xAB};  // one dirty page
+    f.store.put(*f.net.host(0), CkptKey{"app", 0, 2}, std::move(next), {2});
     f.store.commit("app", 2);
   });
   f.eng.run();
+  bool linked = false;
+  f.store.for_each_stored([&](const CkptKey& key, const StoredImage& img) {
+    if (key.epoch == 2) linked = is_delta(img.codec) && img.codec_base_epoch == 1;
+  });
+  ASSERT_TRUE(linked) << "epoch 2 is not stored as a delta on epoch 1";
   EXPECT_TRUE(f.store.replicas()->recoverable(CkptKey{"app", 0, 2}));
   f.net.crash_host(1);  // the anchor dies; the delta alone is useless
+  EXPECT_TRUE(f.store.contains(CkptKey{"app", 0, 2}));
   EXPECT_FALSE(f.store.replicas()->recoverable(CkptKey{"app", 0, 2}));
   EXPECT_FALSE(f.store.latest_recoverable("app", 1).has_value());
 }
