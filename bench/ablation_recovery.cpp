@@ -15,6 +15,8 @@
 // but R concurrent holder crashes destroy every copy of a rank's chain and
 // force a from-scratch restart where disk images would have survived.
 #include <cstdio>
+#include <set>
+#include <string>
 
 #include "bench_util.hpp"
 
@@ -62,7 +64,9 @@ struct DisklessOutcome {
   double restore_io_s = 0;    ///< summed restore-read time across all ranks
   uint64_t restore_reads = 0; ///< restore reads performed (chain elements)
   double completion_s = 0;
-  uint64_t restore_line = 0;  ///< recoverable line after the crash (0 = scratch)
+  /// The epochs the restart restored, as the ranks' launches received
+  /// them (0 = restarted from scratch); one under a coordinated protocol.
+  std::set<uint64_t> restore_lines;
   uint64_t events = 0;
 };
 
@@ -103,11 +107,18 @@ DisklessOutcome diskless_run(ckpt::CkptBackend backend, uint32_t kills) {
       // nothing of rank 0's chain survives.
       cluster.run_for(sim::milliseconds(500));
       for (uint32_t h = 1; h <= kills; ++h) cluster.crash_node(h);
-      out.restore_line = cluster.store()
-                             .latest_recoverable("dless", kDisklessRanks)
-                             .value_or(0);
     }
     const bool completed = cluster.run_until_done("dless", sim::seconds(600.0));
+    // The line is what the surviving daemons launched each rank with; the
+    // wave in flight at the crash may commit after it, so the store's
+    // latest recoverable epoch at the crash is not necessarily the line.
+    for (size_t i = 0; i < cluster.node_count(); ++i) {
+      const sim::HostId host = cluster.daemon_at(i).host_id();
+      if (host >= 1 && host <= kills) continue;
+      for (const auto& [rank, epoch] : cluster.daemon_at(i).local_restore_epochs("dless")) {
+        out.restore_lines.insert(epoch == daemon::kNoRestore ? 0 : epoch);
+      }
+    }
     out.completion_s = sim::to_seconds(cluster.engine().now());
     out.events = cluster.engine().events_executed();
     const uint64_t disk_ns = hub.metrics.histogram("ckpt.store.read_ns").sum();
@@ -178,14 +189,15 @@ int main(int argc, char** argv) {
       benchutil::HostTimer timer;
       const DisklessOutcome o = diskless_run(backend, kills);
       if (!mem) disk_io[kills] = o.restore_io_s;
-      char line[32];
-      std::snprintf(line, sizeof line, "%llu%s",
-                    static_cast<unsigned long long>(o.restore_line),
-                    o.restore_line == 0 ? " (scratch)" : "");
+      std::string line;
+      for (uint64_t epoch : o.restore_lines) {
+        line += (line.empty() ? "" : ",") + std::to_string(epoch);
+      }
+      if (o.restore_lines == std::set<uint64_t>{0}) line += " (scratch)";
       std::printf("%-10s %6u %16.6f %8llu %14.4f %14.4f %12s %8s\n",
                   mem ? "replica" : "disk", kills, o.restore_io_s,
                   static_cast<unsigned long long>(o.restore_reads), o.completion_s,
-                  o.completion_s - clean.completion_s, line, o.ok ? "yes" : "NO");
+                  o.completion_s - clean.completion_s, line.c_str(), o.ok ? "yes" : "NO");
       reporter.add({.name = "diskless/backend=" + std::string(mem ? "replica" : "disk") +
                             "/kills=" + std::to_string(kills),
                     .host_ns = timer.ns(),

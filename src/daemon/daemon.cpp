@@ -216,6 +216,14 @@ std::vector<uint32_t> Daemon::local_ranks(const std::string& app) const {
   return out;
 }
 
+std::map<uint32_t, uint64_t> Daemon::local_restore_epochs(const std::string& app) const {
+  std::map<uint32_t, uint64_t> out;
+  auto it = apps_.find(app);
+  if (it == apps_.end()) return out;
+  for (const auto& [rank, proc] : it->second.locals) out[rank] = proc.restore_epoch;
+  return out;
+}
+
 const std::vector<std::string>& Daemon::app_output(const std::string& app) const {
   static const std::vector<std::string> kEmpty;
   auto it = apps_.find(app);

@@ -89,6 +89,9 @@ class Daemon {
   bool knows_app(const std::string& app) const { return apps_.contains(app); }
   /// Ranks this daemon currently hosts for `app`.
   std::vector<uint32_t> local_ranks(const std::string& app) const;
+  /// The epoch each rank this daemon hosts for `app` was launched to
+  /// restore, as launch_rank received it (kNoRestore: started from scratch).
+  std::map<uint32_t, uint64_t> local_restore_epochs(const std::string& app) const;
   /// Console output collected from local processes of `app`.
   const std::vector<std::string>& app_output(const std::string& app) const;
   uint32_t restarts_performed() const { return restarts_performed_; }

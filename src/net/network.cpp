@@ -142,10 +142,6 @@ DatagramEndpoint::DatagramEndpoint(Network& net, NetAddr addr, TransportKind kin
 DatagramEndpoint::~DatagramEndpoint() { close(); }
 
 bool DatagramEndpoint::send(NetAddr dst, util::SharedBytes payload) {
-  return send_raw(dst, std::move(payload));
-}
-
-bool DatagramEndpoint::send_raw(NetAddr dst, util::SharedBytes payload) {
   if (inbox_.closed() || !net_.host_alive(addr_.host)) return false;
   net_.transmit(kind_, Packet{addr_, dst, std::move(payload)});
   return true;

@@ -63,12 +63,11 @@ class DatagramEndpoint {
   NetAddr addr() const { return addr_; }
   TransportKind transport() const { return kind_; }
 
-  /// Fire-and-forget; charges vni/kernel send CPU to the caller and puts the
-  /// payload on the wire. Returns false if the local host is dead.
+  /// Fire-and-forget: puts the payload on the wire. Nothing is charged
+  /// here; only the wire transit is modeled, so a caller that models send
+  /// CPU charges it itself. Returns false if the endpoint is closed or the
+  /// local host is dead.
   bool send(NetAddr dst, util::SharedBytes payload);
-  /// Raw enqueue-on-wire without charging send-side CPU (used by layers that
-  /// charge their own costs, e.g. the VNI instrumentation path).
-  bool send_raw(NetAddr dst, util::SharedBytes payload);
 
   sim::RecvResult<Packet> recv(sim::Time deadline = -1) { return inbox_.recv(deadline); }
   std::optional<Packet> try_recv() { return inbox_.try_recv(); }

@@ -52,7 +52,7 @@ void Vni::note_frames(uint64_t sent_bytes, bool received) {
 
 bool Vni::send(NetAddr dst, util::SharedBytes frame) {
   const uint64_t bytes = frame.size();
-  const bool ok = endpoint_->send_raw(dst, std::move(frame));
+  const bool ok = endpoint_->send(dst, std::move(frame));
   if (ok) {
     ++frames_sent_;
     note_frames(bytes, /*received=*/false);

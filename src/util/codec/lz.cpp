@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,10 +22,14 @@ namespace {
 constexpr size_t kMinMatch = 4;
 constexpr size_t kShortMatchMax = 17;  // low nibble 14 -> 3 + 14
 constexpr int kHashBits = 14;
-constexpr int kSeenBitsMax = 19;  // presence bitmap of a full block: 2^19 bits, 64 KB
+constexpr uint32_t kHashMul = 2654435761u;
+constexpr int kSeenBitsMax = 20;  // presence bitmap of a full block: 2^20 bits, 128 KB
 constexpr int kChainCap = 16;
 constexpr size_t kBlockHeaderBytes = 1 + 4 + 4 + 8;
 constexpr size_t kFrameHeaderBytes = 4 + 1 + 8 + 4;
+// Chain links hold position + 1 in 16 bits, 0 ending a chain: a block's
+// last inserted position is kLzBlockBytes - kMinMatch.
+static_assert(kLzBlockBytes - kMinMatch + 1 <= UINT16_MAX);
 
 uint32_t load_le32(const std::byte* p) {
   uint32_t v;
@@ -33,109 +38,149 @@ uint32_t load_le32(const std::byte* p) {
   return v;
 }
 
-/// The top `bits` bits of a multiplicative hash of a 4-byte window.
-uint32_t hash4(uint32_t v, int bits) { return (v * 2654435761u) >> (32 - bits); }
-
-/// log2 of the presence bitmap's size for an n-byte block: 8 bits per
-/// byte, so at most an eighth of them are set, and a small block clears a
+/// log2 of the presence bitmap's size for an n-byte block: 16 bits per
+/// byte, so at most a sixteenth of them are set, and a small block clears a
 /// small bitmap.
 int seen_bits(size_t n) {
-  return std::clamp(static_cast<int>(std::bit_width(n)) + 3, 6, kSeenBitsMax);
+  return std::clamp(static_cast<int>(std::bit_width(n)) + 4, 6, kSeenBitsMax);
 }
 
-void put_ext(Bytes& out, size_t v) {
-  while (v >= 255) {
-    out.push_back(std::byte{0xff});
-    v -= 255;
-  }
-  out.push_back(static_cast<std::byte>(v));
+/// Sets presence bit `s`; returns whether it was set already.
+bool test_and_set(uint64_t* seen, uint32_t s) {
+  uint64_t& word = seen[s >> 6];
+  const uint64_t bit = uint64_t{1} << (s & 63);
+  const bool was_set = (word & bit) != 0;
+  word |= bit;
+  return was_set;
+}
+
+/// Bytes put_ext(v) writes.
+size_t ext_bytes(size_t v) { return v / 255 + 1; }
+
+std::byte* put_ext(std::byte* o, size_t v) {
+  for (; v >= 255; v -= 255) *o++ = std::byte{0xff};
+  *o++ = static_cast<std::byte>(v);
+  return o;
 }
 
 Error codec_error(const std::string& what) { return Error::make("codec", "lz: " + what); }
 
-/// Token-compresses one block. Returns false (and an undefined `out`
-/// prefix beyond `out_start`) when the tokens would not beat the raw
-/// block, in which case the caller emits a stored block instead.
-///
-/// `seen` has one bit per hash4(window, seen_bits(n)) slot, set for every
-/// window inserted into the chains. A clear bit proves no chain holds the
-/// window, so the walk, which only accepts candidates equal to it, is
-/// skipped: the tokens are the same as with every walk taken. A set bit may
-/// be a collision; the walk decides.
-bool compress_block(const std::byte* p, size_t n, Bytes& out, size_t out_start,
-                    std::vector<int32_t>& head, std::vector<int32_t>& prev,
-                    std::vector<uint64_t>& seen) {
+/// The matcher's tables, allocated once per lz_compress call for its
+/// largest block and never zeroed here: compress_block clears the heads
+/// and the bitmap span it uses, and writes each link before a chain can
+/// reach it. 288 KB for a full block.
+struct MatchTables {
+  explicit MatchTables(size_t block)
+      : head(new uint16_t[size_t{1} << kHashBits]),
+        prev(new uint16_t[block + 1]),
+        seen(new uint64_t[size_t{1} << (seen_bits(block) - 6)]) {}
+  /// Newest position + 1 per 14-bit window hash; 0 = empty chain.
+  std::unique_ptr<uint16_t[]> head;
+  /// prev[q + 1] = the next older position + 1 in q's chain.
+  std::unique_ptr<uint16_t[]> prev;
+  /// One bit per hash of an inserted window, seen_bits(n) bits wide.
+  std::unique_ptr<uint64_t[]> seen;
+};
+
+/// Token-compresses one n-byte block into `out`, which has room for n - 1
+/// bytes. Returns the token byte count, or 0 when the tokens would reach n
+/// bytes, in which case the caller stores the block verbatim. Each
+/// sequence is sized before it is written, so a stored block stops at the
+/// sequence that would reach n, before copying its literals. The token
+/// rules this must keep are listed in lz.hpp. One multiply per window gives
+/// both the chain hash (its top 14 bits) and the presence slot (its top
+/// seen_bits(n) bits). A clear presence bit proves no chain holds the
+/// window, and a walk only accepts candidates equal to it, so such a
+/// position is only linked in (the literal loop).
+size_t compress_block(const std::byte* p, size_t n, std::byte* out, MatchTables& t) {
   const simd::Ops& simd = simd::ops();
-  std::fill(head.begin(), head.end(), -1);
+  uint16_t* const head = t.head.get();
+  uint16_t* const prev = t.prev.get();
+  uint64_t* const seen = t.seen.get();
   const int slot_bits = seen_bits(n);
-  std::fill_n(seen.begin(), size_t{1} << (slot_bits - 6), uint64_t{0});
-  // No reset: a position's link is written when it is inserted, before any
-  // chain can reach it.
-  prev.resize(n);
+  const int seen_shift = 32 - slot_bits;
+  std::fill_n(head, size_t{1} << kHashBits, uint16_t{0});
+  std::fill_n(seen, size_t{1} << (slot_bits - 6), uint64_t{0});
+  // Positions below `end_pos` have a whole window in the block.
+  const size_t end_pos = n >= kMinMatch ? n - kMinMatch + 1 : 0;
+  std::byte* o = out;
   size_t pos = 0;
   size_t lit_start = 0;
 
-  auto insert = [&](size_t q, uint32_t v) {
-    const uint32_t h = hash4(v, kHashBits);
-    prev[q] = head[h];
-    head[h] = static_cast<int32_t>(q);
-    const uint32_t s = hash4(v, slot_bits);
-    seen[s >> 6] |= uint64_t{1} << (s & 63);
+  auto link = [&](size_t q, uint32_t m) {
+    const uint32_t h = m >> (32 - kHashBits);
+    prev[q + 1] = head[h];
+    head[h] = static_cast<uint16_t>(q + 1);
   };
 
-  auto emit_seq = [&](size_t lit_len, size_t match_len, size_t offset) {
+  // Writes one sequence, or returns false when it would bring the tokens
+  // to n bytes.
+  auto emit = [&](size_t lit_len, size_t match_len, size_t offset) -> bool {
+    size_t bytes = 1 + lit_len + (lit_len >= 15 ? ext_bytes(lit_len - 15) : 0);
+    if (match_len != 0) {
+      bytes += 2 + (match_len > kShortMatchMax ? ext_bytes(match_len - (kShortMatchMax + 1)) : 0);
+    }
+    if (bytes >= n - static_cast<size_t>(o - out)) return false;
     const size_t lit_code = lit_len < 15 ? lit_len : 15;
-    size_t match_code = 0;
+    const size_t match_code = match_len == 0 ? 0 : std::min<size_t>(match_len - 3, 15);
+    *o++ = static_cast<std::byte>((lit_code << 4) | match_code);
+    if (lit_code == 15) o = put_ext(o, lit_len - 15);
+    simd.copy(o, p + lit_start, lit_len);
+    o += lit_len;
     if (match_len != 0) {
-      match_code = match_len - 3 < 15 ? match_len - 3 : 15;
+      *o++ = static_cast<std::byte>(offset & 0xff);
+      *o++ = static_cast<std::byte>((offset >> 8) & 0xff);
+      if (match_code == 15) o = put_ext(o, match_len - (kShortMatchMax + 1));
     }
-    out.push_back(static_cast<std::byte>((lit_code << 4) | match_code));
-    if (lit_code == 15) put_ext(out, lit_len - 15);
-    if (lit_len != 0) {
-      const size_t at = out.size();
-      out.resize(at + lit_len);
-      simd.copy(out.data() + at, p + lit_start, lit_len);
-    }
-    if (match_len != 0) {
-      out.push_back(static_cast<std::byte>(offset & 0xff));
-      out.push_back(static_cast<std::byte>((offset >> 8) & 0xff));
-      if (match_code == 15) put_ext(out, match_len - (kShortMatchMax + 1));
-    }
+    return true;
   };
 
-  while (pos + kMinMatch <= n) {
-    const uint32_t here = load_le32(p + pos);
-    const uint32_t s = hash4(here, slot_bits);
+  while (pos < end_pos) {
+    uint32_t here = load_le32(p + pos);
+    uint32_t m = here * kHashMul;
+    // The literal loop: leaves only on a set presence bit.
+    while (!test_and_set(seen, m >> seen_shift)) {
+      link(pos, m);
+      if (++pos == end_pos) break;
+      here = load_le32(p + pos);
+      m = here * kHashMul;
+    }
+    if (pos == end_pos) break;
+
+    const size_t max_len = n - pos;
     size_t best_len = 0;
     size_t best_off = 0;
-    const size_t max_len = n - pos;
-    int32_t cand = (seen[s >> 6] >> (s & 63)) & 1 ? head[hash4(here, kHashBits)] : -1;
-    for (int depth = 0; cand >= 0 && depth < kChainCap; ++depth, cand = prev[cand]) {
-      if (load_le32(p + static_cast<size_t>(cand)) != here) continue;
+    uint32_t c = head[m >> (32 - kHashBits)];
+    for (int depth = 0; c != 0 && depth < kChainCap; ++depth, c = prev[c]) {
+      const std::byte* cand = p + (c - 1);
+      if (load_le32(cand) != here) continue;
       // Self-referential overlap (cand + i >= pos) is fine: the decoder
       // replicates the pattern byte-by-byte, exactly what the forward
       // comparison below proves equal.
       const size_t len =
-          4 + simd.mismatch(p + static_cast<size_t>(cand) + 4, p + pos + 4, max_len - 4);
+          kMinMatch + simd.mismatch(cand + kMinMatch, p + pos + kMinMatch, max_len - kMinMatch);
       if (len > best_len) {
         best_len = len;
-        best_off = pos - static_cast<size_t>(cand);
+        best_off = pos + 1 - c;
       }
     }
-    if (best_len >= kMinMatch) {
-      emit_seq(pos - lit_start, best_len, best_off);
-      const size_t end = pos + best_len;
-      for (size_t q = pos; q < end && q + kMinMatch <= n; ++q) insert(q, load_le32(p + q));
-      pos = end;
-      lit_start = pos;
-      if (out.size() - out_start >= n) return false;  // not profitable, bail early
-    } else {
-      insert(pos, here);
+    link(pos, m);
+    if (best_len == 0) {
       ++pos;
+      continue;
     }
+    if (!emit(pos - lit_start, best_len, best_off)) return 0;
+    const size_t end = pos + best_len;
+    for (size_t q = pos + 1; q < std::min(end, end_pos); ++q) {
+      const uint32_t mq = load_le32(p + q) * kHashMul;
+      test_and_set(seen, mq >> seen_shift);
+      link(q, mq);
+    }
+    pos = end;
+    lit_start = end;
   }
-  if (lit_start < n) emit_seq(n - lit_start, 0, 0);
-  return out.size() - out_start < n;
+  if (lit_start < n && !emit(n - lit_start, 0, 0)) return 0;
+  return static_cast<size_t>(o - out);
 }
 
 struct BlockRef {
@@ -146,8 +191,10 @@ struct BlockRef {
 
 /// Parses and checksum-verifies the frame scaffolding shared by verify and
 /// decompress. On success `blocks` holds one entry per block and the
-/// announced raw length is returned.
-Result<uint64_t> parse_frame(BytesView frame, std::vector<BlockRef>& blocks) {
+/// announced raw length is returned. The header is bounded before it sizes
+/// anything: the raw length by `max_bytes`, the block count by the block
+/// headers the frame has room for.
+Result<uint64_t> parse_frame(BytesView frame, uint64_t max_bytes, std::vector<BlockRef>& blocks) {
   Reader r(frame);
   auto magic = r.u32();
   if (!magic || magic.value() != kLzMagic) return codec_error("bad magic");
@@ -157,6 +204,13 @@ Result<uint64_t> parse_frame(BytesView frame, std::vector<BlockRef>& blocks) {
   if (!raw_len) return codec_error("truncated header");
   auto n_blocks = r.u32();
   if (!n_blocks) return codec_error("truncated header");
+  if (raw_len.value() > max_bytes) {
+    return codec_error("frame announces oversized payload (" + std::to_string(raw_len.value()) +
+                       " > " + std::to_string(max_bytes) + " bytes)");
+  }
+  if (n_blocks.value() > r.remaining() / kBlockHeaderBytes) {
+    return codec_error("block count exceeds the frame");
+  }
   const uint64_t want_blocks =
       raw_len.value() == 0 ? 0 : (raw_len.value() + kLzBlockBytes - 1) / kLzBlockBytes;
   if (n_blocks.value() != want_blocks) return codec_error("block count mismatch");
@@ -243,23 +297,20 @@ Status decode_block(const BlockRef& blk, std::byte* dst) {
 Bytes lz_compress(BytesView raw) {
   const uint64_t n_blocks = raw.empty() ? 0 : (raw.size() + kLzBlockBytes - 1) / kLzBlockBytes;
   // Token-compress every block first, into one scratch run, so the frame
-  // is allocated once at its exact size. A block whose tokens do not beat
-  // it is stored verbatim (its partial tokens are dropped).
-  std::vector<int32_t> head(size_t{1} << kHashBits);
-  std::vector<int32_t> prev;
-  std::vector<uint64_t> seen(size_t{1} << (seen_bits(std::min(raw.size(), kLzBlockBytes)) - 6));
-  Bytes tokens;
-  std::vector<size_t> token_end(n_blocks);  // == the block's start when it is stored
+  // is allocated once at its exact size. A block's tokens are shorter than
+  // the block, so raw.size() bytes hold them all; the run is never zeroed.
+  // A block whose tokens would not beat it is stored verbatim.
+  MatchTables tables(std::min(raw.size(), kLzBlockBytes));
+  const std::unique_ptr<std::byte[]> tokens(new std::byte[raw.size()]);
+  std::vector<size_t> token_len(n_blocks);  // 0 when the block is stored
   size_t frame_bytes = kFrameHeaderBytes;
+  size_t used = 0;
   for (uint64_t b = 0; b < n_blocks; ++b) {
     const size_t off = static_cast<size_t>(b) * kLzBlockBytes;
     const size_t len = std::min(kLzBlockBytes, raw.size() - off);
-    const size_t start = tokens.size();
-    if (!compress_block(raw.data() + off, len, tokens, start, head, prev, seen)) {
-      tokens.resize(start);
-    }
-    token_end[b] = tokens.size();
-    frame_bytes += kBlockHeaderBytes + (tokens.size() > start ? tokens.size() - start : len);
+    token_len[b] = compress_block(raw.data() + off, len, tokens.get() + used, tables);
+    used += token_len[b];
+    frame_bytes += kBlockHeaderBytes + (token_len[b] != 0 ? token_len[b] : len);
   }
 
   Bytes out;
@@ -269,13 +320,13 @@ Bytes lz_compress(BytesView raw) {
   w.u8(kLzVersion);
   w.u64(raw.size());
   w.u32(static_cast<uint32_t>(n_blocks));
+  const std::byte* enc_at = tokens.get();
   for (uint64_t b = 0; b < n_blocks; ++b) {
     const size_t off = static_cast<size_t>(b) * kLzBlockBytes;
     const size_t len = std::min(kLzBlockBytes, raw.size() - off);
-    const size_t start = b == 0 ? 0 : token_end[b - 1];
-    const bool lz = token_end[b] > start;
-    const BytesView enc =
-        lz ? BytesView(tokens).subspan(start, token_end[b] - start) : raw.subspan(off, len);
+    const bool lz = token_len[b] != 0;
+    const BytesView enc = lz ? BytesView(enc_at, token_len[b]) : raw.subspan(off, len);
+    enc_at += token_len[b];
     w.u8(lz ? 1 : 0);
     w.u32(static_cast<uint32_t>(len));
     w.u32(static_cast<uint32_t>(enc.size()));
@@ -298,19 +349,15 @@ Result<uint64_t> lz_raw_size(BytesView frame) {
 
 Status lz_verify(BytesView frame) {
   std::vector<BlockRef> blocks;
-  auto parsed = parse_frame(frame, blocks);
+  auto parsed = parse_frame(frame, UINT64_MAX, blocks);
   if (!parsed) return parsed.error();
   return Status::ok_status();
 }
 
 Result<Bytes> lz_decompress(BytesView frame, uint64_t max_bytes) {
   std::vector<BlockRef> blocks;
-  auto parsed = parse_frame(frame, blocks);
+  auto parsed = parse_frame(frame, max_bytes, blocks);
   if (!parsed) return parsed.error();
-  if (parsed.value() > max_bytes) {
-    return codec_error("frame announces oversized payload (" + std::to_string(parsed.value()) +
-                       " > " + std::to_string(max_bytes) + " bytes)");
-  }
   Bytes out(static_cast<size_t>(parsed.value()));
   size_t off = 0;
   for (const BlockRef& blk : blocks) {

@@ -529,6 +529,43 @@ TEST(Incremental, ApplyRejectsReferenceBeyondBase) {
   expect_fails_closed(forge_delta(3 * kPageBytes, base, 1, {{2}}), base);
 }
 
+// A bare LZ frame header (17 bytes) announcing 2^32-1 or 10^8 blocks, with
+// a raw length that agrees with the count and no block carried. Every entry
+// point must refuse it before a block table or an output is sized from the
+// header; 2^32-1 block entries would not fit in memory.
+TEST(LzFrame, RejectsForgedBlockCountBeforeAllocating) {
+  for (uint32_t n_blocks : {0xFFFFFFFFu, 100000000u}) {
+    util::Bytes frame;
+    util::Writer w(frame);
+    w.u32(util::codec::kLzMagic);
+    w.u8(util::codec::kLzVersion);
+    w.u64(uint64_t{n_blocks} * util::codec::kLzBlockBytes);
+    w.u32(n_blocks);
+    ASSERT_EQ(frame.size(), 17u);
+    const util::BytesView bytes = util::as_bytes_view(frame);
+    const std::string at = "n_blocks=" + std::to_string(n_blocks);
+
+    const util::Status verified = util::codec::lz_verify(bytes);
+    ASSERT_FALSE(verified.ok()) << at;
+    EXPECT_EQ(verified.error().code, "codec") << at;
+    EXPECT_NE(verified.error().message.find("block count exceeds the frame"), std::string::npos)
+        << verified.error().message;
+    for (uint64_t max_bytes : {kMaxIncrementalStateBytes, ~uint64_t{0}}) {
+      auto out = util::codec::lz_decompress(bytes, max_bytes);
+      ASSERT_FALSE(out.ok()) << at << " max_bytes=" << max_bytes;
+      EXPECT_EQ(out.error().code, "codec") << at;
+    }
+    for (PayloadCodec codec : {PayloadCodec::kLz, PayloadCodec::kDeltaLz}) {
+      const util::Status st = verify_payload(codec, bytes);
+      ASSERT_FALSE(st.ok()) << at << " codec=" << static_cast<int>(codec);
+      EXPECT_EQ(st.error().code, "codec") << at;
+      auto decoded = decode_payload(codec, bytes, {}, kMaxIncrementalStateBytes, nullptr);
+      ASSERT_FALSE(decoded.ok()) << at << " codec=" << static_cast<int>(codec);
+      EXPECT_EQ(decoded.error().code, "codec") << at;
+    }
+  }
+}
+
 // ----------------------------------------------------------- recovery ----
 
 TEST(Recovery, NoMessagesNoRollback) {

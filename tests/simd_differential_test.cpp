@@ -10,21 +10,26 @@
 //
 // The whole binary is registered twice with ctest: once normally and once
 // with STARFISH_SIMD=scalar (SimdDifferentialScalarForced), so the image,
-// datatype and LZ frame goldens are also re-checked under a scalar-forced
-// dispatch.
+// datatype and LZ frame goldens, and the LZ matcher's byte-for-byte
+// comparison against its pre-rewrite reference (lz_reference.cpp), are
+// also re-checked under a scalar-forced dispatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "ckpt/codec.hpp"
 #include "ckpt/image.hpp"
+#include "ckpt/incremental.hpp"
 #include "mpi/datatype.hpp"
 #include "sim/machine.hpp"
 #include "util/codec/lz.hpp"
 #include "util/rng.hpp"
 #include "util/simd/simd.hpp"
 #include "vm/value.hpp"
+#include "lz_reference.hpp"
 
 namespace starfish {
 namespace {
@@ -506,6 +511,312 @@ TEST(SimdDifferential, LzFrameBytesInvariantAcrossLevels) {
       const util::Bytes frame = util::codec::lz_compress(util::as_bytes_view(raw));
       EXPECT_EQ(simd::fingerprint(frame.data(), frame.size()), g.frame_fingerprint)
           << simd::isa_name(isa) << " kind=" << static_cast<int>(g.kind) << " n=" << g.n;
+    }
+  }
+}
+
+
+// ------------------------------------------------- lz matcher oracle ----
+//
+// The matcher's tokens are part of the stored format: lz_compress must
+// write exactly the frames of the pre-rewrite matcher (lz_reference.cpp,
+// kept verbatim), at every ISA level. The corpus is every lz_input kind, an
+// SFV2 column of narrowed ints and a delta frame of literal pages at sizes
+// around zero, a page and a block, plus adversarial blocks aimed at each
+// token rule the rewrite must keep.
+
+using util::codec::kLzBlockBytes;
+
+/// One decoded sequence of an LZ block: `lit_len` literals, then a match of
+/// `match_len` bytes (0 = none) starting at raw position `at`.
+struct LzSeq {
+  size_t at = 0;
+  size_t lit_len = 0;
+  size_t match_len = 0;
+  size_t offset = 0;
+};
+
+/// The sequences of a frame's first block; empty when that block is stored.
+std::vector<LzSeq> lz_block_sequences(const util::Bytes& frame) {
+  constexpr size_t kHeader = 17, kBlockHeader = 17;
+  std::vector<LzSeq> out;
+  if (frame.size() <= kHeader + kBlockHeader || frame[kHeader] != std::byte{1}) return out;
+  const auto byte = [&](size_t i) { return static_cast<size_t>(frame[i]); };
+  size_t enc_len = 0;
+  for (int k = 3; k >= 0; --k) enc_len = enc_len << 8 | byte(kHeader + 5 + k);
+  size_t ip = kHeader + kBlockHeader;
+  const size_t end = ip + enc_len;
+  size_t op = 0;
+  auto ext = [&](size_t& v) {
+    for (size_t b = 255; b == 255; v += b) b = byte(ip++);
+  };
+  while (ip < end) {
+    LzSeq seq;
+    const size_t token = byte(ip++);
+    seq.lit_len = token >> 4;
+    if (seq.lit_len == 15) ext(seq.lit_len);
+    ip += seq.lit_len;
+    op += seq.lit_len;
+    seq.at = op;
+    if ((token & 15) != 0) {
+      seq.offset = byte(ip) | byte(ip + 1) << 8;
+      ip += 2;
+      seq.match_len = (token & 15) + 3;
+      if ((token & 15) == 15) ext(seq.match_len);
+      op += seq.match_len;
+    }
+    out.push_back(seq);
+  }
+  return out;
+}
+
+bool has_match_at(const std::vector<LzSeq>& seqs, size_t at) {
+  return std::any_of(seqs.begin(), seqs.end(),
+                     [&](const LzSeq& s) { return s.match_len != 0 && s.at == at; });
+}
+
+/// `count` distinct 4-byte windows (as little-endian values), none equal
+/// to `avoid`, whose 14-bit chain hash equals `avoid`'s.
+std::vector<uint32_t> colliding_windows(uint32_t avoid, size_t count) {
+  const auto hash14 = [](uint32_t v) { return (v * 2654435761u) >> 18; };
+  std::vector<uint32_t> out;
+  for (uint32_t v = 0x9e3779b9; out.size() < count; v += 0x01000193) {
+    if (v != avoid && hash14(v) == hash14(avoid)) out.push_back(v);
+  }
+  return out;
+}
+
+/// `n` bytes of an SFV2 image of one array of narrowed ints, the shape of
+/// sparse8_ckpt's rank state (the image is built long enough, then cut).
+util::Bytes sfv2_column(size_t n) {
+  util::Rng rng(0x5f2c01);
+  vm::VmState s;
+  vm::HeapObject arr;
+  arr.assign(n / 4 + 64, Value::unit());
+  for (size_t i = 0; i < n / 4 + 64; ++i) {
+    arr.set(i, Value::integer(static_cast<int64_t>(rng.below(uint64_t{1} << 20))));
+  }
+  s.heap.push_back(std::move(arr));
+  util::Bytes payload = ckpt::portable_encode(sim::default_machine(), s).payload;
+  payload.resize(n);
+  return payload;
+}
+
+/// `n` bytes of a payload delta frame whose every page is a literal.
+util::Bytes delta_literal_frame(size_t n) {
+  util::Rng rng(0xde17a);
+  const size_t pages = n / ckpt::kPageBytes + 2;
+  util::Bytes base(pages * ckpt::kPageBytes);
+  for (size_t i = 0; i < base.size(); i += 4) {
+    const auto v = static_cast<uint32_t>(rng.below(uint64_t{1} << 20));
+    std::memcpy(base.data() + i, &v, 4);
+  }
+  util::Bytes raw = base;
+  for (size_t page = 0; page < pages; ++page) {
+    raw[page * ckpt::kPageBytes + rng.below(ckpt::kPageBytes)] ^= std::byte{0x5a};
+  }
+  util::Bytes frame = ckpt::encode_payload(ckpt::CompressMode::kDelta, util::as_bytes_view(raw),
+                                           util::as_bytes_view(base), nullptr)
+                          .bytes;
+  frame.resize(n);
+  return frame;
+}
+
+struct LzCase {
+  std::string name;
+  util::Bytes raw;
+};
+
+/// Blocks aimed at one token rule each; `checks` below pins that each
+/// hits the rule it is named after.
+std::vector<LzCase> lz_adversarial_cases() {
+  util::Rng rng(0xadd5);
+  std::vector<LzCase> out;
+  const auto random = [&](size_t n) { return random_bytes(rng, n); };
+  const auto append = [](util::Bytes& to, const util::Bytes& from) {
+    to.insert(to.end(), from.begin(), from.end());
+  };
+  const util::Bytes zeros(4096, std::byte{0});
+
+  // A window, then `k` windows of its 14-bit hash, then the window again
+  // with the same 8-byte tail: the walk at the repeat reaches the first
+  // copy only while collisions leave it inside the 16-entry cap.
+  for (size_t k : {15, 16, 17, 20}) {
+    const util::Bytes head = random(12);
+    util::Bytes b = head;
+    uint32_t w0 = 0;
+    std::memcpy(&w0, head.data(), 4);
+    util::Writer w(b);
+    for (uint32_t v : colliding_windows(w0, k)) w.u32(v);
+    append(b, head);
+    append(b, zeros);
+    out.push_back({"collisions=" + std::to_string(k), std::move(b)});
+  }
+  // Ties: three copies of one window with different continuations; the
+  // third keeps the newest candidate.
+  {
+    const util::Bytes w = random(4);
+    util::Bytes b;
+    for (int copy = 0; copy < 3; ++copy) {
+      append(b, w);
+      append(b, random(5));
+    }
+    append(b, zeros);
+    out.push_back({"tie", std::move(b)});
+  }
+  // Self-overlapping runs: periods 1, 3 and 7, each to the block's end.
+  for (size_t period : {1, 3, 7}) {
+    util::Bytes b = random(period);
+    while (b.size() < 700) b.push_back(b[b.size() - period]);
+    out.push_back({"overlap period=" + std::to_string(period), std::move(b)});
+  }
+  // Literal runs at the extension boundaries, before a match and at the
+  // block's end.
+  for (size_t lit : {14, 15, 16, 269, 270}) {
+    util::Bytes b = random(lit);
+    b.insert(b.end(), b.begin(), b.begin() + 8);
+    append(b, zeros);
+    out.push_back({"literals before match=" + std::to_string(lit), std::move(b)});
+    util::Bytes tail = zeros;
+    append(tail, random(lit));
+    out.push_back({"trailing literals=" + std::to_string(lit), std::move(tail)});
+  }
+  // Match lengths at the extension boundaries.
+  for (size_t len : {17, 18, 272, 273}) {
+    util::Bytes b = random(300);
+    b.insert(b.end(), b.begin(), b.begin() + static_cast<ptrdiff_t>(len));
+    b.push_back(b[len] ^ std::byte{0xff});
+    append(b, zeros);
+    out.push_back({"match=" + std::to_string(len), std::move(b)});
+  }
+  // Tokens exactly at the raw size (stored), and one byte under it (lz).
+  for (size_t match : {4, 5}) {
+    util::Bytes b = random(8);
+    b.insert(b.end(), b.begin(), b.begin() + static_cast<ptrdiff_t>(match));
+    b.push_back(b[match] ^ std::byte{0xff});
+    append(b, random(4));
+    out.push_back({"tokens=raw" + std::string(match == 4 ? "" : "-1"), std::move(b)});
+  }
+  // A match ending 1, 2 or 3 bytes before a full block's end, where those
+  // bytes and the next block's first ones repeat an earlier window: the
+  // last three positions must not be searched (or inserted).
+  for (size_t t : {1, 2, 3}) {
+    const util::Bytes seg = random(64);
+    util::Bytes quad = random(4);
+    if (quad[0] == seg[16]) quad[0] ^= std::byte{1};
+    util::Bytes b(1000, std::byte{0});
+    append(b, seg);
+    append(b, quad);
+    append(b, random(4));
+    b.resize(kLzBlockBytes - 16 - t, std::byte{0});
+    b.insert(b.end(), seg.begin(), seg.begin() + 16);
+    append(b, quad);  // t bytes in this block, 4 - t in the next
+    append(b, random(100));
+    append(b, zeros);
+    out.push_back({"match ends " + std::to_string(t) + " before block end", std::move(b)});
+  }
+  return out;
+}
+
+TEST(SimdDifferential, LzMatcherWritesTheReferenceFrames) {
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 8; ++n) sizes.push_back(n);
+  for (size_t n = 4095; n <= 4097; ++n) sizes.push_back(n);
+  for (size_t n = 65531; n <= 65537; ++n) sizes.push_back(n);
+  sizes.push_back(131072);
+  sizes.push_back(200001);
+
+  std::vector<LzCase> corpus;
+  for (LzInput kind : {LzInput::kZeros, LzInput::kRandom, LzInput::kRunHeavy,
+                       LzInput::kStructured, LzInput::kNarrowColumn}) {
+    for (size_t n : sizes) {
+      corpus.push_back({"kind=" + std::to_string(static_cast<int>(kind)) + " n=" +
+                            std::to_string(n),
+                        lz_input(kind, n)});
+    }
+  }
+  const util::Bytes column = sfv2_column(sizes.back());
+  const util::Bytes delta = delta_literal_frame(sizes.back());
+  for (size_t n : sizes) {
+    corpus.push_back({"sfv2 n=" + std::to_string(n), util::Bytes(column.begin(), column.begin() + static_cast<ptrdiff_t>(n))});
+    corpus.push_back({"delta n=" + std::to_string(n), util::Bytes(delta.begin(), delta.begin() + static_cast<ptrdiff_t>(n))});
+  }
+  for (LzCase& c : lz_adversarial_cases()) corpus.push_back(std::move(c));
+
+  ForceGuard guard;
+  for (Isa isa : simd::available()) {
+    simd::force(isa);
+    for (const LzCase& c : corpus) {
+      const util::BytesView raw = util::as_bytes_view(c.raw);
+      const util::Bytes want = util::codec::reference::lz_compress(raw);
+      const util::Bytes got = util::codec::lz_compress(raw);
+      if (got != want) {
+        const auto diff = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+        ADD_FAILURE() << simd::isa_name(isa) << " " << c.name << ": frame of " << got.size()
+                      << " bytes differs from the reference's " << want.size()
+                      << " at byte " << (diff.first - got.begin());
+        continue;
+      }
+      auto back = util::codec::lz_decompress(util::as_bytes_view(got), c.raw.size());
+      ASSERT_TRUE(back.ok()) << c.name;
+      EXPECT_TRUE(back.value() == c.raw) << c.name;
+    }
+  }
+}
+
+// The adversarial blocks hit the rules they are named after (on the
+// reference's frames, so a failure here means the corpus lost its aim).
+TEST(SimdDifferential, LzAdversarialBlocksHitTheirRules) {
+  for (const LzCase& c : lz_adversarial_cases()) {
+    const util::Bytes frame = util::codec::reference::lz_compress(util::as_bytes_view(c.raw));
+    const std::vector<LzSeq> seqs = lz_block_sequences(frame);
+    const auto lit_run = [&](size_t len) {
+      return std::any_of(seqs.begin(), seqs.end(), [&](const LzSeq& s) { return s.lit_len == len; });
+    };
+    const auto match_of = [&](size_t len) {
+      return std::any_of(seqs.begin(), seqs.end(), [&](const LzSeq& s) { return s.match_len == len; });
+    };
+    const std::string& name = c.name;
+    if (name.starts_with("collisions=")) {
+      const size_t k = std::stoul(name.substr(11));
+      const size_t repeat = 12 + 4 * k;
+      EXPECT_EQ(has_match_at(seqs, repeat), k < 16) << name;
+      EXPECT_TRUE(has_match_at(seqs, repeat + 1) || k < 16) << name;
+    } else if (name == "tie") {
+      ASSERT_TRUE(has_match_at(seqs, 18)) << name;
+      for (const LzSeq& s : seqs) {
+        if (s.at == 18) {
+          EXPECT_EQ(s.offset, 9u) << name;
+        }
+      }
+    } else if (name.starts_with("overlap")) {
+      const size_t period = std::stoul(name.substr(15));
+      ASSERT_FALSE(seqs.empty()) << name;
+      EXPECT_EQ(seqs.back().offset, period) << name;
+      EXPECT_EQ(seqs.back().at + seqs.back().match_len, c.raw.size()) << name;
+    } else if (name.starts_with("literals before match=")) {
+      EXPECT_TRUE(lit_run(std::stoul(name.substr(22)))) << name;
+    } else if (name.starts_with("trailing literals=")) {
+      ASSERT_FALSE(seqs.empty()) << name;
+      EXPECT_EQ(seqs.back().lit_len, std::stoul(name.substr(18))) << name;
+      EXPECT_EQ(seqs.back().match_len, 0u) << name;
+    } else if (name.starts_with("match=")) {
+      EXPECT_TRUE(match_of(std::stoul(name.substr(6)))) << name;
+    } else if (name == "tokens=raw") {
+      EXPECT_EQ(frame[17], std::byte{0}) << name << ": must be stored";
+      EXPECT_EQ(frame.size(), 17 + 17 + c.raw.size()) << name;
+    } else if (name == "tokens=raw-1") {
+      EXPECT_EQ(frame[17], std::byte{1}) << name;
+      EXPECT_EQ(frame.size(), 17 + 17 + c.raw.size() - 1) << name;
+    } else if (name.starts_with("match ends")) {
+      const size_t t = std::stoul(name.substr(11));
+      ASSERT_FALSE(seqs.empty()) << name;
+      // The block's last sequence: the repeated segment, then t literals.
+      ASSERT_GE(seqs.size(), 2u) << name;
+      EXPECT_EQ(seqs.back().lit_len, t) << name;
+      EXPECT_EQ(seqs.back().match_len, 0u) << name;
+      const LzSeq& last_match = seqs[seqs.size() - 2];
+      EXPECT_EQ(last_match.at + last_match.match_len, kLzBlockBytes - t) << name;
     }
   }
 }
