@@ -24,10 +24,34 @@ using namespace starfish;
 
 namespace {
 
+/// The epochs the daemons launched `app`'s ranks with (0 = from scratch).
+/// After a restart that is the recovery line: a wave in flight at the
+/// crash may commit after it, so the store's latest epoch is not. Hosts
+/// in `crashed` are skipped: their daemons' records predate the crash.
+std::set<uint64_t> launched_epochs(core::Cluster& cluster, const std::string& app,
+                                   const std::set<sim::HostId>& crashed) {
+  std::set<uint64_t> epochs;
+  for (size_t i = 0; i < cluster.node_count(); ++i) {
+    if (crashed.contains(cluster.daemon_at(i).host_id())) continue;
+    for (const auto& [rank, epoch] : cluster.daemon_at(i).local_restore_epochs(app)) {
+      epochs.insert(epoch == daemon::kNoRestore ? 0 : epoch);
+    }
+  }
+  return epochs;
+}
+
+/// "4", "3,4", or "0 (scratch)" when every rank started over.
+std::string format_line(const std::set<uint64_t>& epochs) {
+  std::string line;
+  for (uint64_t epoch : epochs) line += (line.empty() ? "" : ",") + std::to_string(epoch);
+  if (epochs == std::set<uint64_t>{0}) line += " (scratch)";
+  return line;
+}
+
 struct Outcome {
   bool ok = false;
   double completion_s = 0;
-  uint64_t line_epoch = 0;
+  std::string line;  ///< epochs the restart launched the surviving ranks with
   uint32_t restarts = 0;
 };
 
@@ -52,7 +76,7 @@ Outcome run(daemon::CrProtocol protocol, bool crash) {
   Outcome out;
   out.ok = cluster.run_until_done("rec", sim::seconds(120.0));
   out.completion_s = sim::to_seconds(cluster.engine().now());
-  out.line_epoch = cluster.store().latest_committed("rec").value_or(0);
+  out.line = format_line(launched_epochs(cluster, "rec", {2}));
   out.restarts = cluster.daemon_at(0).restarts_performed();
   return out;
 }
@@ -64,8 +88,8 @@ struct DisklessOutcome {
   double restore_io_s = 0;    ///< summed restore-read time across all ranks
   uint64_t restore_reads = 0; ///< restore reads performed (chain elements)
   double completion_s = 0;
-  /// The epochs the restart restored, as the ranks' launches received
-  /// them (0 = restarted from scratch); one under a coordinated protocol.
+  /// The epochs the restart restored (launched_epochs); one under a
+  /// coordinated protocol.
   std::set<uint64_t> restore_lines;
   uint64_t events = 0;
 };
@@ -109,16 +133,9 @@ DisklessOutcome diskless_run(ckpt::CkptBackend backend, uint32_t kills) {
       for (uint32_t h = 1; h <= kills; ++h) cluster.crash_node(h);
     }
     const bool completed = cluster.run_until_done("dless", sim::seconds(600.0));
-    // The line is what the surviving daemons launched each rank with; the
-    // wave in flight at the crash may commit after it, so the store's
-    // latest recoverable epoch at the crash is not necessarily the line.
-    for (size_t i = 0; i < cluster.node_count(); ++i) {
-      const sim::HostId host = cluster.daemon_at(i).host_id();
-      if (host >= 1 && host <= kills) continue;
-      for (const auto& [rank, epoch] : cluster.daemon_at(i).local_restore_epochs("dless")) {
-        out.restore_lines.insert(epoch == daemon::kNoRestore ? 0 : epoch);
-      }
-    }
+    std::set<sim::HostId> crashed;
+    for (uint32_t h = 1; h <= kills; ++h) crashed.insert(h);
+    out.restore_lines = launched_epochs(cluster, "dless", crashed);
     out.completion_s = sim::to_seconds(cluster.engine().now());
     out.events = cluster.engine().events_executed();
     const uint64_t disk_ns = hub.metrics.histogram("ckpt.store.read_ns").sum();
@@ -155,9 +172,9 @@ int main(int argc, char** argv) {
     const Outcome crashed = run(protocol, true);
     std::printf("%-16s %8s %14.4f %14s %12s %10s\n", daemon::protocol_name(protocol), "no",
                 clean.completion_s, "-", "-", "-");
-    std::printf("%-16s %8s %14.4f %14.4f %12llu %10u\n", "", "yes",
-                crashed.completion_s, crashed.completion_s - clean.completion_s,
-                static_cast<unsigned long long>(crashed.line_epoch), crashed.restarts);
+    std::printf("%-16s %8s %14.4f %14.4f %12s %10u\n", "", "yes", crashed.completion_s,
+                crashed.completion_s - clean.completion_s, crashed.line.c_str(),
+                crashed.restarts);
     reporter.add({.name = std::string("recovery/protocol=") + daemon::protocol_name(protocol),
                   .host_ns = timer.ns(),
                   .sim_ns = static_cast<uint64_t>(sim::seconds(crashed.completion_s)),
@@ -189,11 +206,7 @@ int main(int argc, char** argv) {
       benchutil::HostTimer timer;
       const DisklessOutcome o = diskless_run(backend, kills);
       if (!mem) disk_io[kills] = o.restore_io_s;
-      std::string line;
-      for (uint64_t epoch : o.restore_lines) {
-        line += (line.empty() ? "" : ",") + std::to_string(epoch);
-      }
-      if (o.restore_lines == std::set<uint64_t>{0}) line += " (scratch)";
+      const std::string line = format_line(o.restore_lines);
       std::printf("%-10s %6u %16.6f %8llu %14.4f %14.4f %12s %8s\n",
                   mem ? "replica" : "disk", kills, o.restore_io_s,
                   static_cast<unsigned long long>(o.restore_reads), o.completion_s,

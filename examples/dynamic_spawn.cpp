@@ -30,7 +30,7 @@ void master_worker(core::AppContext& ctx) {
     for (uint32_t r = 1; r < ctx.size(); ++r) {
       auto reply = ctx.world().recv(mpi::kAnySource, kResultTag);
       util::Reader rd(util::as_bytes_view(reply));
-      total += rd.i64().value_or(0);
+      total += rd.i64();
     }
     ctx.print("sum of squares of work units = " + std::to_string(total));
     return;
@@ -38,7 +38,7 @@ void master_worker(core::AppContext& ctx) {
   // Spawned workers: receive a unit, square it, reply.
   auto work = ctx.world().recv(0, kGoTag);
   util::Reader rd(util::as_bytes_view(work));
-  const int64_t unit = rd.i64().value_or(0);
+  const int64_t unit = rd.i64();
   ctx.compute(sim::milliseconds(20));
   util::Bytes reply;
   util::Writer w(reply);

@@ -40,8 +40,8 @@ void pi_app(core::AppContext& ctx) {
     while (have < kBlocks) {
       auto data = ctx.world().recv(mpi::kAnySource, kResultTag);
       util::Reader r(util::as_bytes_view(data));
-      const int64_t block = r.i64().value_or(0);
-      const int64_t h = r.i64().value_or(0);
+      const int64_t block = r.i64();
+      const int64_t h = r.i64();
       if (hits[static_cast<size_t>(block)] < 0) {
         hits[static_cast<size_t>(block)] = h;
         ++have;

@@ -46,6 +46,10 @@ cd build-asan
 # dispatcher forced: it pins fast-vs-checked and fused-vs-unfused
 # equivalence, which is exactly what this tree's configuration exercises.
 [ "$(ctest -N | grep -c "VmDifferential")" -gt 0 ] || { echo "vm differential tests missing from ctest registration" >&2; exit 1; }
+# The decode mutation table must run sanitized: it feeds every decoder
+# truncated, flipped and count-forged bytes, the inputs where a missed
+# bounds check becomes an out-of-bounds read.
+[ "$(ctest -N | grep -c "DecodeMutation")" -gt 0 ] || { echo "decode mutation tests missing from ctest registration" >&2; exit 1; }
 # (-R before -j: ctest's -j greedily consumes the following argument.)
 STARFISH_OBS_FORCE=1 ctest --output-on-failure -R '^Obs' -j "$@"
 ctest --output-on-failure -j "$@"
@@ -75,9 +79,10 @@ STARFISH_CKPT_COMPRESS=delta+lz ctest --output-on-failure -R 'Chaos|Replica|Code
 # loops the vector kernels are differenced against (the differential suite
 # itself still exercises every compiled level via simd::table()). The
 # Incremental* and PayloadCodec suites drive the delta codec's page diff
-# and frame fingerprints through the scalar kernels.
+# and frame fingerprints through the scalar kernels; DecodeMutation drives
+# the SFV2, delta and LZ decoders' bulk reads and checksums through them.
 [ "$(ctest -N | grep -c "SimdDifferential")" -gt 0 ] || { echo "simd differential tests missing from ctest registration" >&2; exit 1; }
-STARFISH_SIMD=scalar ctest --output-on-failure -R 'Simd|PortableImage|Datatype|Incremental|PayloadCodec' -j "$@"
+STARFISH_SIMD=scalar ctest --output-on-failure -R 'Simd|PortableImage|Datatype|Incremental|PayloadCodec|DecodeMutation' -j "$@"
 
 # Perf smoke rides along on the non-sanitized Release tree: warn-only
 # comparison of the engine hot-path benches vs scripts/perf_baseline.json.

@@ -29,6 +29,10 @@ constexpr uint8_t kDeltaVersion = 1;
 Error codec_error(const std::string& what) { return Error::make("codec", "payload: " + what); }
 
 size_t page_count(uint64_t len) { return static_cast<size_t>((len + kPageBytes - 1) / kPageBytes); }
+/// Bytes of page `p` (below page_count(len)) in a payload of `len` bytes.
+size_t page_len(uint64_t len, size_t p) {
+  return std::min<size_t>(kPageBytes, static_cast<size_t>(len) - p * kPageBytes);
+}
 
 void note_encode(obs::Hub* hub, uint64_t raw_len, uint64_t enc_len, uint64_t refs,
                  uint64_t literals) {
@@ -114,53 +118,38 @@ Result<DeltaHeader> parse_delta(BytesView frame, uint64_t max_bytes,
                                 std::vector<DeltaLiteral>& literals) {
   if (frame.size() < sizeof(uint64_t)) return codec_error("delta frame too short");
   const size_t body_len = frame.size() - sizeof(uint64_t);
-  Reader tail(frame.subspan(body_len));
-  const uint64_t want = tail.u64().value();
+  const uint64_t want = Reader(frame.subspan(body_len)).u64();
   if (simd::fingerprint(frame.data(), body_len) != want) {
     return codec_error("delta frame checksum mismatch");
   }
-  Reader r(frame.subspan(0, body_len));
-  auto magic = r.u32();
-  if (!magic || magic.value() != kDeltaMagic) return codec_error("bad delta magic");
-  auto version = r.u8();
-  if (!version || version.value() != kDeltaVersion) {
-    return codec_error("unsupported delta version");
+  Reader r(frame.subspan(0, body_len), util::Endian::kLittle, "codec");
+  if (r.u32() != kDeltaMagic) r.fail("payload: bad delta magic");
+  if (r.u8() != kDeltaVersion) r.fail("payload: unsupported delta version");
+  DeltaHeader h;
+  h.raw_len = r.u64();
+  h.base_len = r.u64();
+  h.base_check = r.u64();
+  if (h.raw_len > max_bytes) {
+    r.fail("payload: delta announces oversized payload (" + std::to_string(h.raw_len) + " > " +
+           std::to_string(max_bytes) + " bytes)");
   }
-  auto raw_len = r.u64();
-  auto base_len = r.u64();
-  auto base_check = r.u64();
-  auto n_literals = r.u32();
-  if (!raw_len || !base_len || !base_check || !n_literals) {
-    return codec_error("truncated delta header");
-  }
-  if (raw_len.value() > max_bytes) {
-    return codec_error("delta announces oversized payload (" + std::to_string(raw_len.value()) +
-                       " > " + std::to_string(max_bytes) + " bytes)");
-  }
-  const size_t n_pages = page_count(raw_len.value());
-  if (n_literals.value() > n_pages) return codec_error("delta carries more pages than the payload");
-  if (n_literals.value() > r.remaining() / kLiteralHeaderBytes) {
-    return codec_error("delta announces more literals than the frame holds");
-  }
-  literals.clear();
-  literals.reserve(n_literals.value());
-  uint32_t prev_page = 0;
-  for (uint32_t i = 0; i < n_literals.value(); ++i) {
-    auto page = r.u32();
-    if (!page) return codec_error("truncated delta literal");
-    if (page.value() >= n_pages) return codec_error("delta literal page beyond payload");
-    if (i != 0 && page.value() <= prev_page) {
-      return codec_error("delta literal pages not strictly increasing");
+  const size_t n_pages = page_count(h.raw_len);
+  literals.resize(r.count(kLiteralHeaderBytes,
+                          "payload: delta announces more literals than the frame holds"));
+  if (literals.size() > n_pages) r.fail("payload: delta carries more pages than the payload");
+  for (size_t i = 0; i < literals.size(); ++i) {
+    DeltaLiteral& lit = literals[i];
+    lit.page = r.u32();
+    lit.bytes = r.view();
+    if (lit.page >= n_pages) {
+      r.fail("payload: delta literal page beyond payload");
+    } else if (i != 0 && lit.page <= literals[i - 1].page) {
+      r.fail("payload: delta literal pages not strictly increasing");
+    } else if (lit.bytes.size() != page_len(h.raw_len, lit.page)) {
+      r.fail("payload: delta literal has wrong length");
     }
-    prev_page = page.value();
-    auto data = r.view();
-    if (!data) return codec_error("truncated delta literal");
-    const size_t off = static_cast<size_t>(page.value()) * kPageBytes;
-    const size_t expected = std::min<size_t>(kPageBytes, static_cast<size_t>(raw_len.value()) - off);
-    if (data.value().size() != expected) return codec_error("delta literal has wrong length");
-    literals.push_back({page.value(), data.value()});
   }
-  if (!r.exhausted()) return codec_error("trailing bytes in delta frame");
+  if (Status s = r.finish("a delta frame"); !s.ok()) return s.error();
   // Every non-literal page is a base reference; references past the base's
   // end could never have been emitted by the encoder.
   size_t li = 0;
@@ -169,11 +158,11 @@ Result<DeltaHeader> parse_delta(BytesView frame, uint64_t max_bytes,
       ++li;
       continue;
     }
-    const size_t off = p * kPageBytes;
-    const size_t len = std::min<size_t>(kPageBytes, static_cast<size_t>(raw_len.value()) - off);
-    if (off + len > base_len.value()) return codec_error("delta references page beyond base");
+    if (p * kPageBytes + page_len(h.raw_len, p) > h.base_len) {
+      return codec_error("delta references page beyond base");
+    }
   }
-  return DeltaHeader{raw_len.value(), base_len.value(), base_check.value()};
+  return h;
 }
 
 Result<Bytes> delta_decode(BytesView frame, BytesView base, uint64_t max_bytes) {

@@ -131,54 +131,64 @@ void put_columns(Writer& w, const vm::HeapObject& cols, const TagCounts& c, uint
 }
 
 /// Reads the next words of t's column into `out`, converting the saver's
-/// word size (ints) and widening u32 refs.
-util::Status get_words(Reader& r, Tag t, std::span<uint64_t> out, uint8_t saver_word) {
+/// word size (ints) and widening u32 refs. A bool byte must be 0 or 1.
+void get_words(Reader& r, Tag t, std::span<uint64_t> out, uint8_t saver_word) {
   switch (t) {
     case Tag::kInt:
-      return saver_word >= 8 ? r.read_u64s(out) : r.read_i64s_widened(as_i64(out));
+      if (saver_word >= 8) {
+        r.read_u64s(out);
+      } else {
+        r.read_i64s_widened(as_i64(out));
+      }
+      return;
     case Tag::kFloat:
-      return r.read_u64s(out);
+      r.read_u64s(out);
+      return;
     case Tag::kBool: {
-      auto b = r.raw_view(out.size());
-      if (!b) return b.error();
-      for (size_t j = 0; j < out.size(); ++j) out[j] = b.value()[j] != std::byte{0} ? 1 : 0;
-      return util::Status::ok_status();
+      const util::BytesView b = r.raw_view(out.size());
+      uint8_t seen = 0;
+      for (size_t j = 0; j < b.size(); ++j) {
+        out[j] = static_cast<uint8_t>(b[j]);
+        seen |= static_cast<uint8_t>(b[j]);
+      }
+      if (seen > 1) r.fail("bool byte not 0/1");
+      return;
     }
-    case Tag::kRef: {
-      if (auto s = r.read_i64s_widened(as_i64(out)); !s.ok()) return s;
+    case Tag::kRef:
+      r.read_i64s_widened(as_i64(out));
       for (uint64_t& ref : out) ref &= 0xffffffffu;  // zero-extend, not sign-extend
-      return util::Status::ok_status();
-    }
+      return;
     case Tag::kUnit:
-      break;
+      return;
   }
-  return util::Status::ok_status();
 }
 
-/// Reads `n` values written by put_columns into the columns of `cols`,
+/// Reads a sequence written by put_columns into the columns of `cols`,
 /// converting the saver's word size, and checks every integer against the
 /// target machine's word. Fails closed on a byte that names no tag.
-util::Status get_columns(Reader& r, uint32_t n, uint8_t saver_word, const sim::Machine& target,
-                         vm::HeapObject& cols) {
-  auto tag_bytes = r.raw_view(n);
-  if (!tag_bytes) return tag_bytes.error();
+void get_columns(Reader& r, uint8_t saver_word, const sim::Machine& target,
+                 vm::HeapObject& cols) {
+  const util::BytesView tag_bytes = r.raw_view(r.count(1, "value count exceeds the image"));
+  const size_t n = tag_bytes.size();
   cols.tags.resize(n);
-  if (n != 0) std::memcpy(cols.tags.data(), tag_bytes.value().data(), n);
+  if (n != 0) std::memcpy(cols.tags.data(), tag_bytes.data(), n);
   const std::optional<TagCounts> counted = count_tags(cols.tags);
-  if (!counted) return util::Error::make("decode", "bad value tag");
+  if (!counted) {
+    r.fail("bad value tag");
+    cols.tags.clear();  // no words to pair with
+    return;
+  }
   const TagCounts& c = *counted;
   cols.words.assign(n, 0);  // unit payloads; every other element is read below
   const std::span<uint64_t> words(cols.words);
   for (Tag t : kPayloadTags) {
     if (c[index_of(t)] == 0) continue;
     if (c[index_of(t)] == n) {
-      if (auto s = get_words(r, t, words, saver_word); !s.ok()) return s;
+      get_words(r, t, words, saver_word);
     } else {
-      util::Status s = util::Status::ok_status();
       for_each_run(cols.tags, t, [&](size_t k, size_t end) {
-        if (s.ok()) s = get_words(r, t, words.subspan(k, end - k), saver_word);
+        get_words(r, t, words.subspan(k, end - k), saver_word);
       });
-      if (!s.ok()) return s;
     }
   }
   // Checked after every column is read, so a truncated payload reports the
@@ -187,14 +197,14 @@ util::Status get_columns(Reader& r, uint32_t n, uint8_t saver_word, const sim::M
     for (size_t k = 0; k < n; ++k) {
       const auto v = static_cast<int64_t>(words[k]);
       if (cols.tags[k] == Tag::kInt && !vm::fits_word(v, target)) {
-        return util::Error::make("narrow", "integer " + std::to_string(v) +
+        r.fail(util::Error::make("narrow", "integer " + std::to_string(v) +
                                                " does not fit the target machine's " +
                                                std::to_string(target.word_bytes * 8) +
-                                               "-bit word");
+                                               "-bit word"));
+        return;
       }
     }
   }
-  return util::Status::ok_status();
 }
 
 /// A Value sequence (globals, stack, locals) as array columns, and back.
@@ -216,12 +226,9 @@ std::vector<Value> rebuild(const vm::HeapObject& cols) {
   return out;
 }
 
-util::Result<std::vector<Value>> get_values(Reader& r, uint8_t saver_word,
-                                            const sim::Machine& target) {
-  auto n = r.u32();
-  if (!n) return n.error();
+std::vector<Value> get_values(Reader& r, uint8_t saver_word, const sim::Machine& target) {
   vm::HeapObject cols;
-  if (auto s = get_columns(r, n.value(), saver_word, target, cols); !s.ok()) return s.error();
+  get_columns(r, saver_word, target, cols);
   return rebuild(cols);
 }
 
@@ -350,60 +357,31 @@ util::Result<vm::VmState> portable_decode(const Image& image, const sim::Machine
   if (image.kind != ImageKind::kPortable) {
     return util::Error::make("kind", "not a portable image");
   }
-  const Endian endian = repr_endian(image.repr_code);
   const uint8_t word = repr_word_bytes(image.repr_code);
-  Reader r(util::as_bytes_view(image.payload), endian);
-
-  auto magic = r.u32();
-  if (!magic) return magic.error();
-  if (magic.value() != kPortableMagic) {
-    return util::Error::make("decode", "bad portable image magic");
-  }
+  Reader r(util::as_bytes_view(image.payload), repr_endian(image.repr_code));
+  if (r.u32() != kPortableMagic) r.fail("bad portable image magic");
 
   vm::VmState state;
-  auto globals = get_values(r, word, target);
-  if (!globals) return globals.error();
-  state.globals = std::move(globals).take();
-  auto stack = get_values(r, word, target);
-  if (!stack) return stack.error();
-  state.stack = std::move(stack).take();
-  auto n_frames = r.u32();
-  if (!n_frames) return n_frames.error();
-  for (uint32_t i = 0; i < n_frames.value(); ++i) {
-    vm::Frame f;
-    auto fn = r.u32();
-    if (!fn) return fn.error();
-    f.function = fn.value();
-    auto pc = r.u32();
-    if (!pc) return pc.error();
-    f.pc = pc.value();
-    auto locals = get_values(r, word, target);
-    if (!locals) return locals.error();
-    f.locals = std::move(locals).take();
-    state.frames.push_back(std::move(f));
+  state.globals = get_values(r, word, target);
+  state.stack = get_values(r, word, target);
+  state.frames.resize(r.count(4 + 4 + 4, "frame count exceeds the image"));
+  for (vm::Frame& f : state.frames) {
+    f.function = r.u32();
+    f.pc = r.u32();
+    f.locals = get_values(r, word, target);
   }
-  auto n_heap = r.u32();
-  if (!n_heap) return n_heap.error();
-  for (uint32_t i = 0; i < n_heap.value(); ++i) {
-    vm::HeapObject obj;
-    auto kind = r.u8();
-    if (!kind) return kind.error();
-    obj.kind = static_cast<vm::HeapObject::Kind>(kind.value());
+  state.heap.resize(r.count(1 + 4, "heap object count exceeds the image"));
+  for (vm::HeapObject& obj : state.heap) {
+    obj.kind = r.enum_u8(vm::HeapObject::Kind::kArray, vm::HeapObject::Kind::kBytes,
+                         "heap object kind");
     if (obj.kind == vm::HeapObject::Kind::kArray) {
-      auto n = r.u32();
-      if (!n) return n.error();
-      if (auto s = get_columns(r, n.value(), word, target, obj); !s.ok()) return s.error();
+      get_columns(r, word, target, obj);
     } else {
-      auto b = r.bytes();
-      if (!b) return b.error();
-      obj.bytes = std::move(b).take();
+      obj.bytes = r.bytes();
     }
-    state.heap.push_back(std::move(obj));
   }
-  auto steps = r.u64();
-  if (!steps) return steps.error();
-  state.steps_executed = steps.value();
-  return state;
+  state.steps_executed = r.u64();
+  return r.finish(std::move(state), "a portable image");
 }
 
 }  // namespace starfish::ckpt

@@ -34,51 +34,24 @@ util::Bytes DependencyTracker::encode() const {
 
 util::Result<DependencyTracker> DependencyTracker::decode(util::BytesView bytes) {
   util::Reader r(bytes);
-  auto rank = r.u32();
-  if (!rank) return rank.error();
-  const bool has_sends = (rank.value() & kHasSendsFlag) != 0;
-  DependencyTracker t(rank.value() & ~kHasSendsFlag);
-  auto interval = r.u32();
-  if (!interval) return interval.error();
-  t.interval_ = interval.value();
-  auto n = r.u32();
-  if (!n) return n.error();
-  // Validate the announced count against what the buffer actually holds
-  // (each entry is two u32s) before trusting it for a reserve/read loop.
-  if (static_cast<uint64_t>(n.value()) * 8 > r.remaining()) {
-    return util::Error::make(
-        "decode", "dependency set announces " + std::to_string(n.value()) +
-                      " entries but the buffer holds " + std::to_string(r.remaining()) + " bytes");
+  const uint32_t rank = r.u32();
+  DependencyTracker t(rank & ~kHasSendsFlag);
+  t.interval_ = r.u32();
+  t.received_.resize(r.count(8, "dependency count exceeds the tracker"));
+  for (IntervalId& dep : t.received_) {
+    dep.rank = r.u32();
+    dep.interval = r.u32();
   }
-  t.received_.reserve(n.value());
-  for (uint32_t i = 0; i < n.value(); ++i) {
-    auto dep_rank = r.u32();
-    if (!dep_rank) return dep_rank.error();
-    auto dep_interval = r.u32();
-    if (!dep_interval) return dep_interval.error();
-    t.received_.push_back(IntervalId{dep_rank.value(), dep_interval.value()});
-  }
-  if (has_sends) {
-    auto ns = r.u32();
-    if (!ns) return ns.error();
-    if (static_cast<uint64_t>(ns.value()) * 8 > r.remaining()) {
-      return util::Error::make(
-          "decode", "send-count section announces " + std::to_string(ns.value()) +
-                        " entries but the buffer holds " + std::to_string(r.remaining()) +
-                        " bytes");
-    }
-    for (uint32_t i = 0; i < ns.value(); ++i) {
-      auto peer = r.u32();
-      if (!peer) return peer.error();
-      auto count = r.u32();
-      if (!count) return count.error();
-      t.sent_[peer.value()] += count.value();
+  if ((rank & kHasSendsFlag) != 0) {
+    // The encoder sets the flag only for a non-empty section.
+    const uint32_t ns = r.count(8, "send-count section exceeds the tracker");
+    if (ns == 0) r.fail("flagged send-count section is empty");
+    for (uint32_t i = 0; i < ns; ++i) {
+      const uint32_t peer = r.u32();
+      r.insert_sorted(t.sent_, "send-count peer", peer, r.u32());
     }
   }
-  if (!r.exhausted()) {
-    return util::Error::make("decode", "trailing bytes after dependency tracker");
-  }
-  return t;
+  return r.finish(std::move(t), "a dependency tracker");
 }
 
 std::map<uint32_t, uint32_t> compute_recovery_line(const std::vector<CheckpointMeta>& metas,

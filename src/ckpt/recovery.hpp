@@ -79,10 +79,8 @@ class DependencyTracker {
   }
 
   util::Bytes encode() const;
-  /// Bounds-checked: a truncated or over-announcing buffer (e.g. a corrupt
-  /// checkpoint container) surfaces as a decode error instead of silently
-  /// yielding a zeroed dependency set — which would fabricate a recovery
-  /// line unconstrained by the dependencies that were actually recorded.
+  /// Fails closed: a zeroed dependency set would fabricate a recovery line
+  /// unconstrained by the dependencies that were actually recorded.
   static util::Result<DependencyTracker> decode(util::BytesView bytes);
 
  private:

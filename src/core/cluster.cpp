@@ -8,23 +8,13 @@ namespace starfish::core {
 namespace {
 /// STARFISH_CKPT_BACKEND=replica routes checkpoints through the in-memory
 /// replication tier (ckpt/replica.hpp) for every cluster whose options did
-/// not pin a backend explicitly; STARFISH_CKPT_REPLICAS=N adjusts the
-/// replication factor the same way. CI uses these to drive the chaos suite
+/// not pin a backend explicitly. CI uses it to drive the chaos suite
 /// through the diskless recovery path without editing each test.
 ckpt::CkptBackend backend_from_env(const std::optional<ckpt::CkptBackend>& from_options) {
   if (from_options) return *from_options;
   const char* env = std::getenv("STARFISH_CKPT_BACKEND");
   if (env != nullptr && std::string(env) == "replica") return ckpt::CkptBackend::kReplica;
   return ckpt::CkptBackend::kDisk;
-}
-
-uint32_t replication_from_env(const std::optional<ckpt::CkptBackend>& from_options,
-                              uint32_t replication) {
-  if (from_options) return replication;
-  const char* env = std::getenv("STARFISH_CKPT_REPLICAS");
-  if (env == nullptr) return replication;
-  const long n = std::strtol(env, nullptr, 10);
-  return n >= 1 ? static_cast<uint32_t>(n) : replication;
 }
 
 /// STARFISH_CKPT_COMPRESS=off|lz|delta|delta+lz codes checkpoint payloads
@@ -44,7 +34,7 @@ Cluster::Cluster(ClusterOptions options)
   store_.set_compress_mode(compress_from_env(options_.ckpt_compress));
   if (backend_from_env(options_.ckpt_backend) == ckpt::CkptBackend::kReplica) {
     ckpt::ReplicaOptions ropts;
-    ropts.replication = replication_from_env(options_.ckpt_backend, options_.ckpt_replication);
+    ropts.replication = options_.ckpt_replication;
     ropts.transport = options_.process.data_transport;
     store_.enable_replica_backend(network_, ropts);
     store_.set_backend(ckpt::CkptBackend::kReplica);

@@ -37,8 +37,7 @@ struct ClusterOptions {
   /// whole suites through the diskless path. Set explicitly to pin a
   /// backend regardless of environment.
   std::optional<ckpt::CkptBackend> ckpt_backend;
-  /// Copies per checkpoint image under the replica backend (overridable by
-  /// STARFISH_CKPT_REPLICAS when ckpt_backend was not set explicitly).
+  /// Copies per checkpoint image under the replica backend.
   uint32_t ckpt_replication = 2;
   /// Checkpoint payload compression (DESIGN.md section 17). Unset: off,
   /// unless STARFISH_CKPT_COMPRESS=lz|delta|delta+lz is exported — the CI

@@ -28,18 +28,6 @@ constexpr sim::Duration kForkCost = sim::milliseconds(3);
 // chains on it, so the gc keep line below must agree with it.
 using ckpt::last_full_at_or_before;
 
-util::Bytes encode_epoch(uint64_t epoch) {
-  util::Bytes b;
-  util::Writer w(b);
-  w.u64(epoch);
-  return b;
-}
-
-uint64_t decode_epoch(util::BytesView b) {
-  util::Reader r(b);
-  return r.u64().value_or(0);
-}
-
 }  // namespace
 
 util::Bytes Container::encode() const {
@@ -52,51 +40,50 @@ util::Bytes Container::encode() const {
   w.bytes(app_state);
   w.bytes(channel_state);
   w.u32(static_cast<uint32_t>(recorded.size()));
-  for (const auto& e : recorded) {
-    w.u32(e.comm);
-    w.u32(e.src);
-    w.i32(e.tag);
-    w.u32(e.send_interval);
-    w.bytes(e.data);
-  }
+  for (const auto& e : recorded) mpi::put_envelope(w, e);
   return out;
 }
 
 util::Result<Container> Container::decode(util::BytesView payload) {
   util::Reader r(payload);
   Container c;
-  auto tracker = r.view();
-  if (!tracker) return tracker.error();
-  c.tracker = tracker.value();
-  auto app_state = r.view();
-  if (!app_state) return app_state.error();
-  c.app_state = app_state.value();
-  auto channel = r.view();
-  if (!channel) return channel.error();
-  c.channel_state = channel.value();
-  auto n = r.u32();
-  if (!n) return n.error();
-  for (uint32_t i = 0; i < n.value(); ++i) {
-    auto comm = r.u32();
-    auto src = r.u32();
-    auto tag = r.i32();
-    auto send_interval = r.u32();
-    auto data = r.view();
-    if (!comm || !src || !tag || !send_interval || !data) {
-      return util::Error::make("decode", "truncated recorded message in checkpoint container");
-    }
-    mpi::Envelope e;
-    e.comm = comm.value();
-    e.src = src.value();
-    e.tag = tag.value();
-    e.send_interval = send_interval.value();
-    e.data = util::SharedBytes::copy(data.value());
-    c.recorded.push_back(std::move(e));
-  }
-  if (!r.exhausted()) {
-    return util::Error::make("decode", "trailing bytes after checkpoint container");
-  }
-  return c;
+  c.tracker = r.view();
+  c.app_state = r.view();
+  c.channel_state = r.view();
+  c.recorded.resize(r.count(mpi::kEnvelopeMinBytes, "recorded count exceeds the container"));
+  for (mpi::Envelope& e : c.recorded) e = mpi::get_envelope(r);
+  return r.finish(std::move(c), "a checkpoint container");
+}
+
+util::Bytes CoordMsg::encode() const {
+  util::Bytes payload;
+  util::Writer w(payload);
+  w.u8(static_cast<uint8_t>(kind));
+  w.u64(epoch);
+  w.u32(from);
+  return payload;
+}
+
+util::Result<CoordMsg> CoordMsg::decode(util::BytesView bytes) {
+  util::Reader r(bytes);
+  CoordMsg m;
+  m.kind = r.enum_u8(Kind::kPrepare, Kind::kCommit, "coordination message kind");
+  m.epoch = r.u64();
+  m.from = r.u32();
+  return r.finish(std::move(m), "a coordination message");
+}
+
+util::Bytes encode_marker_epoch(uint64_t epoch) {
+  util::Bytes b;
+  util::Writer w(b);
+  w.u64(epoch);
+  return b;
+}
+
+util::Result<uint64_t> decode_marker_epoch(util::BytesView payload) {
+  util::Reader r(payload);
+  const uint64_t epoch = r.u64();
+  return r.finish(epoch, "a marker epoch");
 }
 
 CrModule::CrModule(ApplicationProcess& process)
@@ -160,24 +147,28 @@ void CrModule::request_checkpoint() {
 // ----------------------------------------------------------- messaging ----
 
 void CrModule::send_coord(CoordKind kind, uint64_t epoch) {
-  util::Bytes payload;
-  util::Writer w(payload);
-  w.u8(static_cast<uint8_t>(kind));
-  w.u64(epoch);
-  w.u32(process_.rank());
   daemon::LinkMsg msg;
   msg.kind = daemon::LinkKind::kCoordSend;
-  msg.payload = std::move(payload);
+  msg.payload = CoordMsg{kind, epoch, process_.rank()}.encode();
   process_.send_uplink(std::move(msg));
 }
 
-void CrModule::on_coord(const util::Bytes& payload) {
-  util::Reader r(util::as_bytes_view(payload));
-  const auto kind = static_cast<CoordKind>(r.u8().value_or(0));
-  const uint64_t epoch = r.u64().value_or(0);
-  const uint32_t from = r.u32().value_or(0);
+void CrModule::drop_undecodable(const char* what, const util::Error& error) {
+  if (obs::Hub* hub = process_.engine().obs()) {
+    hub->metrics.counter("ckpt.decode_errors").add(1);
+  }
+  STARFISH_LOG(kWarn, kLog) << process_.job().name << " rank " << process_.rank()
+                            << " dropping undecodable " << what << ": " << error.to_string();
+}
 
-  switch (kind) {
+void CrModule::on_coord(const util::Bytes& payload) {
+  auto decoded = CoordMsg::decode(util::as_bytes_view(payload));
+  if (!decoded.ok()) {
+    drop_undecodable("coordination message", decoded.error());
+    return;
+  }
+  const uint64_t epoch = decoded.value().epoch;
+  switch (decoded.value().kind) {
     case CoordKind::kPrepare:
       if (epoch <= last_committed_ || active_epoch_ == epoch) return;
       if (process_.job().protocol == daemon::CrProtocol::kStopAndSync) {
@@ -185,7 +176,7 @@ void CrModule::on_coord(const util::Bytes& payload) {
       }
       return;
     case CoordKind::kAck:
-      handle_ack(epoch, from);
+      handle_ack(epoch, decoded.value().from);
       return;
     case CoordKind::kCommit:
       if (epoch <= last_committed_) return;
@@ -230,19 +221,23 @@ void CrModule::begin_stop_and_sync(uint64_t epoch) {
   process_.proc().freeze();
   frozen_by_us_ = true;
   process_.proc().send_marker(mpi::FrameKind::kFlushMarker, mpi::kWorldCommId,
-                              encode_epoch(epoch));
+                              encode_marker_epoch(epoch));
   maybe_capture_stop_and_sync();
 }
 
 void CrModule::on_control_frame(const mpi::Frame& frame) {
+  auto decoded = decode_marker_epoch(frame.payload);
+  if (!decoded.ok()) {
+    drop_undecodable("marker", decoded.error());
+    return;
+  }
+  const uint64_t epoch = decoded.value();
   if (frame.kind == mpi::FrameKind::kFlushMarker) {
-    const uint64_t epoch = decode_epoch(frame.payload);
     markers_seen_[epoch].insert(frame.src_rank);
     if (epoch == active_epoch_) maybe_capture_stop_and_sync();
     return;
   }
   if (frame.kind == mpi::FrameKind::kClMarker) {
-    const uint64_t epoch = decode_epoch(frame.payload);
     if (process_.job().protocol != daemon::CrProtocol::kChandyLamport) return;
     if (!cl_active_ && epoch > last_committed_) {
       begin_chandy_lamport(epoch, /*initiator=*/false);
@@ -303,7 +298,7 @@ void CrModule::begin_chandy_lamport(uint64_t epoch, bool initiator) {
   cl_app_state_ = process_.capture_app_state();
   cl_channel_state_ = process_.proc().capture_channel_state();
   process_.proc().send_marker(mpi::FrameKind::kClMarker, mpi::kWorldCommId,
-                              encode_epoch(epoch));
+                              encode_marker_epoch(epoch));
   if (process_.nprocs() == 1) finish_chandy_lamport();
 }
 
@@ -408,21 +403,35 @@ util::Result<RestoredState> CrModule::restore(uint64_t epoch) {
   }
   auto container = Container::decode(img->payload);
   if (!container.ok()) return container.error();
-  Container c = std::move(container).take();
-
+  Container& c = container.value();
   auto tracker = ckpt::DependencyTracker::decode(c.tracker);
   if (!tracker.ok()) return tracker.error();
+  auto channel = mpi::decode_channel_state(c.channel_state);
+  if (!channel.ok()) return channel.error();
+  for (auto& e : c.recorded) channel.value().push_back(std::move(e));
+  // The app state is copied out and the image freed before a VM state is
+  // decoded from it, so the image and the decoded state never coexist. A
+  // native image of a VM app holds the same encoding; its repr matched.
+  ckpt::Image app;
+  app.kind = ckpt::ImageKind::kPortable;
+  app.repr_code = img->repr_code;
+  app.payload.assign(c.app_state.begin(), c.app_state.end());
+  img.reset();
+  RestoredState out;
+  if (process_.is_vm_app()) {
+    auto state = ckpt::portable_decode(app, process_.host().machine());
+    if (!state.ok()) return state.error();
+    out.vm = std::move(state).take();
+  } else {
+    out.app_state = std::move(app.payload);
+  }
+
   tracker_ = std::move(tracker).take();
   process_.proc().set_dependency_tracker(&tracker_);
-  process_.proc().restore_channel_state(c.channel_state, std::move(c.recorded));
+  process_.proc().restore_channel_state(std::move(channel).take());
   if (process_.job().protocol != daemon::CrProtocol::kUncoordinated) {
     last_committed_ = epoch;
   }
-
-  RestoredState out;
-  out.kind = img->kind;
-  out.repr_code = img->repr_code;
-  out.app_state.assign(c.app_state.begin(), c.app_state.end());
   return out;
 }
 

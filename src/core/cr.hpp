@@ -50,16 +50,30 @@ struct Container {
 
   /// One buffer, allocated once at its exact size.
   util::Bytes encode() const;
-  /// Fails closed: a short field anywhere, or any byte after the recorded
-  /// list, is Error{"decode"}.
+  /// Fails closed (Error{"decode"}).
   static util::Result<Container> decode(util::BytesView payload);
 };
 
-/// What CrModule::restore yields: the saved application-state blob (the
-/// caller decodes VM state / native state from it) plus its provenance.
+/// A C/R coordination message, relayed opaquely through the app's
+/// lightweight group: u8 kind, u64 epoch, u32 sender rank.
+struct CoordMsg {
+  enum class Kind : uint8_t { kPrepare = 1, kAck = 2, kCommit = 3 };
+  Kind kind = Kind::kPrepare;
+  uint64_t epoch = 0;
+  uint32_t from = 0;
+
+  util::Bytes encode() const;
+  static util::Result<CoordMsg> decode(util::BytesView bytes);
+};
+
+/// A C/R marker frame's payload: the epoch it cuts, as one u64.
+util::Bytes encode_marker_epoch(uint64_t epoch);
+util::Result<uint64_t> decode_marker_epoch(util::BytesView payload);
+
+/// What CrModule::restore yields: a VM app's state, or a native app's own
+/// state blob (which the app decodes itself).
 struct RestoredState {
-  ckpt::ImageKind kind = ckpt::ImageKind::kPortable;
-  uint16_t repr_code = 0;
+  vm::VmState vm;
   util::Bytes app_state;
 };
 
@@ -80,10 +94,11 @@ class CrModule {
   void on_control_frame(const mpi::Frame& frame);
   void on_recv_tap(const mpi::Envelope& env);
 
-  /// Loads checkpoint `epoch`, restores the channel state and dependency
-  /// tracker, re-injects recorded in-transit messages, and returns the
-  /// application-state blob. Fails on representation mismatch for native
-  /// images (the homogeneous restriction).
+  /// Loads checkpoint `epoch` and decodes all of it (container, tracker,
+  /// channel state, a VM app's state) before it restores the tracker and
+  /// the channel state and re-injects recorded in-transit messages: a
+  /// failure, or representation mismatch for a native image (the
+  /// homogeneous restriction), changes nothing.
   util::Result<RestoredState> restore(uint64_t epoch);
 
   ckpt::DependencyTracker& tracker() { return tracker_; }
@@ -94,7 +109,11 @@ class CrModule {
   sim::Duration blocked_time() const { return blocked_time_; }
 
  private:
-  enum class CoordKind : uint8_t { kPrepare = 1, kAck = 2, kCommit = 3 };
+  using CoordKind = CoordMsg::Kind;
+
+  /// Counts a coordination message or marker that failed to decode in
+  /// `ckpt.decode_errors`; the caller drops it.
+  void drop_undecodable(const char* what, const util::Error& error);
 
   void send_coord(CoordKind kind, uint64_t epoch);
   void begin_stop_and_sync(uint64_t epoch);

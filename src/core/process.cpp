@@ -256,20 +256,9 @@ bool ApplicationProcess::apply_restore() {
     fail_app("restore failed: " + restored.error().to_string());
     return false;
   }
+  restored_ = true;
   if (interp_) {
-    ckpt::Image inner;
-    inner.kind = restored.value().kind == ckpt::ImageKind::kNative
-                     ? ckpt::ImageKind::kPortable  // same encoding; repr was verified
-                     : restored.value().kind;
-    inner.repr_code = restored.value().repr_code;
-    inner.payload = std::move(restored.value().app_state);
-    auto state = ckpt::portable_decode(inner, host_.machine());
-    if (!state.ok()) {
-      fail_app("VM state conversion failed: " + state.error().to_string());
-      return false;
-    }
-    interp_->set_state(std::move(state).take());
-    restored_ = true;
+    interp_->set_state(std::move(restored.value().vm));
     STARFISH_LOG(kDebug, kLog) << request_.job.name << " rank " << rank()
                                << " restored VM state from epoch " << request_.restore_epoch;
     return true;
@@ -277,7 +266,6 @@ bool ApplicationProcess::apply_restore() {
   // Native app: stash the blob; the app body claims it via its restore hook.
   pending_restore_blob_ = std::move(restored.value().app_state);
   have_pending_restore_ = true;
-  restored_ = true;
   return true;
 }
 
@@ -302,26 +290,26 @@ void ApplicationProcess::app_main() {
 
   const vm::Program* program = registry_.program(request_.job.binary);
   const NativeAppFn* native = registry_.native(request_.job.binary);
-  if (program != nullptr) {
-    run_vm_app(*program);
-  } else if (native != nullptr) {
-    run_native_app(*native);
-  } else {
-    fail_app("unknown binary '" + request_.job.binary + "'");
-    return;
+  // An exception out of either body (a collective payload that failed to
+  // decode, say) fails the rank, VM ranks included.
+  try {
+    if (program != nullptr) {
+      run_vm_app(*program);
+    } else if (native != nullptr) {
+      run_native_app(*native);
+    } else {
+      fail_app("unknown binary '" + request_.job.binary + "'");
+    }
+  } catch (const sim::FiberKilled&) {
+    throw;
+  } catch (const std::exception& e) {
+    fail_app(std::string("exception: ") + e.what());
   }
 }
 
 void ApplicationProcess::run_native_app(const NativeAppFn& fn) {
   AppContext ctx(*this);
-  try {
-    fn(ctx);
-  } catch (const sim::FiberKilled&) {
-    throw;
-  } catch (const std::exception& e) {
-    fail_app(std::string("exception: ") + e.what());
-    return;
-  }
+  fn(ctx);
   done_ = true;
   daemon::LinkMsg msg;
   msg.kind = daemon::LinkKind::kDone;

@@ -37,59 +37,28 @@ Daemon::Daemon(net::Network& net, sim::Host& host, ckpt::CheckpointStore& store,
   heavy.get_state = [this] {
     // Replicated-state snapshot for daemons joining the cluster: the cluster
     // configuration plus every app record.
-    util::Bytes out;
-    util::Writer w(out);
-    w.u32(static_cast<uint32_t>(cluster_config_.size()));
-    for (const auto& [k, v] : cluster_config_) {
-      w.str(k);
-      w.str(v);
-    }
-    w.u32(static_cast<uint32_t>(disabled_nodes_.size()));
-    for (auto h : disabled_nodes_) w.u32(h);
-    w.u32(static_cast<uint32_t>(apps_.size()));
+    StateSnapshot snap{cluster_config_, disabled_nodes_, {}};
     for (const auto& [name, app] : apps_) {
-      w.bytes(util::as_bytes_view(app.job.encode()));
-      w.u8(static_cast<uint8_t>(app.phase));
-      w.u32(app.wiring_epoch);
-      w.u32(static_cast<uint32_t>(app.placement.size()));
-      for (const auto& [rank, member] : app.placement) {
-        w.u32(rank);
-        w.u32(member.host);
-        w.u32(member.incarnation);
-      }
+      snap.apps.emplace(name, StateSnapshot::App{app.job, app.phase, app.wiring_epoch,
+                                                 app.placement});
     }
-    return out;
+    return snap.encode();
   };
   heavy.set_state = [this](const util::Bytes& blob) {
-    util::Reader r(util::as_bytes_view(blob));
-    cluster_config_.clear();
-    const uint32_t n_cfg = r.u32().value_or(0);
-    for (uint32_t i = 0; i < n_cfg; ++i) {
-      auto k = r.str().value_or("");
-      cluster_config_[k] = r.str().value_or("");
+    auto snap = StateSnapshot::decode(util::as_bytes_view(blob));
+    if (!snap.ok()) {
+      drop_undecodable("state snapshot", snap.error());
+      return;
     }
-    disabled_nodes_.clear();
-    const uint32_t n_dis = r.u32().value_or(0);
-    for (uint32_t i = 0; i < n_dis; ++i) disabled_nodes_.insert(r.u32().value_or(0));
-    const uint32_t n_apps = r.u32().value_or(0);
-    for (uint32_t i = 0; i < n_apps; ++i) {
-      auto job_bytes = r.bytes().value_or({});
-      util::Reader jr(util::as_bytes_view(job_bytes));
-      auto job = JobSpec::decode(jr);
-      if (!job.ok()) continue;
+    cluster_config_ = std::move(snap.value().config);
+    disabled_nodes_ = std::move(snap.value().disabled);
+    for (auto& [name, app] : snap.value().apps) {
       AppState state;
-      state.job = job.value();
-      state.phase = static_cast<AppPhase>(r.u8().value_or(0));
-      state.wiring_epoch = r.u32().value_or(1);
-      const uint32_t n_place = r.u32().value_or(0);
-      for (uint32_t k = 0; k < n_place; ++k) {
-        const uint32_t rank = r.u32().value_or(0);
-        gcs::MemberId m;
-        m.host = r.u32().value_or(0);
-        m.incarnation = r.u32().value_or(0);
-        state.placement[rank] = m;
-      }
-      apps_[state.job.name] = std::move(state);
+      state.job = std::move(app.job);
+      state.phase = app.phase;
+      state.wiring_epoch = app.wiring_epoch;
+      state.placement = std::move(app.placement);
+      apps_[name] = std::move(state);
     }
   };
   lw_ = std::make_unique<gcs::LightweightGroups>(*group_, std::move(heavy));
@@ -101,6 +70,12 @@ Daemon::Daemon(net::Network& net, sim::Host& host, ckpt::CheckpointStore& store,
 Daemon::~Daemon() {
   shut_down_ = true;
   if (mgmt_acceptor_) mgmt_acceptor_->close();
+}
+
+void Daemon::drop_undecodable(const char* what, const util::Error& error) {
+  if (obs::Hub* hub = net_.engine().obs()) hub->metrics.counter("daemon.decode_errors").add(1);
+  STARFISH_LOG(kWarn, kLog) << "daemon " << host_.id() << " dropping undecodable " << what << ": "
+                            << error.to_string();
 }
 
 void Daemon::start_founding(const std::vector<net::NetAddr>& founders) {
@@ -239,7 +214,10 @@ void Daemon::on_heavy_view(const gcs::View& view) {
 void Daemon::on_heavy_message(gcs::MemberId origin, const util::Bytes& payload) {
   (void)origin;
   auto decoded = HeavyMsg::decode(payload);
-  if (!decoded.ok()) return;
+  if (!decoded.ok()) {
+    drop_undecodable("heavy message", decoded.error());
+    return;
+  }
   const HeavyMsg& msg = decoded.value();
   switch (msg.kind) {
     case HeavyKind::kSubmit:
@@ -480,7 +458,10 @@ void Daemon::on_lw_message(const std::string& app, gcs::MemberId origin,
   if (it == apps_.end() || !it->second.hosting) return;
   AppState& state = it->second;
   auto decoded = AppMsg::decode(payload);
-  if (!decoded.ok()) return;
+  if (!decoded.ok()) {
+    drop_undecodable("app message", decoded.error());
+    return;
+  }
   const AppMsg& msg = decoded.value();
   switch (msg.kind) {
     case AppKind::kAddr:

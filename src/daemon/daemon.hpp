@@ -42,16 +42,6 @@ struct DaemonConfig {
   sim::Duration link_delay = sim::microseconds(50);
 };
 
-/// Lifecycle phase of an application, as seen by one daemon.
-enum class AppPhase : uint8_t {
-  kPlacing = 0,   ///< submitted; waiting for every rank's address
-  kRunning,
-  kSuspended,
-  kCompleted,
-  kFailed,        ///< killed by policy or unrecoverable
-  kDeleted,
-};
-
 const char* phase_name(AppPhase p);
 
 class Daemon {
@@ -132,6 +122,10 @@ class Daemon {
     std::vector<std::string> output;
     bool hosting = false;
   };
+
+  /// Counts a received message or state blob that failed to decode in
+  /// `daemon.decode_errors`; the caller drops it.
+  void drop_undecodable(const char* what, const util::Error& error);
 
   // Heavy-group plumbing.
   void on_heavy_view(const gcs::View& view);

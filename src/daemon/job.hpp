@@ -53,9 +53,13 @@ struct JobSpec {
   std::string owner = "user";  ///< submitting user (suspend/delete rights)
 
   util::Bytes encode() const;
-  /// Fails closed: a short field, or a policy, protocol, level or flag
-  /// byte outside its range, is Error{"decode"}.
+  /// Fails closed (Error{"decode"}); reads a prefix of `r` and leaves the
+  /// trailing-byte check to the caller.
   static util::Result<JobSpec> decode(util::Reader& r);
+  /// A spec as an enclosing message carries it, behind a u32 length
+  /// (HeavyMsg, the daemon state snapshot): a failure, or a byte left in
+  /// that window, latches into `r`.
+  static JobSpec decode_framed(util::Reader& r);
 };
 
 const char* policy_name(FtPolicy p);

@@ -3,19 +3,7 @@
 namespace starfish::daemon {
 
 namespace {
-
-void put_addr(util::Writer& w, const net::NetAddr& a) {
-  w.u32(a.host);
-  w.u32(a.port);
-}
-
-net::NetAddr get_addr(util::Reader& r) {
-  net::NetAddr a;
-  a.host = r.u32().value_or(sim::kInvalidHost);
-  a.port = r.u32().value_or(0);
-  return a;
-}
-
+constexpr size_t kAddrBytes = 4 + 4;
 }  // namespace
 
 // ------------------------------------------------------------------ job ----
@@ -38,52 +26,29 @@ util::Bytes JobSpec::encode() const {
 }
 
 util::Result<JobSpec> JobSpec::decode(util::Reader& r) {
-  // Reads an enum or flag byte and rejects values above `max`, so no
-  // out-of-range enum value reaches the code that switches on it.
-  const auto bounded = [&r](uint8_t max, const char* what) -> util::Result<uint8_t> {
-    auto v = r.u8();
-    if (!v) return v.error();
-    if (v.value() > max) {
-      return util::Error::make("decode", std::string("job spec ") + what + " byte out of range");
-    }
-    return v.value();
-  };
   JobSpec j;
-  auto name = r.str();
-  if (!name) return name.error();
-  j.name = std::move(name).take();
-  auto binary = r.str();
-  if (!binary) return binary.error();
-  j.binary = std::move(binary).take();
-  auto nprocs = r.u32();
-  if (!nprocs) return nprocs.error();
-  j.nprocs = nprocs.value();
-  auto policy = bounded(static_cast<uint8_t>(FtPolicy::kNotifyViews), "policy");
-  if (!policy) return policy.error();
-  j.policy = static_cast<FtPolicy>(policy.value());
-  auto protocol = bounded(static_cast<uint8_t>(CrProtocol::kUncoordinated), "protocol");
-  if (!protocol) return protocol.error();
-  j.protocol = static_cast<CrProtocol>(protocol.value());
-  auto level = bounded(static_cast<uint8_t>(CkptLevel::kVm), "level");
-  if (!level) return level.error();
-  j.level = static_cast<CkptLevel>(level.value());
-  auto interval = r.i64();
-  if (!interval) return interval.error();
-  j.ckpt_interval = interval.value();
-  auto n_args = r.u32();
-  if (!n_args) return n_args.error();
-  for (uint32_t i = 0; i < n_args.value(); ++i) {
-    auto arg = r.str();
-    if (!arg) return arg.error();
-    j.args.push_back(std::move(arg).take());
+  j.name = r.str();
+  j.binary = r.str();
+  j.nprocs = r.u32();
+  j.policy = r.enum_u8(FtPolicy::kKill, FtPolicy::kNotifyViews, "job spec policy");
+  j.protocol = r.enum_u8(CrProtocol::kNone, CrProtocol::kUncoordinated, "job spec protocol");
+  j.level = r.enum_u8(CkptLevel::kNative, CkptLevel::kVm, "job spec level");
+  j.ckpt_interval = r.i64();
+  j.args.resize(r.count(4, "job spec argument count exceeds the spec"));
+  for (std::string& arg : j.args) arg = r.str();
+  j.owner = r.str();
+  j.forked_ckpt = r.flag("forked_ckpt");
+  return r.result(std::move(j));
+}
+
+JobSpec JobSpec::decode_framed(util::Reader& r) {
+  util::Reader jr(r.view());
+  auto job = decode(jr);
+  if (util::Status s = jr.finish("a job spec"); !s.ok()) {
+    r.fail(s.error());
+    return {};
   }
-  auto owner = r.str();
-  if (!owner) return owner.error();
-  j.owner = std::move(owner).take();
-  auto forked = bounded(1, "forked_ckpt");
-  if (!forked) return forked.error();
-  j.forked_ckpt = forked.value() != 0;
-  return j;
+  return std::move(job).take();
 }
 
 const char* policy_name(FtPolicy p) {
@@ -126,22 +91,17 @@ util::Bytes HeavyMsg::encode() const {
 util::Result<HeavyMsg> HeavyMsg::decode(const util::Bytes& bytes) {
   util::Reader r(util::as_bytes_view(bytes));
   HeavyMsg m;
-  m.kind = static_cast<HeavyKind>(r.u8().value_or(0));
-  auto job_bytes = r.bytes();
-  if (!job_bytes) return job_bytes.error();
-  util::Reader jr(util::as_bytes_view(job_bytes.value()));
-  auto job = JobSpec::decode(jr);
-  if (!job) return job.error();
-  m.job = std::move(job).take();
-  m.key = r.str().value_or("");
-  m.value = r.str().value_or("");
-  m.host = r.u32().value_or(0);
-  m.enable = r.boolean().value_or(true);
-  m.app = r.str().value_or("");
-  m.rank = r.u32().value_or(0);
-  m.epoch = r.u64().value_or(0);
-  m.wepoch = r.u32().value_or(0);
-  return m;
+  m.kind = r.enum_u8(HeavyKind::kSubmit, HeavyKind::kGrowApp, "heavy message kind");
+  m.job = JobSpec::decode_framed(r);
+  m.key = r.str();
+  m.value = r.str();
+  m.host = r.u32();
+  m.enable = r.flag("enable");
+  m.app = r.str();
+  m.rank = r.u32();
+  m.epoch = r.u64();
+  m.wepoch = r.u32();
+  return r.finish(std::move(m), "a heavy message");
 }
 
 // ------------------------------------------------------------------ app ----
@@ -152,7 +112,7 @@ util::Bytes AppMsg::encode() const {
   w.u8(static_cast<uint8_t>(kind));
   w.u32(wiring_epoch);
   w.u32(rank);
-  put_addr(w, addr);
+  addr.write(w);
   w.bytes(util::as_bytes_view(payload));
   return out;
 }
@@ -160,14 +120,12 @@ util::Bytes AppMsg::encode() const {
 util::Result<AppMsg> AppMsg::decode(const util::Bytes& bytes) {
   util::Reader r(util::as_bytes_view(bytes));
   AppMsg m;
-  m.kind = static_cast<AppKind>(r.u8().value_or(0));
-  m.wiring_epoch = r.u32().value_or(0);
-  m.rank = r.u32().value_or(0);
-  m.addr = get_addr(r);
-  auto payload = r.bytes();
-  if (!payload) return payload.error();
-  m.payload = std::move(payload).take();
-  return m;
+  m.kind = r.enum_u8(AppKind::kAddr, AppKind::kCheckpointNow, "app message kind");
+  m.wiring_epoch = r.u32();
+  m.rank = r.u32();
+  m.addr = net::NetAddr::read(r);
+  m.payload = r.bytes();
+  return r.finish(std::move(m), "an app message");
 }
 
 // ----------------------------------------------------------------- link ----
@@ -178,13 +136,13 @@ util::Bytes LinkMsg::encode() const {
   w.u8(static_cast<uint8_t>(kind));
   w.u32(wiring_epoch);
   w.u32(static_cast<uint32_t>(world.size()));
-  for (const auto& a : world) put_addr(w, a);
+  for (const auto& a : world) a.write(w);
   w.u64(restore_epoch);
   w.u64(view_seq);
   w.u32(static_cast<uint32_t>(live_ranks.size()));
   for (uint32_t r : live_ranks) w.u32(r);
   w.bytes(util::as_bytes_view(payload));
-  put_addr(w, vni_addr);
+  vni_addr.write(w);
   w.boolean(ok);
   w.str(text);
   w.u32(spawn_extra);
@@ -194,22 +152,80 @@ util::Bytes LinkMsg::encode() const {
 util::Result<LinkMsg> LinkMsg::decode(const util::Bytes& bytes) {
   util::Reader r(util::as_bytes_view(bytes));
   LinkMsg m;
-  m.kind = static_cast<LinkKind>(r.u8().value_or(0));
-  m.wiring_epoch = r.u32().value_or(0);
-  const uint32_t nw = r.u32().value_or(0);
-  for (uint32_t i = 0; i < nw; ++i) m.world.push_back(get_addr(r));
-  m.restore_epoch = r.u64().value_or(kNoRestore);
-  m.view_seq = r.u64().value_or(0);
-  const uint32_t nl = r.u32().value_or(0);
-  for (uint32_t i = 0; i < nl; ++i) m.live_ranks.push_back(r.u32().value_or(0));
-  auto payload = r.bytes();
-  if (!payload) return payload.error();
-  m.payload = std::move(payload).take();
-  m.vni_addr = get_addr(r);
-  m.ok = r.boolean().value_or(true);
-  m.text = r.str().value_or("");
-  m.spawn_extra = r.u32().value_or(0);
-  return m;
+  m.kind = r.enum_u8(LinkKind::kConfigure, LinkKind::kSpawnReq, "link message kind");
+  m.wiring_epoch = r.u32();
+  m.world.resize(r.count(kAddrBytes, "link world count exceeds the message"));
+  for (net::NetAddr& a : m.world) a = net::NetAddr::read(r);
+  m.restore_epoch = r.u64();
+  m.view_seq = r.u64();
+  m.live_ranks.resize(r.count(4, "link live rank count exceeds the message"));
+  r.read_u32s(m.live_ranks);
+  m.payload = r.bytes();
+  m.vni_addr = net::NetAddr::read(r);
+  m.ok = r.flag("ok");
+  m.text = r.str();
+  m.spawn_extra = r.u32();
+  return r.finish(std::move(m), "a link message");
+}
+
+// ------------------------------------------------------------- snapshot ----
+
+namespace {
+/// Smallest encodings of the snapshot's entries, for the count bounds.
+constexpr size_t kConfigEntryBytes = 4 + 4;
+constexpr size_t kAppEntryBytes = 4 + 1 + 4 + 4;
+constexpr size_t kPlacementBytes = 4 + 4 + 4;
+}  // namespace
+
+util::Bytes StateSnapshot::encode() const {
+  util::Bytes out;
+  util::Writer w(out);
+  w.u32(static_cast<uint32_t>(config.size()));
+  for (const auto& [k, v] : config) {
+    w.str(k);
+    w.str(v);
+  }
+  w.u32(static_cast<uint32_t>(disabled.size()));
+  for (uint32_t h : disabled) w.u32(h);
+  w.u32(static_cast<uint32_t>(apps.size()));
+  for (const auto& [name, app] : apps) {
+    w.bytes(util::as_bytes_view(app.job.encode()));
+    w.u8(static_cast<uint8_t>(app.phase));
+    w.u32(app.wiring_epoch);
+    w.u32(static_cast<uint32_t>(app.placement.size()));
+    for (const auto& [rank, member] : app.placement) {
+      w.u32(rank);
+      member.write(w);
+    }
+  }
+  return out;
+}
+
+util::Result<StateSnapshot> StateSnapshot::decode(util::BytesView bytes) {
+  util::Reader r(bytes);
+  StateSnapshot s;
+  const uint32_t n_cfg = r.count(kConfigEntryBytes, "config count exceeds the snapshot");
+  for (uint32_t i = 0; i < n_cfg; ++i) {
+    std::string key = r.str();
+    r.insert_sorted(s.config, "config", std::move(key), r.str());
+  }
+  const uint32_t n_dis = r.count(4, "disabled node count exceeds the snapshot");
+  for (uint32_t i = 0; i < n_dis; ++i) r.insert_sorted(s.disabled, "disabled node", r.u32());
+  const uint32_t n_apps = r.count(kAppEntryBytes, "app count exceeds the snapshot");
+  for (uint32_t i = 0; i < n_apps; ++i) {
+    App app;
+    app.job = JobSpec::decode_framed(r);
+    app.phase = r.enum_u8(AppPhase::kPlacing, AppPhase::kDeleted, "app phase");
+    app.wiring_epoch = r.u32();
+    const uint32_t n_place = r.count(kPlacementBytes, "placement count exceeds the snapshot");
+    for (uint32_t k = 0; k < n_place; ++k) {
+      const uint32_t rank = r.u32();
+      r.insert_sorted(app.placement, "placement", rank, gcs::MemberId::read(r));
+    }
+    std::string name = app.job.name;
+    r.insert_sorted(s.apps, "app", std::move(name), std::move(app));
+  }
+  return r.finish(std::move(s), "a daemon state snapshot");
 }
 
 }  // namespace starfish::daemon

@@ -5,6 +5,8 @@
 //                 (address exchange, relayed coordination, failure events).
 //                 Coordination payloads are opaque to daemons, as the paper
 //                 requires.
+//  * StateSnapshot — the replicated daemon state a joining daemon receives
+//                 through the heavy group's state transfer.
 //  * LinkMsg    — the local "TCP" connection between a daemon's lightweight
 //                 endpoint module and its application process's group
 //                 handler (configuration + lightweight membership messages,
@@ -12,11 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "daemon/job.hpp"
+#include "gcs/types.hpp"
 #include "net/network.hpp"
 #include "util/buffer.hpp"
 #include "util/result.hpp"
@@ -73,6 +78,36 @@ struct AppMsg {
 
   util::Bytes encode() const;
   static util::Result<AppMsg> decode(const util::Bytes& bytes);
+};
+
+// ------------------------------------------------------------- snapshot ----
+
+/// Lifecycle phase of an application, as seen by one daemon.
+enum class AppPhase : uint8_t {
+  kPlacing = 0,   ///< submitted; waiting for every rank's address
+  kRunning,
+  kSuspended,
+  kCompleted,
+  kFailed,        ///< killed by policy or unrecoverable
+  kDeleted,
+};
+
+/// The daemons' replicated state as a joining daemon receives it: the
+/// cluster configuration, the disabled nodes and each app's job, phase,
+/// wiring epoch and placement, every map in increasing key order.
+struct StateSnapshot {
+  struct App {
+    JobSpec job;
+    AppPhase phase = AppPhase::kPlacing;
+    uint32_t wiring_epoch = 1;
+    std::map<uint32_t, gcs::MemberId> placement;  ///< rank -> hosting daemon
+  };
+  std::map<std::string, std::string> config;
+  std::set<uint32_t> disabled;
+  std::map<std::string, App> apps;  ///< by job name
+
+  util::Bytes encode() const;
+  static util::Result<StateSnapshot> decode(util::BytesView bytes);
 };
 
 // ----------------------------------------------------------------- link ----

@@ -25,16 +25,6 @@ Topology topology_from_env(const std::optional<Topology>& from_config) {
   return Topology::kFlat;
 }
 
-/// STARFISH_GCS_FANOUT=k overrides the tree fan-out when the config keeps
-/// the default.
-uint32_t fanout_from_env(uint32_t from_config) {
-  if (from_config != GroupConfig{}.tree_fanout) return from_config;
-  const char* env = std::getenv("STARFISH_GCS_FANOUT");
-  if (env == nullptr) return from_config;
-  const long k = std::strtol(env, nullptr, 10);
-  return k >= 2 ? static_cast<uint32_t>(k) : from_config;
-}
-
 std::pair<uint64_t, uint32_t> marker(uint64_t view_id, uint32_t attempt) {
   return {view_id, attempt};
 }
@@ -71,7 +61,7 @@ GroupEndpoint::GroupEndpoint(net::Network& net, sim::Host& host, GroupConfig con
       callbacks_(std::move(callbacks)),
       self_{host.id(), host.incarnation()},
       topology_(topology_from_env(config.topology)),
-      fanout_(fanout_from_env(config.tree_fanout)),
+      fanout_(config.tree_fanout),
       endpoint_(net.bind(host.id(), config.control_port, config.transport)) {
   obs_refresh();
 }
@@ -171,11 +161,7 @@ void GroupEndpoint::rx_loop() {
     if (!r.ok()) return;  // endpoint closed: shutdown or host crash
     auto decoded = WireMsg::decode(r.value->payload);
     if (!decoded.ok()) {
-      obs_refresh();
-      if (obs_decode_errors_ != nullptr) obs_decode_errors_->add(1);
-      STARFISH_LOG(kWarn, kLog) << self_.to_string()
-                                << " dropping undecodable control message: "
-                                << decoded.error().to_string();
+      drop_undecodable("control message", decoded.error());
       continue;
     }
     handle(decoded.value());
@@ -1090,6 +1076,13 @@ void GroupEndpoint::send_tree_heartbeats(const WireMsg& hb) {
     }
     if (sent > 0 && obs_hb_down_ != nullptr) obs_hb_down_->add(sent);
   }
+}
+
+void GroupEndpoint::drop_undecodable(const char* what, const util::Error& error) {
+  obs_refresh();
+  if (obs_decode_errors_ != nullptr) obs_decode_errors_->add(1);
+  STARFISH_LOG(kWarn, kLog) << self_.to_string() << " dropping undecodable " << what << ": "
+                            << error.to_string();
 }
 
 void GroupEndpoint::obs_refresh() {

@@ -88,6 +88,10 @@ class GroupEndpoint {
     return in_view_ && !view_.members.empty() && view_.coordinator().id == self_;
   }
 
+  /// Counts one received message or state blob of this group's layers
+  /// that failed to decode in `gcs.decode_errors`; the caller drops it.
+  void drop_undecodable(const char* what, const util::Error& error);
+
   uint64_t messages_delivered() const { return messages_delivered_; }
   uint64_t views_installed() const { return views_installed_; }
   /// Size of the per-view retransmission log (bounded by stability GC).

@@ -6,19 +6,64 @@ namespace starfish::gcs {
 
 namespace {
 
-void put_member_id(util::Writer& w, const MemberId& id) {
-  w.u32(id.host);
-  w.u32(id.incarnation);
-}
+using Tag = LwMsg::Tag;
 
-MemberId get_member_id(util::Reader& r) {
-  MemberId id;
-  id.host = r.u32().value_or(sim::kInvalidHost);
-  id.incarnation = r.u32().value_or(0);
-  return id;
-}
+constexpr size_t kMemberIdBytes = 4 + 4;
+/// Smallest group entry: empty name, view id, member count.
+constexpr size_t kGroupBytes = 4 + 8 + 4;
 
 }  // namespace
+
+util::Bytes LwMsg::encode() const {
+  util::Bytes out;
+  util::Writer w(out);
+  w.reserve(1 + 4 + name.size() + 4 + body.size());
+  w.u8(static_cast<uint8_t>(tag));
+  if (tag != Tag::kApp) w.str(name);
+  if (tag == Tag::kApp || tag == Tag::kLwMsg) w.bytes(util::as_bytes_view(body));
+  return out;
+}
+
+util::Result<LwMsg> LwMsg::decode(util::BytesView bytes) {
+  util::Reader r(bytes);
+  LwMsg m;
+  m.tag = r.enum_u8(Tag::kApp, Tag::kLwMsg, "lightweight message tag");
+  if (m.tag != Tag::kApp) m.name = r.str();
+  if (m.tag == Tag::kApp || m.tag == Tag::kLwMsg) m.body = r.bytes();
+  return r.finish(std::move(m), "a lightweight message");
+}
+
+util::Bytes LwState::encode() const {
+  util::Bytes out;
+  util::Writer w(out);
+  w.u32(static_cast<uint32_t>(groups.size()));
+  for (const auto& [name, group] : groups) {
+    w.str(name);
+    w.u64(group.lw_view_id);
+    w.u32(static_cast<uint32_t>(group.members.size()));
+    for (const auto& m : group.members) m.write(w);
+  }
+  w.boolean(has_app);
+  if (has_app) w.bytes(util::as_bytes_view(app));
+  return out;
+}
+
+util::Result<LwState> LwState::decode(util::BytesView bytes) {
+  util::Reader r(bytes);
+  LwState s;
+  const uint32_t n = r.count(kGroupBytes, "lightweight group count exceeds the state");
+  for (uint32_t i = 0; i < n; ++i) {
+    std::string name = r.str();
+    Group group;
+    group.lw_view_id = r.u64();
+    group.members.resize(r.count(kMemberIdBytes, "lightweight member count exceeds the state"));
+    for (MemberId& m : group.members) m = MemberId::read(r);
+    r.insert_sorted(s.groups, "lightweight group", std::move(name), std::move(group));
+  }
+  s.has_app = r.flag("has_app");
+  if (s.has_app) s.app = r.bytes();
+  return r.finish(std::move(s), "a lightweight state");
+}
 
 LightweightGroups::LightweightGroups(GroupEndpoint& heavy, Callbacks app)
     : heavy_(heavy), app_(std::move(app)) {
@@ -35,40 +80,23 @@ LightweightGroups::LightweightGroups(GroupEndpoint& heavy, Callbacks app)
 void LightweightGroups::lw_join(const std::string& name, LwCallbacks callbacks) {
   if (local_subs_.contains(name)) return;
   local_subs_[name] = std::move(callbacks);
-  util::Bytes out;
-  util::Writer w(out);
-  w.u8(static_cast<uint8_t>(Tag::kLwJoin));
-  w.str(name);
-  heavy_.multicast(std::move(out));
+  heavy_.multicast(LwMsg{Tag::kLwJoin, name, {}}.encode());
 }
 
 void LightweightGroups::lw_leave(const std::string& name) {
   if (!local_subs_.contains(name)) return;
-  util::Bytes out;
-  util::Writer w(out);
-  w.u8(static_cast<uint8_t>(Tag::kLwLeave));
-  w.str(name);
-  heavy_.multicast(std::move(out));
+  heavy_.multicast(LwMsg{Tag::kLwLeave, name, {}}.encode());
   // Local upcalls stop immediately; the replicated membership updates when
   // the ordered leave message is delivered.
   local_subs_.erase(name);
 }
 
 void LightweightGroups::lw_multicast(const std::string& name, util::Bytes payload) {
-  util::Bytes out;
-  util::Writer w(out);
-  w.u8(static_cast<uint8_t>(Tag::kLwMsg));
-  w.str(name);
-  w.bytes(util::as_bytes_view(payload));
-  heavy_.multicast(std::move(out));
+  heavy_.multicast(LwMsg{Tag::kLwMsg, name, std::move(payload)}.encode());
 }
 
 void LightweightGroups::heavy_multicast(util::Bytes payload) {
-  util::Bytes out;
-  util::Writer w(out);
-  w.u8(static_cast<uint8_t>(Tag::kApp));
-  w.bytes(util::as_bytes_view(payload));
-  heavy_.multicast(std::move(out));
+  heavy_.multicast(LwMsg{Tag::kApp, {}, std::move(payload)}.encode());
 }
 
 std::optional<LwView> LightweightGroups::lw_view(const std::string& name) const {
@@ -105,30 +133,27 @@ void LightweightGroups::on_heavy_view(const View& view) {
 }
 
 void LightweightGroups::on_heavy_message(MemberId origin, const util::Bytes& payload) {
-  util::Reader r(util::as_bytes_view(payload));
-  auto tag = r.u8();
-  if (!tag.ok()) return;
-  switch (static_cast<Tag>(tag.value())) {
-    case Tag::kApp: {
-      auto body = r.bytes();
-      if (body.ok() && app_.on_message) app_.on_message(origin, body.value());
+  auto decoded = LwMsg::decode(util::as_bytes_view(payload));
+  if (!decoded.ok()) {
+    heavy_.drop_undecodable("lightweight message", decoded.error());
+    return;
+  }
+  const LwMsg& msg = decoded.value();
+  switch (msg.tag) {
+    case Tag::kApp:
+      if (app_.on_message) app_.on_message(origin, msg.body);
       return;
-    }
     case Tag::kLwJoin: {
-      auto name = r.str();
-      if (!name.ok()) return;
-      auto& group = groups_[name.value()];
+      auto& group = groups_[msg.name];
       if (std::find(group.members.begin(), group.members.end(), origin) ==
           group.members.end()) {
         group.members.push_back(origin);
-        bump_and_deliver(name.value());
+        bump_and_deliver(msg.name);
       }
       return;
     }
     case Tag::kLwLeave: {
-      auto name = r.str();
-      if (!name.ok()) return;
-      auto it = groups_.find(name.value());
+      auto it = groups_.find(msg.name);
       if (it == groups_.end()) return;
       const size_t before = it->second.members.size();
       std::erase(it->second.members, origin);
@@ -136,24 +161,20 @@ void LightweightGroups::on_heavy_message(MemberId origin, const util::Bytes& pay
         if (it->second.members.empty()) {
           groups_.erase(it);
         } else {
-          bump_and_deliver(name.value());
+          bump_and_deliver(msg.name);
         }
       }
       return;
     }
     case Tag::kLwMsg: {
-      auto name = r.str();
-      if (!name.ok()) return;
-      auto body = r.bytes();
-      if (!body.ok()) return;
-      auto sub = local_subs_.find(name.value());
+      auto sub = local_subs_.find(msg.name);
       // Delivered only within the lightweight group: everyone else's daemon
       // filters the frame here.
       if (sub == local_subs_.end() || !sub->second.on_message) {
         ++lw_messages_filtered_;
         return;
       }
-      sub->second.on_message(origin, body.value());
+      sub->second.on_message(origin, msg.body);
       return;
     }
   }
@@ -170,42 +191,19 @@ void LightweightGroups::bump_and_deliver(const std::string& name) {
 }
 
 util::Bytes LightweightGroups::encode_state() const {
-  util::Bytes out;
-  util::Writer w(out);
-  w.u32(static_cast<uint32_t>(groups_.size()));
-  for (const auto& [name, group] : groups_) {
-    w.str(name);
-    w.u64(group.lw_view_id);
-    w.u32(static_cast<uint32_t>(group.members.size()));
-    for (const auto& m : group.members) put_member_id(w, m);
-  }
-  if (app_.get_state) {
-    w.boolean(true);
-    w.bytes(util::as_bytes_view(app_.get_state()));
-  } else {
-    w.boolean(false);
-  }
-  return out;
+  LwState state{groups_, app_.get_state != nullptr, {}};
+  if (state.has_app) state.app = app_.get_state();
+  return state.encode();
 }
 
 void LightweightGroups::apply_state(const util::Bytes& blob) {
-  util::Reader r(util::as_bytes_view(blob));
-  groups_.clear();
-  const uint32_t n = r.u32().value_or(0);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto name = r.str();
-    if (!name.ok()) return;
-    Group group;
-    group.lw_view_id = r.u64().value_or(0);
-    const uint32_t members = r.u32().value_or(0);
-    for (uint32_t k = 0; k < members; ++k) group.members.push_back(get_member_id(r));
-    groups_[name.value()] = std::move(group);
+  auto decoded = LwState::decode(util::as_bytes_view(blob));
+  if (!decoded.ok()) {
+    heavy_.drop_undecodable("lightweight state", decoded.error());
+    return;
   }
-  auto has_app = r.boolean();
-  if (has_app.ok() && has_app.value() && app_.set_state) {
-    auto body = r.bytes();
-    if (body.ok()) app_.set_state(body.value());
-  }
+  groups_ = std::move(decoded.value().groups);
+  if (decoded.value().has_app && app_.set_state) app_.set_state(decoded.value().app);
 }
 
 }  // namespace starfish::gcs

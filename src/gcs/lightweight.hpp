@@ -40,6 +40,35 @@ struct LwView {
   }
 };
 
+/// One message of the lightweight layer, riding a heavy-group multicast:
+/// a tag byte, then the group name (all tags but kApp) and the body (kApp
+/// and kLwMsg).
+struct LwMsg {
+  enum class Tag : uint8_t { kApp = 0, kLwJoin = 1, kLwLeave = 2, kLwMsg = 3 };
+  Tag tag = Tag::kApp;
+  std::string name;
+  util::Bytes body;
+
+  util::Bytes encode() const;
+  static util::Result<LwMsg> decode(util::BytesView bytes);
+};
+
+/// The lightweight layer's replicated state as a joining member receives
+/// it: every group (names in increasing order) with its view id and
+/// members, then the application's own state blob when it has one.
+struct LwState {
+  struct Group {
+    uint64_t lw_view_id = 0;
+    std::vector<MemberId> members;
+  };
+  std::map<std::string, Group> groups;
+  bool has_app = false;
+  util::Bytes app;
+
+  util::Bytes encode() const;
+  static util::Result<LwState> decode(util::BytesView bytes);
+};
+
 struct LwCallbacks {
   std::function<void(const LwView&)> on_view;
   std::function<void(MemberId origin, const util::Bytes& payload)> on_message;
@@ -72,12 +101,7 @@ class LightweightGroups {
   uint64_t lw_messages_filtered() const { return lw_messages_filtered_; }
 
  private:
-  enum class Tag : uint8_t { kApp = 0, kLwJoin = 1, kLwLeave = 2, kLwMsg = 3 };
-
-  struct Group {
-    uint64_t lw_view_id = 0;
-    std::vector<MemberId> members;
-  };
+  using Group = LwState::Group;
 
   void on_heavy_view(const View& view);
   void on_heavy_message(MemberId origin, const util::Bytes& payload);

@@ -28,6 +28,16 @@ struct MemberId {
   std::string to_string() const {
     return "m" + std::to_string(host) + "." + std::to_string(incarnation);
   }
+
+  /// Wire form: u32 host, u32 incarnation.
+  void write(util::Writer& w) const {
+    w.u32(host);
+    w.u32(incarnation);
+  }
+  static MemberId read(util::Reader& r) {
+    const sim::HostId h = r.u32();
+    return {h, r.u32()};
+  }
 };
 
 struct Member {
@@ -83,7 +93,6 @@ struct GroupConfig {
   /// to pin a topology regardless of environment.
   std::optional<Topology> topology;
   /// Fan-out k of the dissemination tree (ignored under kFlat).
-  /// STARFISH_GCS_FANOUT overrides when the config keeps the default.
   uint32_t tree_fanout = 4;
   sim::Duration heartbeat_period = sim::milliseconds(50);
   sim::Duration suspect_timeout = sim::milliseconds(250);
@@ -104,6 +113,8 @@ struct Callbacks {
   /// Coordinator-side: snapshot replicated state for a joining member.
   std::function<util::Bytes()> get_state;
   /// Joiner-side: install the snapshot before the first view is delivered.
+  /// A blob that fails to decode is counted and dropped whole: the
+  /// installed state is the old one or the new one, never a mix.
   std::function<void(const util::Bytes&)> set_state;
 };
 

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
+
+#include "mpi/datatype.hpp"
 
 namespace starfish::mpi {
 
@@ -30,32 +34,31 @@ void combine(std::vector<T>& acc, const std::vector<T>& in, ReduceOp op) {
 
 template <typename T>
 util::Bytes encode_vec(const std::vector<T>& v) {
-  util::Bytes out;
-  util::Writer w(out);
-  w.u32(static_cast<uint32_t>(v.size()));
-  for (const T& x : v) {
-    if constexpr (std::is_same_v<T, int64_t>) {
-      w.i64(x);
-    } else {
-      w.f64(x);
-    }
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return encode_i64s(v);
+  } else {
+    return encode_f64s(v);
   }
-  return out;
+}
+
+/// A collective payload that fails to decode fails the rank: it is counted
+/// in `mpi.decode_errors` and thrown out of the application body.
+template <typename T>
+T decoded(Proc& proc, util::Result<T> r, const char* what) {
+  if (!r.ok()) [[unlikely]] {
+    proc.drop_undecodable(what, r.error());
+    throw std::runtime_error(std::string("undecodable ") + what + ": " + r.error().to_string());
+  }
+  return std::move(r).take();
 }
 
 template <typename T>
-std::vector<T> decode_vec(const util::Bytes& b) {
-  util::Reader r(util::as_bytes_view(b));
-  std::vector<T> out;
-  const uint32_t n = r.u32().value_or(0);
-  for (uint32_t i = 0; i < n; ++i) {
-    if constexpr (std::is_same_v<T, int64_t>) {
-      out.push_back(r.i64().value_or(0));
-    } else {
-      out.push_back(r.f64().value_or(0.0));
-    }
+std::vector<T> decode_vec(Proc& proc, const util::Bytes& b) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return decoded(proc, decode_i64s(b), "reduction payload");
+  } else {
+    return decoded(proc, decode_f64s(b), "reduction payload");
   }
-  return out;
 }
 
 }  // namespace
@@ -177,18 +180,8 @@ util::Bytes Comm::scatter(int root, std::vector<util::Bytes> parts) {
 std::vector<util::Bytes> Comm::allgather(util::Bytes mine) {
   // Gather at rank 0, then rebroadcast the concatenation.
   auto all = gather(0, std::move(mine));
-  util::Bytes packed;
-  if (rank() == 0) {
-    util::Writer w(packed);
-    w.u32(static_cast<uint32_t>(all.size()));
-    for (const auto& b : all) w.bytes(util::as_bytes_view(b));
-  }
-  packed = bcast(0, std::move(packed));
-  util::Reader r(util::as_bytes_view(packed));
-  std::vector<util::Bytes> out;
-  const uint32_t n = r.u32().value_or(0);
-  for (uint32_t i = 0; i < n; ++i) out.push_back(r.bytes().value_or({}));
-  return out;
+  const util::Bytes packed = bcast(0, rank() == 0 ? encode_parts(all) : util::Bytes{});
+  return decoded(*proc_, decode_parts(packed), "allgather payload");
 }
 
 std::vector<util::Bytes> Comm::alltoall(std::vector<util::Bytes> parts) {
@@ -222,7 +215,7 @@ std::vector<T> Comm::reduce_typed(int root, std::vector<T> data, ReduceOp op) {
   std::vector<T> acc = std::move(data);
   for (int r = 0; r < size(); ++r) {
     if (r == root) continue;
-    combine(acc, decode_vec<T>(all[static_cast<size_t>(r)]), op);
+    combine(acc, decode_vec<T>(*proc_, all[static_cast<size_t>(r)]), op);
   }
   return acc;
 }
@@ -230,7 +223,7 @@ std::vector<T> Comm::reduce_typed(int root, std::vector<T> data, ReduceOp op) {
 template <typename T>
 std::vector<T> Comm::allreduce_typed(std::vector<T> data, ReduceOp op) {
   auto acc = reduce_typed(0, std::move(data), op);
-  return decode_vec<T>(bcast(0, rank() == 0 ? encode_vec(acc) : util::Bytes{}));
+  return decode_vec<T>(*proc_, bcast(0, rank() == 0 ? encode_vec(acc) : util::Bytes{}));
 }
 
 std::vector<int64_t> Comm::reduce(int root, std::vector<int64_t> data, ReduceOp op) {
@@ -249,7 +242,7 @@ std::vector<int64_t> Comm::scan(std::vector<int64_t> data, ReduceOp op) {
   const int tag = next_collective_tag(5);
   std::vector<int64_t> acc = std::move(data);
   if (rank() > 0) {
-    auto prefix = decode_vec<int64_t>(proc_->recv(
+    auto prefix = decode_vec<int64_t>(*proc_, proc_->recv(
         id_, static_cast<int>(world_rank(rank() - 1)), tag));
     combine(acc, prefix, op);
   }
@@ -264,7 +257,7 @@ std::vector<int64_t> Comm::exscan(std::vector<int64_t> data, ReduceOp op) {
   std::vector<int64_t> inclusive = data;  // what we forward
   std::vector<int64_t> result = std::move(data);
   if (rank() > 0) {
-    auto prefix = decode_vec<int64_t>(proc_->recv(
+    auto prefix = decode_vec<int64_t>(*proc_, proc_->recv(
         id_, static_cast<int>(world_rank(rank() - 1)), tag));
     result = prefix;  // exclusive: everything before us
     combine(inclusive, prefix, op);
@@ -291,33 +284,20 @@ std::vector<double> Comm::allreduce(std::vector<double> data, ReduceOp op) {
 
 Comm Comm::split(int color, int key) {
   // Exchange (color, key, world_rank) among all members.
-  util::Bytes mine;
-  util::Writer w(mine);
-  w.i32(color);
-  w.i32(key);
-  w.u32(static_cast<uint32_t>(proc_->rank()));
-  auto all = allgather(std::move(mine));
+  auto all = allgather(SplitEntry{color, key, static_cast<uint32_t>(proc_->rank())}.encode());
   const uint32_t counter = child_counter_++;
 
-  struct Entry {
-    int color;
-    int key;
-    uint32_t world;
-  };
-  std::vector<Entry> same_color;
+  std::vector<SplitEntry> same_color;
   for (const auto& b : all) {
-    util::Reader r(util::as_bytes_view(b));
-    Entry e{};
-    e.color = r.i32().value_or(-1);
-    e.key = r.i32().value_or(0);
-    e.world = r.u32().value_or(0);
+    const SplitEntry e = decoded(*proc_, SplitEntry::decode(b), "split entry");
     if (e.color == color && color >= 0) same_color.push_back(e);
   }
   if (color < 0) return Comm(*proc_, 0, {}, -1);
 
-  std::stable_sort(same_color.begin(), same_color.end(), [](const Entry& a, const Entry& b) {
-    return std::tie(a.key, a.world) < std::tie(b.key, b.world);
-  });
+  std::stable_sort(same_color.begin(), same_color.end(),
+                   [](const SplitEntry& a, const SplitEntry& b) {
+                     return std::tie(a.key, a.world) < std::tie(b.key, b.world);
+                   });
   std::vector<uint32_t> members;
   int my_index = -1;
   for (const auto& e : same_color) {

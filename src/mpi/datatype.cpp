@@ -1,6 +1,7 @@
 #include "mpi/datatype.hpp"
 
 #include <cstring>
+#include <type_traits>
 
 #include "util/simd/simd.hpp"
 
@@ -80,72 +81,92 @@ util::Status Datatype::unpack(std::span<const std::byte> message,
   return util::Status::ok_status();
 }
 
-// The typed codecs write the same little-endian wire bytes as the old
-// per-element loops; the bulk Writer/Reader paths just retire whole arrays
-// through one SIMD copy/byteswap pass. Decoders keep the legacy tolerant
-// behavior on truncated input (missing elements read as zero).
+// The typed codecs write the same little-endian wire bytes as per-element
+// loops; the bulk Writer/Reader paths just retire whole arrays through one
+// SIMD copy/byteswap pass.
 
-util::Bytes encode_i64s(std::span<const int64_t> values) {
+namespace {
+
+template <typename T>
+util::Bytes encode_array(std::span<const T> values) {
   util::Bytes out;
   util::Writer w(out);
   w.u32(static_cast<uint32_t>(values.size()));
-  w.i64s(values);
-  return out;
-}
-
-std::vector<int64_t> decode_i64s(const util::Bytes& bytes) {
-  util::Reader r(util::as_bytes_view(bytes));
-  const uint32_t n = r.u32().value_or(0);
-  std::vector<int64_t> out;
-  if (r.remaining() >= n * sizeof(int64_t)) {
-    out.resize(n);
-    (void)r.read_i64s(out);
+  if constexpr (std::is_same_v<T, int64_t>) {
+    w.i64s(values);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64s(values);
   } else {
-    for (uint32_t i = 0; i < n; ++i) out.push_back(r.i64().value_or(0));
+    w.i32s(values);
   }
   return out;
 }
 
-util::Bytes encode_f64s(std::span<const double> values) {
+template <typename T>
+util::Result<std::vector<T>> decode_array(util::BytesView bytes) {
+  util::Reader r(bytes);
+  std::vector<T> out(r.count(sizeof(T), "array count exceeds the payload"));
+  if constexpr (std::is_same_v<T, int64_t>) {
+    r.read_i64s(out);
+  } else if constexpr (std::is_same_v<T, double>) {
+    r.read_f64s(out);
+  } else {
+    r.read_i32s(out);
+  }
+  return r.finish(std::move(out), "an array");
+}
+
+}  // namespace
+
+util::Bytes encode_i64s(std::span<const int64_t> values) { return encode_array(values); }
+
+util::Result<std::vector<int64_t>> decode_i64s(util::BytesView bytes) {
+  return decode_array<int64_t>(bytes);
+}
+
+util::Bytes encode_f64s(std::span<const double> values) { return encode_array(values); }
+
+util::Result<std::vector<double>> decode_f64s(util::BytesView bytes) {
+  return decode_array<double>(bytes);
+}
+
+util::Bytes encode_i32s(std::span<const int32_t> values) { return encode_array(values); }
+
+util::Result<std::vector<int32_t>> decode_i32s(util::BytesView bytes) {
+  return decode_array<int32_t>(bytes);
+}
+
+util::Bytes encode_parts(const std::vector<util::Bytes>& parts) {
   util::Bytes out;
   util::Writer w(out);
-  w.u32(static_cast<uint32_t>(values.size()));
-  w.f64s(values);
+  w.u32(static_cast<uint32_t>(parts.size()));
+  for (const auto& b : parts) w.bytes(util::as_bytes_view(b));
   return out;
 }
 
-std::vector<double> decode_f64s(const util::Bytes& bytes) {
-  util::Reader r(util::as_bytes_view(bytes));
-  const uint32_t n = r.u32().value_or(0);
-  std::vector<double> out;
-  if (r.remaining() >= n * sizeof(double)) {
-    out.resize(n);
-    (void)r.read_f64s(out);
-  } else {
-    for (uint32_t i = 0; i < n; ++i) out.push_back(r.f64().value_or(0.0));
-  }
-  return out;
+util::Result<std::vector<util::Bytes>> decode_parts(util::BytesView bytes) {
+  util::Reader r(bytes);
+  std::vector<util::Bytes> out(r.count(4, "part count exceeds the payload"));
+  for (util::Bytes& b : out) b = r.bytes();
+  return r.finish(std::move(out), "a part list");
 }
 
-util::Bytes encode_i32s(std::span<const int32_t> values) {
+util::Bytes SplitEntry::encode() const {
   util::Bytes out;
   util::Writer w(out);
-  w.u32(static_cast<uint32_t>(values.size()));
-  w.i32s(values);
+  w.i32(color);
+  w.i32(key);
+  w.u32(world);
   return out;
 }
 
-std::vector<int32_t> decode_i32s(const util::Bytes& bytes) {
-  util::Reader r(util::as_bytes_view(bytes));
-  const uint32_t n = r.u32().value_or(0);
-  std::vector<int32_t> out;
-  if (r.remaining() >= n * sizeof(int32_t)) {
-    out.resize(n);
-    (void)r.read_i32s(out);
-  } else {
-    for (uint32_t i = 0; i < n; ++i) out.push_back(r.i32().value_or(0));
-  }
-  return out;
+util::Result<SplitEntry> SplitEntry::decode(util::BytesView bytes) {
+  util::Reader r(bytes);
+  SplitEntry e;
+  e.color = r.i32();
+  e.key = r.i32();
+  e.world = r.u32();
+  return r.finish(e, "a split entry");
 }
 
 }  // namespace starfish::mpi

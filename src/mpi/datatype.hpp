@@ -66,13 +66,30 @@ class Datatype {
   size_t extent_ = 0;
 };
 
-// --- typed scalar-array codecs (explicit wire order) ---
+// --- typed codecs (explicit little-endian wire order; every decoder fails
+// closed with Error{"decode"}). The scalar arrays are a u32 count, then
+// the elements; the collectives carry their payloads in them. ---
 
 util::Bytes encode_i64s(std::span<const int64_t> values);
-std::vector<int64_t> decode_i64s(const util::Bytes& bytes);
+util::Result<std::vector<int64_t>> decode_i64s(util::BytesView bytes);
 util::Bytes encode_f64s(std::span<const double> values);
-std::vector<double> decode_f64s(const util::Bytes& bytes);
+util::Result<std::vector<double>> decode_f64s(util::BytesView bytes);
 util::Bytes encode_i32s(std::span<const int32_t> values);
-std::vector<int32_t> decode_i32s(const util::Bytes& bytes);
+util::Result<std::vector<int32_t>> decode_i32s(util::BytesView bytes);
+/// A list of byte strings (allgather's result): a u32 count, then each
+/// string behind its u32 length.
+util::Bytes encode_parts(const std::vector<util::Bytes>& parts);
+util::Result<std::vector<util::Bytes>> decode_parts(util::BytesView bytes);
+
+/// One member's contribution to Comm::split: i32 color, i32 key, u32
+/// world rank.
+struct SplitEntry {
+  int32_t color = 0;
+  int32_t key = 0;
+  uint32_t world = 0;
+
+  util::Bytes encode() const;
+  static util::Result<SplitEntry> decode(util::BytesView bytes);
+};
 
 }  // namespace starfish::mpi

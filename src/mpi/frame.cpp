@@ -27,36 +27,18 @@ util::SharedBytes Frame::encode() const {
 util::Result<Frame> Frame::decode(const util::SharedBytes& bytes) {
   util::Reader r(bytes.view());
   Frame f;
-  auto kind = r.u8();
-  if (!kind) return kind.error();
-  f.kind = static_cast<FrameKind>(kind.value());
-  auto comm = r.u32();
-  if (!comm) return comm.error();
-  f.comm = comm.value();
-  auto src = r.u32();
-  if (!src) return src.error();
-  f.src_rank = src.value();
-  auto dst = r.u32();
-  if (!dst) return dst.error();
-  f.dst_rank = dst.value();
-  auto tag = r.i32();
-  if (!tag) return tag.error();
-  f.tag = tag.value();
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  f.seq = seq.value();
-  auto interval = r.u32();
-  if (!interval) return interval.error();
-  f.send_interval = interval.value();
-  auto total = r.u64();
-  if (!total) return total.error();
-  f.total_bytes = total.value();
-  // The payload aliases the wire buffer instead of being copied out; the
-  // length-prefixed view() advances the reader and bounds-checks for us.
-  auto payload = r.view();
-  if (!payload) return payload.error();
-  f.payload = bytes.slice(r.position() - payload.value().size(), payload.value().size());
-  return f;
+  f.kind = r.enum_u8(FrameKind::kEager, FrameKind::kClMarker, "frame kind");
+  f.comm = r.u32();
+  f.src_rank = r.u32();
+  f.dst_rank = r.u32();
+  f.tag = r.i32();
+  f.seq = r.u64();
+  f.send_interval = r.u32();
+  f.total_bytes = r.u64();
+  // The payload aliases the wire buffer instead of being copied out.
+  const util::BytesView payload = r.view();
+  f.payload = bytes.slice(r.position() - payload.size(), payload.size());
+  return r.finish(std::move(f), "an mpi frame");
 }
 
 }  // namespace starfish::mpi

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "obs/obs.hpp"
 #include "util/log.hpp"
 
 namespace starfish::mpi {
@@ -62,11 +63,17 @@ void Proc::dispatch_loop() {
     if (!r.ok()) return;  // VNI closed: shutdown or host crash
     auto decoded = Frame::decode(r.value->payload);
     if (!decoded.ok()) {
-      STARFISH_LOG(kWarn, "mpi") << "rank " << rank_ << " dropped undecodable frame";
+      drop_undecodable("frame", decoded.error());
       continue;
     }
     on_frame(std::move(decoded).take());
   }
+}
+
+void Proc::drop_undecodable(const char* what, const util::Error& error) {
+  if (obs::Hub* hub = net_.engine().obs()) hub->metrics.counter("mpi.decode_errors").add(1);
+  STARFISH_LOG(kWarn, "mpi") << "rank " << rank_ << " dropped undecodable " << what << ": "
+                             << error.to_string();
 }
 
 void Proc::on_frame(Frame frame) {
@@ -512,6 +519,31 @@ void Proc::send_marker_to(uint32_t dst, FrameKind kind, uint32_t comm,
 
 // ------------------------------------------------------- channel state ----
 
+void put_envelope(util::Writer& w, const Envelope& env) {
+  w.u32(env.comm);
+  w.u32(env.src);
+  w.i32(env.tag);
+  w.u32(env.send_interval);
+  w.bytes(util::as_bytes_view(env.data));
+}
+
+Envelope get_envelope(util::Reader& r) {
+  Envelope env;
+  env.comm = r.u32();
+  env.src = r.u32();
+  env.tag = r.i32();
+  env.send_interval = r.u32();
+  env.data = r.bytes();
+  return env;
+}
+
+util::Result<std::vector<Envelope>> decode_channel_state(util::BytesView blob) {
+  util::Reader r(blob);
+  std::vector<Envelope> out(r.count(kEnvelopeMinBytes, "channel state count exceeds the blob"));
+  for (Envelope& env : out) env = get_envelope(r);
+  return r.finish(std::move(out), "a channel state");
+}
+
 util::Bytes Proc::capture_channel_state() const {
   // RTS placeholders are skipped: their payloads arrive later and are
   // recorded by the snapshot tap (freeze/drain_for_snapshot converted any
@@ -524,32 +556,15 @@ util::Bytes Proc::capture_channel_state() const {
   }
   w.u32(count);
   for (const auto& env : unexpected_) {
-    if (env.is_rts) continue;
-    w.u32(env.comm);
-    w.u32(env.src);
-    w.i32(env.tag);
-    w.u32(env.send_interval);
-    w.bytes(util::as_bytes_view(env.data));
+    if (!env.is_rts) put_envelope(w, env);
   }
   return out;
 }
 
-void Proc::restore_channel_state(util::BytesView blob, std::vector<Envelope> recorded) {
+void Proc::restore_channel_state(std::vector<Envelope> saved) {
   std::deque<Envelope> live;
   live.swap(unexpected_);
-  util::Reader r(blob);
-  const uint32_t n = r.u32().value_or(0);
-  for (uint32_t i = 0; i < n; ++i) {
-    Envelope env;
-    env.comm = r.u32().value_or(0);
-    env.src = r.u32().value_or(0);
-    env.tag = r.i32().value_or(0);
-    env.send_interval = r.u32().value_or(0);
-    auto data = r.bytes();
-    if (data.ok()) env.data = std::move(data).take();
-    unexpected_.push_back(std::move(env));
-  }
-  for (auto& env : recorded) unexpected_.push_back(std::move(env));
+  for (auto& env : saved) unexpected_.push_back(std::move(env));
   for (auto& env : live) unexpected_.push_back(std::move(env));
   // The application may already be blocked in a recv posted while the image
   // was still being read from disk: a restored in-transit message must match

@@ -49,6 +49,15 @@ struct Envelope {
   uint64_t rdv_bytes = 0;
 };
 
+/// A saved message as the channel state and the checkpoint container
+/// store it: u32 comm, u32 src, i32 tag, u32 send_interval, bytes data.
+constexpr size_t kEnvelopeMinBytes = 4 + 4 + 4 + 4 + 4;
+void put_envelope(util::Writer& w, const Envelope& env);
+Envelope get_envelope(util::Reader& r);
+/// Decodes Proc::capture_channel_state()'s blob: a u32 count, then that
+/// many envelopes. Fails closed (Error{"decode"}).
+util::Result<std::vector<Envelope>> decode_channel_state(util::BytesView blob);
+
 class Proc;
 
 /// Internal: one posted receive awaiting a match (exposed at namespace scope
@@ -144,16 +153,20 @@ class Proc {
                       util::SharedBytes payload = {});
 
   util::Bytes capture_channel_state() const;
-  /// Replays a saved channel state plus recorded in-transit messages
-  /// (Chandy–Lamport). Ordering: saved unexpected queue, then recordings,
-  /// then whatever already arrived live while this process was restoring —
-  /// live traffic logically follows everything the checkpoint saved.
-  void restore_channel_state(util::BytesView blob, std::vector<Envelope> recorded = {});
+  /// Replays saved in-transit messages, decoded in full beforehand: the
+  /// saved unexpected queue, then the recordings (Chandy–Lamport). Whatever
+  /// already arrived live while this process was restoring goes after them
+  /// — live traffic logically follows everything the checkpoint saved.
+  void restore_channel_state(std::vector<Envelope> saved);
   /// Test hook: queues one message as if it had arrived.
   void inject_unexpected(Envelope env);
 
   /// Permanently stops the dispatch machinery (end of the process).
   void shutdown();
+
+  /// Counts a received frame or collective payload that failed to decode
+  /// in `mpi.decode_errors`; the caller drops it, or fails the rank.
+  void drop_undecodable(const char* what, const util::Error& error);
 
   // --- stats ---
   uint64_t messages_sent() const { return messages_sent_; }

@@ -41,6 +41,16 @@ struct NetAddr {
   Port port = 0;
   auto operator<=>(const NetAddr&) const = default;
   std::string to_string() const;
+
+  /// Wire form: u32 host, u32 port.
+  void write(util::Writer& w) const {
+    w.u32(host);
+    w.u32(port);
+  }
+  static NetAddr read(util::Reader& r) {
+    const sim::HostId h = r.u32();
+    return {h, r.u32()};
+  }
 };
 
 struct Packet {

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -226,103 +227,103 @@ class Writer {
   Endian endian_;
 };
 
-/// Bounds-checked decoder over a byte span. Decode failures surface as
-/// Error{"decode", ...} results rather than UB.
+/// Bounds-checked decoder over a byte span (DESIGN.md §18, "Decoding").
+///
+/// A read returns its value. The first read that fails (too few bytes, a
+/// count the bytes left cannot hold, an enum or flag byte out of range, a
+/// caller's fail()) latches its Error and consumes the input, so every
+/// later read returns zero or empty. A decoder reads its fields
+/// unconditionally and checks once, at the end: finish() fails on the
+/// latched error or on trailing bytes. A sub-decoder reading a prefix of a
+/// shared Reader returns result() and leaves the trailing check to its
+/// caller.
 class Reader {
  public:
-  explicit Reader(std::span<const std::byte> data, Endian endian = Endian::kLittle)
-      : data_(data), endian_(endian) {}
+  /// Every failure this Reader reports carries `code`.
+  explicit Reader(std::span<const std::byte> data, Endian endian = Endian::kLittle,
+                  const char* code = "decode")
+      : data_(data), endian_(endian), code_(code) {}
 
-  Endian endian() const { return endian_; }
-  void set_endian(Endian e) { endian_ = e; }
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
+  bool ok() const { return !failed_; }
 
-  Result<uint8_t> u8() {
-    if (remaining() < 1) return short_read("u8");
+  uint8_t u8() {
+    if (remaining() < 1) [[unlikely]] {
+      short_read("u8");
+      return 0;
+    }
     return static_cast<uint8_t>(data_[pos_++]);
   }
-  Result<uint16_t> u16() { return get_int<uint16_t>("u16"); }
-  Result<uint32_t> u32() { return get_int<uint32_t>("u32"); }
-  Result<uint64_t> u64() { return get_int<uint64_t>("u64"); }
-  Result<int32_t> i32() {
-    auto r = get_int<uint32_t>("i32");
-    if (!r) return r.error();
-    return static_cast<int32_t>(r.value());
+  uint16_t u16() { return get_int<uint16_t>("u16"); }
+  uint32_t u32() { return get_int<uint32_t>("u32"); }
+  uint64_t u64() { return get_int<uint64_t>("u64"); }
+  int32_t i32() { return static_cast<int32_t>(get_int<uint32_t>("i32")); }
+  int64_t i64() { return static_cast<int64_t>(get_int<uint64_t>("i64")); }
+  double f64() { return std::bit_cast<double>(get_int<uint64_t>("f64")); }
+
+  /// A flag byte, exactly 0 or 1: any other byte is corruption, not
+  /// "true", since it would re-encode differently.
+  bool flag(const char* what) {
+    const uint8_t v = u8();
+    if (v > 1) [[unlikely]] bad_byte("flag ", what, " is ", v, ", not 0/1");
+    return v == 1;
   }
-  Result<int64_t> i64() {
-    auto r = get_int<uint64_t>("i64");
-    if (!r) return r.error();
-    return static_cast<int64_t>(r.value());
+  /// An enum byte in [lo, hi]; out of range fails ("unknown <what> <byte>")
+  /// and returns lo, so no unknown value reaches a switch.
+  template <typename E>
+  E enum_u8(E lo, E hi, const char* what) {
+    const uint8_t v = u8();
+    if (v < static_cast<uint8_t>(lo) || v > static_cast<uint8_t>(hi)) [[unlikely]] {
+      bad_byte("unknown ", what, " ", v, "");
+      return lo;
+    }
+    return static_cast<E>(v);
   }
-  Result<double> f64() {
-    auto r = get_int<uint64_t>("f64");
-    if (!r) return r.error();
-    double v;
-    uint64_t bits = r.value();
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  Result<bool> boolean() {
-    auto r = u8();
-    if (!r) return r.error();
-    return r.value() != 0;
+  /// An entry count (u32), bounded by the bytes left at `min_entry_bytes`
+  /// per entry before the caller loops or reserves on it: a forged count
+  /// fails here, with `what` leading the message, and reads as 0.
+  uint32_t count(size_t min_entry_bytes, const char* what) {
+    const uint32_t n = u32();
+    if (n > remaining() / min_entry_bytes) [[unlikely]] {
+      bad_count(n, min_entry_bytes, what);
+      return 0;
+    }
+    return n;
   }
 
-  Result<Bytes> bytes() {
-    auto v = view();
-    if (!v) return v.error();
-    return Bytes(v.value().begin(), v.value().end());
+  /// A u32-length-prefixed window into the source span. Valid only while
+  /// the underlying buffer is alive and unmodified.
+  BytesView view() { return take(u32(), "bytes"); }
+  Bytes bytes() {
+    const BytesView v = view();
+    return Bytes(v.begin(), v.end());
   }
-  /// Zero-copy variant of bytes(): a length-prefixed window into the source
-  /// span. Valid only while the underlying buffer is alive and unmodified.
-  Result<BytesView> view() {
-    auto len = u32();
-    if (!len) return len.error();
-    if (remaining() < len.value()) return short_read("bytes");
-    BytesView out = data_.subspan(pos_, len.value());
-    pos_ += len.value();
-    return out;
+  std::string str() {
+    const BytesView v = view();
+    return {reinterpret_cast<const char*>(v.data()), v.size()};
   }
-  Result<std::string> str() {
-    auto v = str_view();
-    if (!v) return v.error();
-    return std::string(v.value());
-  }
-  /// Zero-copy variant of str(); same lifetime caveat as view().
-  Result<std::string_view> str_view() {
-    auto v = view();
-    if (!v) return v.error();
-    return std::string_view(reinterpret_cast<const char*>(v.value().data()), v.value().size());
-  }
-  /// Reads exactly n raw bytes (no length prefix).
-  Result<Bytes> raw(size_t n) {
-    auto v = raw_view(n);
-    if (!v) return v.error();
-    return Bytes(v.value().begin(), v.value().end());
-  }
-  /// Zero-copy variant of raw(); same lifetime caveat as view().
-  Result<BytesView> raw_view(size_t n) {
-    if (remaining() < n) return short_read("raw");
-    BytesView out = data_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
+  /// Exactly n raw bytes (no length prefix); same lifetime caveat as view().
+  BytesView raw_view(size_t n) { return take(n, "raw"); }
 
   // --- bulk reads (inverse of the Writer bulk appends; bounds-checked as a
-  // whole, then one SIMD byteswap/convert pass into the caller's array) ---
+  // whole, then one SIMD byteswap/convert pass into the caller's array,
+  // which a failed read leaves untouched) ---
 
-  Status read_u32s(std::span<uint32_t> out) { return get_ints<uint32_t, 4>(out, "u32s"); }
-  Status read_i32s(std::span<int32_t> out) { return get_ints<int32_t, 4>(out, "i32s"); }
-  Status read_u64s(std::span<uint64_t> out) { return get_ints<uint64_t, 8>(out, "u64s"); }
-  Status read_i64s(std::span<int64_t> out) { return get_ints<int64_t, 8>(out, "i64s"); }
-  Status read_f64s(std::span<double> out) { return get_ints<double, 8>(out, "f64s"); }
+  void read_u32s(std::span<uint32_t> out) { get_ints<uint32_t, 4>(out, "u32s"); }
+  void read_i32s(std::span<int32_t> out) { get_ints<int32_t, 4>(out, "i32s"); }
+  void read_u64s(std::span<uint64_t> out) { get_ints<uint64_t, 8>(out, "u64s"); }
+  void read_i64s(std::span<int64_t> out) { get_ints<int64_t, 8>(out, "i64s"); }
+  void read_f64s(std::span<double> out) { get_ints<double, 8>(out, "f64s"); }
   /// Reads out.size() 32-bit words and sign-extends each into an int64 (the
   /// widening restore of a 32-bit saver's image on a 64-bit reader).
-  Status read_i64s_widened(std::span<int64_t> out) {
+  void read_i64s_widened(std::span<int64_t> out) {
     const size_t n = out.size();
-    if (remaining() < n * 4) return short_read("i32s");
+    if (remaining() / 4 < n) [[unlikely]] {
+      short_read("i32s");
+      return;
+    }
     const std::byte* src = data_.data() + pos_;
     std::byte* dst = reinterpret_cast<std::byte*>(out.data());
     if (endian_ == native_endian()) {
@@ -339,15 +340,71 @@ class Reader {
       }
     }
     pos_ += n * 4;
-    return Status::ok_status();
+  }
+
+  /// Adds a decoded entry (a key, or a key and value) to a sorted map or
+  /// set whose encoder wrote its keys in increasing order. A key that does
+  /// not sort strictly after the last one fails: it would re-encode
+  /// elsewhere, or collapse a duplicate.
+  template <typename C, typename... Entry>
+  void insert_sorted(C& sorted, const char* what, Entry&&... entry) {
+    const size_t before = sorted.size();
+    const auto it = sorted.emplace_hint(sorted.end(), std::forward<Entry>(entry)...);
+    if (sorted.size() == before || std::next(it) != sorted.end()) [[unlikely]] {
+      if (!failed_) fail(std::string(what) + " keys out of order");
+    }
+  }
+
+  /// Latches a failure the caller detected (a bad magic, a semantic
+  /// check); the first failure wins.
+  void fail(std::string message) { fail(Error{code_, std::move(message)}); }
+  void fail(Error error) {
+    if (!failed_) {
+      failed_ = true;
+      error_ = std::move(error);
+    }
+    pos_ = data_.size();
+  }
+
+  /// The one check at the end of a decode: the latched error, or a failure
+  /// for any bytes left after `what`.
+  Status finish(const char* what) {
+    if (!failed_ && !exhausted()) {
+      fail(std::to_string(remaining()) + " trailing bytes after " + what);
+    }
+    return failed_ ? Status(error_) : Status::ok_status();
+  }
+  template <typename T>
+  Result<T> finish(T value, const char* what) {
+    if (Status s = finish(what); !s.ok()) return s.error();
+    return Result<T>(std::move(value));
+  }
+  /// A prefix sub-decoder's check: the latched error only.
+  template <typename T>
+  Result<T> result(T value) const {
+    if (failed_) return error_;
+    return Result<T>(std::move(value));
   }
 
  private:
+  BytesView take(size_t n, const char* what) {
+    if (remaining() < n) [[unlikely]] {
+      short_read(what);
+      return {};
+    }
+    const BytesView out = data_.subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
   template <typename T, unsigned kElem>
-  Status get_ints(std::span<T> out, const char* what) {
+  void get_ints(std::span<T> out, const char* what) {
     static_assert(sizeof(T) == kElem);
     const size_t n = out.size();
-    if (remaining() < n * kElem) return short_read(what);
+    if (remaining() / kElem < n) [[unlikely]] {
+      short_read(what);
+      return;
+    }
     if (n != 0) {
       const std::byte* src = data_.data() + pos_;
       std::byte* dst = reinterpret_cast<std::byte*>(out.data());
@@ -360,29 +417,48 @@ class Reader {
       }
     }
     pos_ += n * kElem;
-    return Status::ok_status();
   }
 
+  /// One bounds check and one load; the error is built only on failure.
   template <typename U>
-  Result<U> get_int(const char* what) {
-    if (remaining() < sizeof(U)) return short_read(what);
-    U v = 0;
-    for (size_t i = 0; i < sizeof(U); ++i) {
-      const unsigned shift =
-          endian_ == Endian::kLittle ? 8 * i : 8 * (sizeof(U) - 1 - i);
-      v |= static_cast<U>(static_cast<U>(data_[pos_ + i]) << shift);
+  U get_int(const char* what) {
+    if (remaining() < sizeof(U)) [[unlikely]] {
+      short_read(what);
+      return 0;
     }
+    U v;
+    std::memcpy(&v, data_.data() + pos_, sizeof(U));
     pos_ += sizeof(U);
-    return v;
+    if (endian_ == native_endian()) return v;
+    if constexpr (sizeof(U) == 2) return __builtin_bswap16(v);
+    if constexpr (sizeof(U) == 4) return __builtin_bswap32(v);
+    return __builtin_bswap64(v);
   }
 
-  Error short_read(const char* what) const {
-    return Error::make("decode", std::string("short read decoding ") + what);
+  // Cold paths. A failure leaves pos_ at the end, so a read after one
+  // lands here too and keeps the first error.
+  [[gnu::cold, gnu::noinline]] void short_read(const char* what) {
+    if (!failed_) fail(std::string("short read decoding ") + what);
+  }
+  [[gnu::cold, gnu::noinline]] void bad_byte(const char* lead, const char* what, const char* sep,
+                                             uint8_t v, const char* tail) {
+    if (!failed_) fail(std::string(lead) + what + sep + std::to_string(v) + tail);
+  }
+  [[gnu::cold, gnu::noinline]] void bad_count(uint32_t n, size_t min_entry_bytes,
+                                              const char* what) {
+    if (!failed_) {
+      fail(std::string(what) + " (" + std::to_string(n) + " entries of at least " +
+           std::to_string(min_entry_bytes) + " bytes, " + std::to_string(remaining()) +
+           " bytes left)");
+    }
   }
 
   std::span<const std::byte> data_;
   size_t pos_ = 0;
   Endian endian_;
+  const char* code_;
+  bool failed_ = false;
+  Error error_;
 };
 
 }  // namespace starfish::util

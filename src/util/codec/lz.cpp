@@ -183,11 +183,20 @@ size_t compress_block(const std::byte* p, size_t n, std::byte* out, MatchTables&
   return static_cast<size_t>(o - out);
 }
 
+enum class BlockKind : uint8_t { kStored = 0, kLz = 1 };
+
 struct BlockRef {
-  uint8_t kind;
-  uint32_t raw_len;
+  BlockKind kind = BlockKind::kStored;
+  uint32_t raw_len = 0;
   BytesView enc;
 };
+
+/// Reads the frame header's magic, version and raw length.
+uint64_t read_header(Reader& r) {
+  if (r.u32() != kLzMagic) r.fail("lz: bad magic");
+  if (r.u8() != kLzVersion) r.fail("lz: unsupported version");
+  return r.u64();
+}
 
 /// Parses and checksum-verifies the frame scaffolding shared by verify and
 /// decompress. On success `blocks` holds one entry per block and the
@@ -195,52 +204,34 @@ struct BlockRef {
 /// anything: the raw length by `max_bytes`, the block count by the block
 /// headers the frame has room for.
 Result<uint64_t> parse_frame(BytesView frame, uint64_t max_bytes, std::vector<BlockRef>& blocks) {
-  Reader r(frame);
-  auto magic = r.u32();
-  if (!magic || magic.value() != kLzMagic) return codec_error("bad magic");
-  auto version = r.u8();
-  if (!version || version.value() != kLzVersion) return codec_error("unsupported version");
-  auto raw_len = r.u64();
-  if (!raw_len) return codec_error("truncated header");
-  auto n_blocks = r.u32();
-  if (!n_blocks) return codec_error("truncated header");
-  if (raw_len.value() > max_bytes) {
-    return codec_error("frame announces oversized payload (" + std::to_string(raw_len.value()) +
-                       " > " + std::to_string(max_bytes) + " bytes)");
+  Reader r(frame, util::Endian::kLittle, "codec");
+  const uint64_t raw_len = read_header(r);
+  if (raw_len > max_bytes) {
+    r.fail("lz: frame announces oversized payload (" + std::to_string(raw_len) + " > " +
+           std::to_string(max_bytes) + " bytes)");
   }
-  if (n_blocks.value() > r.remaining() / kBlockHeaderBytes) {
-    return codec_error("block count exceeds the frame");
-  }
-  const uint64_t want_blocks =
-      raw_len.value() == 0 ? 0 : (raw_len.value() + kLzBlockBytes - 1) / kLzBlockBytes;
-  if (n_blocks.value() != want_blocks) return codec_error("block count mismatch");
-  blocks.clear();
-  blocks.reserve(n_blocks.value());
+  blocks.resize(r.count(kBlockHeaderBytes, "lz: block count exceeds the frame"));
+  const uint64_t want_blocks = raw_len == 0 ? 0 : (raw_len + kLzBlockBytes - 1) / kLzBlockBytes;
+  if (blocks.size() != want_blocks) r.fail("lz: block count mismatch");
   uint64_t raw_total = 0;
-  for (uint32_t b = 0; b < n_blocks.value(); ++b) {
-    auto kind = r.u8();
-    auto block_raw = r.u32();
-    auto enc_len = r.u32();
-    auto check = r.u64();
-    if (!kind || !block_raw || !enc_len || !check) return codec_error("truncated block header");
-    if (kind.value() > 1) return codec_error("unknown block kind");
-    if (block_raw.value() == 0 || block_raw.value() > kLzBlockBytes) {
-      return codec_error("bad block raw length");
+  for (BlockRef& blk : blocks) {
+    blk.kind = r.enum_u8(BlockKind::kStored, BlockKind::kLz, "lz block kind");
+    blk.raw_len = r.u32();
+    const uint32_t enc_len = r.u32();
+    const uint64_t check = r.u64();
+    blk.enc = r.raw_view(enc_len);
+    if (blk.raw_len == 0 || blk.raw_len > kLzBlockBytes) {
+      r.fail("lz: bad block raw length");
+    } else if (blk.kind == BlockKind::kStored && blk.enc.size() != blk.raw_len) {
+      r.fail("lz: stored block length mismatch");
+    } else if (simd::fingerprint(blk.enc.data(), blk.enc.size()) != check) {
+      r.fail("lz: block checksum mismatch");
     }
-    auto enc = r.raw_view(enc_len.value());
-    if (!enc) return codec_error("truncated block body");
-    if (kind.value() == 0 && enc.value().size() != block_raw.value()) {
-      return codec_error("stored block length mismatch");
-    }
-    if (simd::fingerprint(enc.value().data(), enc.value().size()) != check.value()) {
-      return codec_error("block checksum mismatch");
-    }
-    raw_total += block_raw.value();
-    blocks.push_back({kind.value(), block_raw.value(), enc.value()});
+    raw_total += blk.raw_len;
   }
-  if (!r.exhausted()) return codec_error("trailing bytes after frame");
-  if (raw_total != raw_len.value()) return codec_error("block raw lengths disagree with header");
-  return raw_len.value();
+  if (raw_total != raw_len) r.fail("lz: block raw lengths disagree with header");
+  if (Status s = r.finish("an lz frame"); !s.ok()) return s.error();
+  return raw_len;
 }
 
 Status decode_block(const BlockRef& blk, std::byte* dst) {
@@ -337,14 +328,9 @@ Bytes lz_compress(BytesView raw) {
 }
 
 Result<uint64_t> lz_raw_size(BytesView frame) {
-  Reader r(frame);
-  auto magic = r.u32();
-  if (!magic || magic.value() != kLzMagic) return codec_error("bad magic");
-  auto version = r.u8();
-  if (!version || version.value() != kLzVersion) return codec_error("unsupported version");
-  auto raw_len = r.u64();
-  if (!raw_len) return codec_error("truncated header");
-  return raw_len.value();
+  Reader r(frame, util::Endian::kLittle, "codec");
+  const uint64_t raw_len = read_header(r);
+  return r.result(raw_len);
 }
 
 Status lz_verify(BytesView frame) {
@@ -361,7 +347,7 @@ Result<Bytes> lz_decompress(BytesView frame, uint64_t max_bytes) {
   Bytes out(static_cast<size_t>(parsed.value()));
   size_t off = 0;
   for (const BlockRef& blk : blocks) {
-    if (blk.kind == 0) {
+    if (blk.kind == BlockKind::kStored) {
       simd::copy(out.data() + off, blk.enc.data(), blk.enc.size());
     } else {
       auto st = decode_block(blk, out.data() + off);

@@ -48,8 +48,6 @@ class [[nodiscard]] Result {
     return std::get<Error>(state_);
   }
 
-  const T& value_or(const T& fallback) const& { return ok() ? std::get<T>(state_) : fallback; }
-
  private:
   std::variant<T, Error> state_;
 };

@@ -24,22 +24,26 @@ util::Bytes encode_wire_value(const Value& v) {
 }
 
 util::Result<Value> decode_wire_value(util::BytesView bytes) {
-  if (bytes.size() != kWireValueBytes) {
-    return util::Error::make("decode", "wire value of " + std::to_string(bytes.size()) +
-                                           " bytes, want " + std::to_string(kWireValueBytes));
-  }
   util::Reader r(bytes);
-  const uint8_t tag = r.u8().value();
-  const int64_t i = r.i64().value();
-  const double f = r.f64().value();
-  switch (static_cast<Tag>(tag)) {
-    case Tag::kUnit: return Value::unit();
-    case Tag::kInt: return Value::integer(i);
-    case Tag::kFloat: return Value::real(f);
-    case Tag::kBool: return Value::boolean(i != 0);
-    case Tag::kRef: return Value::reference(kNullRef);
+  const Tag tag = r.enum_u8(Tag::kUnit, Tag::kRef, "wire value tag");
+  const int64_t i = r.i64();
+  const uint64_t f_bits = r.u64();
+  // Only the encoding encode_wire_value writes is accepted: the payload
+  // field the tag does not use is zero, and a bool is 0 or 1.
+  const bool int_payload = tag == Tag::kInt || tag == Tag::kBool;
+  if ((!int_payload && i != 0) || (tag == Tag::kBool && (i & ~int64_t{1}) != 0) ||
+      (tag != Tag::kFloat && f_bits != 0)) {
+    r.fail("non-canonical wire value");
   }
-  return util::Error::make("decode", "bad wire value tag " + std::to_string(tag));
+  Value v = Value::unit();
+  switch (tag) {
+    case Tag::kUnit: break;
+    case Tag::kInt: v = Value::integer(i); break;
+    case Tag::kFloat: v = Value::real(std::bit_cast<double>(f_bits)); break;
+    case Tag::kBool: v = Value::boolean(i != 0); break;
+    case Tag::kRef: v = Value::reference(kNullRef); break;
+  }
+  return r.finish(v, "a wire value");
 }
 
 bool operator==(const HeapObject& a, const HeapObject& b) {

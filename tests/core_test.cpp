@@ -404,7 +404,7 @@ TEST(Checkpointing, NativeLevelHomogeneousRestart) {
     int64_t i = 0;
     ctx.set_state_restore([&](const util::Bytes& b) {
       util::Reader r(util::as_bytes_view(b));
-      i = r.i64().value_or(0);
+      i = r.i64();
     });
     ctx.set_state_capture([&] {
       util::Bytes b;
@@ -456,8 +456,8 @@ TEST(Dynamicity, NotifyPolicyRepartitionsWork) {
       while (have < kUnits) {
         auto data = ctx.world().recv(mpi::kAnySource, kResultTag);
         util::Reader r(util::as_bytes_view(data));
-        const int64_t unit = r.i64().value_or(0);
-        const int64_t value = r.i64().value_or(0);
+        const int64_t unit = r.i64();
+        const int64_t value = r.i64();
         if (results[static_cast<size_t>(unit)] < 0) {
           results[static_cast<size_t>(unit)] = value;
           ++have;
@@ -945,7 +945,7 @@ TEST(IncrementalCheckpoint, WritesFewerBytesForSparseState) {
       ctx.set_state_restore([&](const util::Bytes& b) {
         state = b;
         util::Reader r(util::as_bytes_view(state));
-        step = r.i64().value_or(0);
+        step = r.i64();
       });
       while (step < 120) {
         ctx.compute(milliseconds(10));
@@ -1022,7 +1022,7 @@ TEST(IncrementalCheckpoint, RestoreFromDeltaEpochResolvesChain) {
     ctx.set_state_restore([&](const util::Bytes& b) {
       state = b;
       util::Reader r(util::as_bytes_view(state));
-      step = r.i64().value_or(0);
+      step = r.i64();
     });
     while (step < kSteps) {
       ctx.compute(milliseconds(5));

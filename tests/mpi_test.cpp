@@ -143,7 +143,7 @@ TEST(P2P, FifoPerSenderSameTag) {
       for (int i = 0; i < 20; ++i) {
         auto b = p.recv(kWorldCommId, 0, 0);
         util::Reader r(util::as_bytes_view(b));
-        order.push_back(r.i32().value_or(-1));
+        order.push_back(r.i32());
       }
     }
   });
@@ -663,11 +663,11 @@ TEST(Datatype, ErrorsOnShortBuffers) {
 
 TEST(Datatype, TypedScalarCodecs) {
   std::vector<int64_t> i64s = {-1, 0, INT64_MAX, INT64_MIN};
-  EXPECT_EQ(decode_i64s(encode_i64s(i64s)), i64s);
+  EXPECT_EQ(decode_i64s(encode_i64s(i64s)).value(), i64s);
   std::vector<double> f64s = {0.0, -1.5, 3.14159};
-  EXPECT_EQ(decode_f64s(encode_f64s(f64s)), f64s);
+  EXPECT_EQ(decode_f64s(encode_f64s(f64s)).value(), f64s);
   std::vector<int32_t> i32s = {INT32_MIN, -7, INT32_MAX};
-  EXPECT_EQ(decode_i32s(encode_i32s(i32s)), i32s);
+  EXPECT_EQ(decode_i32s(encode_i32s(i32s)).value(), i32s);
 }
 
 // Datatype transfer end to end: pack a strided column, ship it, unpack.
@@ -854,7 +854,7 @@ TEST(CrHooks, ChannelStateRoundtrip) {
       w.eng.sleep(milliseconds(10));
       auto blob_state = p.capture_channel_state();
       // Simulate restart: wipe and restore.
-      p.restore_channel_state(blob_state);
+      p.restore_channel_state(decode_channel_state(blob_state).value());
       p.thaw();
       EXPECT_EQ(untext(p.recv(kWorldCommId, 0, 4)), "in-transit-1");
       EXPECT_EQ(untext(p.recv(kWorldCommId, 0, 5)), "in-transit-2");

@@ -259,7 +259,8 @@ TEST_P(MpiProperty, RandomTrafficDeliveredExactlyOnce) {
         mpi::RecvStatus st;
         auto data = proc->recv(mpi::kWorldCommId, mpi::kAnySource, 0, &st);
         util::Reader reader(util::as_bytes_view(data));
-        got[r][static_cast<uint32_t>(st.source)].push_back(reader.u64().value_or(999999));
+        const uint64_t seq = reader.u64();  // a prefix: the payload is padded
+        got[r][static_cast<uint32_t>(st.source)].push_back(reader.ok() ? seq : 999999);
       }
     });
     const uint64_t pace_seed = rng.next();
