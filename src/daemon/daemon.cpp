@@ -686,20 +686,35 @@ std::map<uint32_t, uint64_t> Daemon::compute_restore_epochs(const AppState& stat
   if (state.job.protocol == CrProtocol::kUncoordinated) {
     // Recovery line over the stored independent checkpoints.
     std::vector<ckpt::CheckpointMeta> metas;
-    std::map<uint32_t, uint32_t> latest;
+    std::map<uint32_t, uint32_t> newest;  // per rank, as stored
+    std::map<uint32_t, uint32_t> latest;  // per rank, the newest line candidate
     for (uint32_t rank = 0; rank < state.job.nprocs; ++rank) {
-      latest[rank] = 0;
-      auto newest = store_.latest_stored(app, rank);
-      if (newest) latest[rank] = static_cast<uint32_t>(*newest);
-      for (uint32_t idx = 1; idx <= latest[rank]; ++idx) {
-        auto meta_blob = store_.checkpoint_meta(ckpt::CkptKey{app, rank, idx});
-        if (!meta_blob) continue;
-        // The blob is a DependencyTracker encoding. A corrupt blob makes the
-        // checkpoint unusable as a line candidate — treating it as "no
-        // recorded constraints" would fabricate a line the dependencies
-        // never supported, so skip it (like a missing meta).
+      const auto stored = store_.latest_stored(app, rank);
+      newest[rank] = stored ? static_cast<uint32_t>(*stored) : 0;
+      latest[rank] = newest[rank];
+      for (uint32_t idx = 1; idx <= newest[rank]; ++idx) {
+        // The blob is a DependencyTracker encoding. compute_recovery_line
+        // reads a checkpoint without a meta as one with no recorded
+        // constraints, which would fabricate a line the dependencies never
+        // supported. So a checkpoint whose meta is missing (a crash between
+        // its image and its meta) or corrupt is no line candidate: the rank
+        // rolls back below it.
+        const auto meta_blob = store_.checkpoint_meta(ckpt::CkptKey{app, rank, idx});
+        if (!meta_blob) {
+          latest[rank] = idx - 1;
+          break;
+        }
         auto tracker = ckpt::DependencyTracker::decode(*meta_blob);
-        if (!tracker.ok()) continue;
+        if (!tracker.ok()) {
+          if (obs::Hub* hub = net_.engine().obs()) {
+            hub->metrics.counter("ckpt.decode_errors").add(1);
+          }
+          STARFISH_LOG(kWarn, kLog) << "daemon " << host_.id() << " dropping undecodable tracker"
+                                    << " of rank " << rank << " checkpoint " << idx << ": "
+                                    << tracker.error().to_string();
+          latest[rank] = idx - 1;
+          break;
+        }
         ckpt::CheckpointMeta meta;
         meta.rank = rank;
         meta.index = idx;
@@ -712,7 +727,7 @@ std::map<uint32_t, uint64_t> Daemon::compute_restore_epochs(const AppState& stat
     if (obs::Hub* hub = net_.engine().obs()) {
       hub->metrics.counter("ckpt.recovery_lines").add(1);
       hub->metrics.counter("ckpt.rollback_intervals")
-          .add(ckpt::rollback_distance(line, latest));
+          .add(ckpt::rollback_distance(line, newest));
     }
     for (const auto& [rank, idx] : line) {
       out[rank] = idx == 0 ? kNoRestore : idx;

@@ -89,7 +89,7 @@ void GroupEndpoint::start_founding(const std::vector<net::NetAddr>& founders) {
   for (size_t i = 0; i < founders.size(); ++i) {
     // Our own entry carries our real incarnation (a founder restarted after
     // a crash is not incarnation 0); peers start at 0 and are upgraded by
-    // resolve_incarnation() on first contact.
+    // resolve_sender() on first contact.
     const MemberId id =
         founders[i] == addr() ? self_ : MemberId{founders[i].host, 0};
     v.members.push_back(Member{id, static_cast<uint32_t>(i), founders[i]});
@@ -104,10 +104,10 @@ void GroupEndpoint::start_founding(const std::vector<net::NetAddr>& founders) {
   in_view_ = true;
   change_view_id_ = v.view_id;
   change_attempt_ = 0;
-  const sim::Time now = net_.engine().now();
-  for (const auto& m : view_.members) last_heard_[m.id] = now;
+  peers_.assign(view_.members.size(), Peer{.last_heard = net_.engine().now()});
+  suspect_count_ = 0;
   views_installed_ = 1;
-  rebuild_tree();
+  index_view();
 
   // `ep` pins the channel the fiber parks on: a shutdown-then-destroy from
   // control code must leave the wait-list alive until the killed fiber
@@ -237,7 +237,9 @@ void GroupEndpoint::tick_loop() {
 
     // Flush stuck? The change coordinator must have died mid-change.
     if (phase_ == Phase::kFlushing && now > flush_deadline_) {
-      if (change_coordinator_ != self_) suspects_.insert(change_coordinator_);
+      if (const int slot = slot_of(change_coordinator_); slot >= 0 && slot != self_slot_) {
+        suspect(static_cast<size_t>(slot));
+      }
       maybe_initiate_change();
     }
 
@@ -261,17 +263,15 @@ void GroupEndpoint::check_failures() {
   const sim::Duration gossip_slack =
       tree ? (2 * tree_depth_ + 2) * config_.heartbeat_period : 0;
   bool new_suspicion = false;
-  for (const auto& m : view_.members) {
-    if (m.id == self_) continue;
-    auto it = last_heard_.find(m.id);
-    const sim::Time heard = it == last_heard_.end() ? 0 : it->second;
+  for (size_t i = 0; i < peers_.size(); ++i) {
+    if (static_cast<int>(i) == self_slot_) continue;
     const sim::Duration timeout =
-        tree && !tree_neighbor(m.id) ? config_.suspect_timeout + gossip_slack
-                                     : config_.suspect_timeout;
-    if (now - heard > timeout && !suspects_.contains(m.id)) {
-      suspects_.insert(m.id);
+        tree && !tree_neighbor(i) ? config_.suspect_timeout + gossip_slack
+                                  : config_.suspect_timeout;
+    if (now - peers_[i].last_heard > timeout && suspect(i)) {
       new_suspicion = true;
-      STARFISH_LOG(kInfo, kLog) << self_.to_string() << " suspects " << m.id.to_string();
+      STARFISH_LOG(kInfo, kLog) << self_.to_string() << " suspects "
+                                << view_.members[i].id.to_string();
     }
   }
   if (new_suspicion) maybe_initiate_change();
@@ -281,17 +281,14 @@ void GroupEndpoint::maybe_initiate_change() {
   if (!in_view_) return;
   // Only the lowest-ranked unsuspected member drives a change.
   const Member* leader = nullptr;
-  for (const auto& m : view_.members) {
-    if (!suspects_.contains(m.id)) {
-      leader = &m;
+  for (size_t i = 0; i < peers_.size(); ++i) {
+    if (!peers_[i].suspected) {
+      leader = &view_.members[i];
       break;
     }
   }
   if (leader == nullptr || leader->id != self_) return;
-  bool needed = !joiners_.empty() || !leavers_.empty();
-  for (const auto& m : view_.members) {
-    if (suspects_.contains(m.id)) needed = true;
-  }
+  const bool needed = !joiners_.empty() || !leavers_.empty() || suspect_count_ > 0;
   if (phase_ == Phase::kFlushing && change_coordinator_ == self_ &&
       net_.engine().now() <= flush_deadline_) {
     return;  // our own change is still in progress
@@ -322,9 +319,10 @@ void GroupEndpoint::initiate_change() {
   // New membership: survivors minus leavers plus joiners.
   proposed_members_.clear();
   uint32_t max_rank = 0;
-  for (const auto& m : view_.members) {
+  for (size_t i = 0; i < view_.members.size(); ++i) {
+    const Member& m = view_.members[i];
     max_rank = std::max(max_rank, m.rank);
-    if (suspects_.contains(m.id) || change_leavers_.contains(m.id)) continue;
+    if (peers_[i].suspected || change_leavers_.contains(m.id)) continue;
     proposed_members_.push_back(m);
   }
   std::vector<std::pair<MemberId, net::NetAddr>> joiners(change_joiners_.begin(),
@@ -337,9 +335,9 @@ void GroupEndpoint::initiate_change() {
   // Everyone alive in the old view must flush (including departing leavers —
   // they may hold messages the survivors still need).
   flush_waiting_.clear();
-  for (const auto& m : view_.members) {
-    if (m.id == self_ || suspects_.contains(m.id)) continue;
-    flush_waiting_.insert(m.id);
+  for (size_t i = 0; i < view_.members.size(); ++i) {
+    if (static_cast<int>(i) == self_slot_ || peers_[i].suspected) continue;
+    flush_waiting_.insert(view_.members[i].id);
   }
   // Floor of the retransmission tail: the lowest delivered gseq any flush
   // reports. Starts at "no report yet", NOT at our own delivered gseq — a
@@ -425,13 +423,13 @@ void GroupEndpoint::handle(const WireMsg& msg) {
   // Joins are the one message an endpoint legitimately sends before it is a
   // member, so they never resolve an incarnation (a rebooted host must be
   // excluded and re-admitted, not aliased onto its dead predecessor).
-  if (msg.kind != MsgKind::kJoinReq) resolve_incarnation(msg);
+  const int slot = msg.kind == MsgKind::kJoinReq ? -1 : resolve_sender(msg);
   switch (msg.kind) {
-    case MsgKind::kHeartbeat: handle_heartbeat(msg); break;
+    case MsgKind::kHeartbeat: handle_heartbeat(msg, slot); break;
     case MsgKind::kJoinReq: handle_join_req(msg); break;
-    case MsgKind::kLeaveReq: handle_leave_req(msg); break;
-    case MsgKind::kOrderReq: handle_order_req(msg); break;
-    case MsgKind::kOrder: handle_order(msg); break;
+    case MsgKind::kLeaveReq: handle_leave_req(msg, slot); break;
+    case MsgKind::kOrderReq: handle_order_req(msg, slot); break;
+    case MsgKind::kOrder: handle_order(msg, slot); break;
     case MsgKind::kPrepare: handle_prepare(msg); break;
     case MsgKind::kFlushOk: handle_flush_ok(msg); break;
     case MsgKind::kInstall: handle_install(msg); break;
@@ -439,9 +437,11 @@ void GroupEndpoint::handle(const WireMsg& msg) {
   }
 }
 
-void GroupEndpoint::resolve_incarnation(const WireMsg& msg) {
-  if (!in_view_ || view_.contains(msg.from)) return;
-  for (auto& m : view_.members) {
+int GroupEndpoint::resolve_sender(const WireMsg& msg) {
+  const int slot = slot_of(msg.from);
+  if (slot >= 0 || !in_view_) return slot;
+  for (size_t i = 0; i < view_.members.size(); ++i) {
+    Member& m = view_.members[i];
     if (m.addr != msg.from_addr || m.id.host != msg.from.host ||
         m.id.incarnation >= msg.from.incarnation) {
       continue;
@@ -451,34 +451,47 @@ void GroupEndpoint::resolve_incarnation(const WireMsg& msg) {
     // reveals the real one. Upgrade in place so failure detection, flushes
     // and sequencing address the member that actually exists.
     adopt_incarnation(m, msg.from);
-    return;
+    return static_cast<int>(i);
   }
+  return -1;
+}
+
+int GroupEndpoint::slot_of(MemberId id) const {
+  if (id.host < slot_by_host_.size()) {
+    const uint32_t s = slot_by_host_[id.host];
+    if (s != 0 && view_.members[s - 1].id == id) return static_cast<int>(s - 1);
+  }
+  return view_.index_of(id);  // not a member, or a host listed twice
+}
+
+bool GroupEndpoint::suspect(size_t slot) {
+  if (peers_[slot].suspected) return false;
+  peers_[slot].suspected = true;
+  ++suspect_count_;
+  return true;
 }
 
 void GroupEndpoint::adopt_incarnation(Member& m, MemberId fresh) {
   const MemberId old = m.id;
   m.id = fresh;
-  remap_key(last_heard_, old, m.id);
-  remap_key(peer_delivered_, old, m.id);
-  remap_key(hb_prev_delivered_, old, m.id);
+  // The member keeps its slot, so its peers_ state carries over as is.
   remap_key(last_delivered_msg_id_, old, m.id);
   remap_key(last_sequenced_msg_id_, old, m.id);
-  if (suspects_.erase(old) > 0) suspects_.insert(m.id);
   if (flush_waiting_.erase(old) > 0) flush_waiting_.insert(m.id);
   if (change_coordinator_ == old) change_coordinator_ = m.id;
   for (auto& pm : proposed_members_) {
     if (pm.id == old) pm.id = m.id;
   }
-  // The tree caches Member copies and the gossip table is keyed by id;
-  // rebuild both against the upgraded view.
-  rebuild_tree();
+  // The host table, the tree's Member copies and the gossip table are keyed
+  // by id; rebuild them against the upgraded view.
+  index_view();
   STARFISH_LOG(kInfo, kLog) << self_.to_string() << " resolved member " << old.to_string()
                             << " -> " << m.id.to_string();
 }
 
-void GroupEndpoint::handle_heartbeat(const WireMsg& msg) {
+void GroupEndpoint::handle_heartbeat(const WireMsg& msg, int slot) {
   const sim::Time now = net_.engine().now();
-  last_heard_[msg.from] = now;
+  if (slot >= 0) peers_[slot].last_heard = now;
   if (in_view_ && msg.view_id > view_.view_id) {
     // The sender installed a view we never saw: our INSTALL was lost. Give
     // it one beat of grace (the install may simply still be in flight),
@@ -498,7 +511,7 @@ void GroupEndpoint::handle_heartbeat(const WireMsg& msg) {
   obs_refresh();
   // Stability bookkeeping: a message every view member has delivered can
   // never be requested during a flush, so it is prunable from the log.
-  peer_delivered_[msg.from] = std::max(peer_delivered_[msg.from], msg.delivered);
+  if (slot >= 0) peers_[slot].delivered = std::max(peers_[slot].delivered, msg.delivered);
 
   // Tree mode: the beat aggregates observations about members we never hear
   // directly. Merge them (liveness, progress, suspicion rumors) and note
@@ -514,8 +527,8 @@ void GroupEndpoint::handle_heartbeat(const WireMsg& msg) {
       const bool fresh = merge_hb_entry(e);
       if (e.view_id != view_.view_id) continue;
       if (fresh) fresh_gossip.emplace_back(e.member, e.delivered);
-      if (e.suspected && view_.contains(e.member) && !suspects_.contains(e.member)) {
-        suspects_.insert(e.member);
+      const int rumored = e.suspected ? slot_of(e.member) : -1;
+      if (rumored >= 0 && suspect(static_cast<size_t>(rumored))) {
         rumor = true;
         STARFISH_LOG(kInfo, kLog) << self_.to_string() << " adopts suspicion of "
                                   << e.member.to_string() << " (rumor from "
@@ -535,20 +548,21 @@ void GroupEndpoint::handle_heartbeat(const WireMsg& msg) {
   // mode runs the same detector over freshly gossiped observations, so the
   // root repairs members it never hears directly (e.g. a subtree orphaned
   // by an interior crash).
-  note_progress_and_repair(msg.from, msg.delivered);
+  note_progress_and_repair(slot, msg.delivered);
   for (const auto& [member, delivered] : fresh_gossip) {
-    if (member != msg.from) note_progress_and_repair(member, delivered);
+    if (member != msg.from) note_progress_and_repair(slot_of(member), delivered);
   }
 }
 
-void GroupEndpoint::note_progress_and_repair(MemberId from, uint64_t advertised) {
+void GroupEndpoint::note_progress_and_repair(int slot, uint64_t advertised) {
+  if (slot < 0) return;
+  Peer& peer = peers_[slot];
   if (is_coordinator() && delivered_gseq_ > advertised) {
-    const auto prev = hb_prev_delivered_.find(from);
-    const bool stalled = prev != hb_prev_delivered_.end() &&
-                         prev->second.first == advertised && prev->second.second > advertised;
-    hb_prev_delivered_[from] = {advertised, delivered_gseq_};
-    const Member* m = member_by_id(from);
-    if (stalled && m != nullptr && m->id != self_) {
+    const bool stalled = peer.prev_advertised == advertised && peer.prev_ours > advertised;
+    peer.prev_advertised = advertised;
+    peer.prev_ours = delivered_gseq_;
+    if (stalled && slot != self_slot_) {
+      const Member& m = view_.members[slot];
       int resent = 0;
       for (auto it = delivered_.upper_bound(advertised);
            it != delivered_.end() && resent < kMaxGapRepair; ++it, ++resent) {
@@ -559,12 +573,13 @@ void GroupEndpoint::note_progress_and_repair(MemberId from, uint64_t advertised)
         order.payload = it->second.payload;
         order.view_id = view_.view_id;
         if (topology_ == Topology::kTree) order.delivered = delivered_gseq_;
-        send_to_member(*m, order.encode());
+        send_to_member(m, order.encode());
       }
       if (resent > 0 && obs_repairs_ != nullptr) obs_repairs_->add(resent);
     }
   } else {
-    hb_prev_delivered_.erase(from);
+    peer.prev_advertised = 0;
+    peer.prev_ours = 0;
   }
 }
 
@@ -577,10 +592,9 @@ void GroupEndpoint::gc_stable() {
   if (delivered_.empty()) return;
   const uint64_t oldest = delivered_.begin()->first;
   uint64_t stable = delivered_gseq_;
-  for (const auto& m : view_.members) {
-    if (m.id == self_) continue;
-    auto it = peer_delivered_.find(m.id);
-    const uint64_t advertised = it == peer_delivered_.end() ? 0 : it->second;
+  for (size_t i = 0; i < peers_.size(); ++i) {
+    if (static_cast<int>(i) == self_slot_) continue;
+    const uint64_t advertised = peers_[i].delivered;
     if (advertised <= oldest) return;
     stable = std::min(stable, advertised);
   }
@@ -598,7 +612,7 @@ bool GroupEndpoint::merge_hb_entry(const HbEntry& e) {
     for (auto& m : view_.members) {
       if (m.id.host == e.member.host && m.id.incarnation < e.member.incarnation) {
         adopt_incarnation(m, e.member);
-        it = hb_table_.find(e.member);  // rebuild_tree() reseeded the table
+        it = hb_table_.find(e.member);  // index_view() reseeded the table
         break;
       }
     }
@@ -619,10 +633,10 @@ bool GroupEndpoint::merge_hb_entry(const HbEntry& e) {
     slot.suspected = true;
     fresh = true;
   }
-  auto& heard = last_heard_[e.member];
-  heard = std::max(heard, static_cast<sim::Time>(e.heard_at));
-  if (e.view_id == view_.view_id) {
-    peer_delivered_[e.member] = std::max(peer_delivered_[e.member], e.delivered);
+  if (const int s = slot_of(e.member); s >= 0) {
+    Peer& peer = peers_[s];
+    peer.last_heard = std::max(peer.last_heard, static_cast<sim::Time>(e.heard_at));
+    if (e.view_id == view_.view_id) peer.delivered = std::max(peer.delivered, e.delivered);
   }
   return fresh;
 }
@@ -636,9 +650,9 @@ void GroupEndpoint::handle_join_req(const WireMsg& msg) {
   if (phase_ == Phase::kNormal) initiate_change();
 }
 
-void GroupEndpoint::handle_leave_req(const WireMsg& msg) {
+void GroupEndpoint::handle_leave_req(const WireMsg& msg, int slot) {
   if (!in_view_ || !is_coordinator()) return;
-  if (!view_.contains(msg.from)) return;
+  if (slot < 0) return;
   // A LEAVE_REQ from an earlier view is a stale duplicate (the member
   // re-sends every beat until the departure installs); honoring it after
   // the member rejoined would kick it out again.
@@ -647,9 +661,9 @@ void GroupEndpoint::handle_leave_req(const WireMsg& msg) {
   if (phase_ == Phase::kNormal) initiate_change();
 }
 
-void GroupEndpoint::handle_order_req(const WireMsg& msg) {
+void GroupEndpoint::handle_order_req(const WireMsg& msg, int slot) {
   if (!in_view_ || !is_coordinator() || phase_ != Phase::kNormal) return;
-  if (!view_.contains(msg.from)) return;
+  if (slot < 0) return;
   // Idempotent re-sequencing after view changes: skip anything this origin
   // already had sequenced or delivered.
   auto seq_it = last_sequenced_msg_id_.find(msg.from);
@@ -699,7 +713,7 @@ void GroupEndpoint::forward_order(const WireMsg& msg) {
   if (obs_tree_forwards_ != nullptr) obs_tree_forwards_->add(tree_children_.size());
 }
 
-void GroupEndpoint::handle_order(const WireMsg& msg) {
+void GroupEndpoint::handle_order(const WireMsg& msg, int slot) {
   if (!in_view_ || phase_ != Phase::kNormal) return;
   // gseq spaces restart per view: a stale ORDER from an earlier view (its
   // sender crashed before installing, or the packet outlived the view) must
@@ -712,7 +726,7 @@ void GroupEndpoint::handle_order(const WireMsg& msg) {
     // Relay down the tree exactly once per gseq (the duplicate guards above
     // dedupe coordinator flushes against peer repairs), and bank the
     // sender's piggybacked delivered gseq for stability.
-    peer_delivered_[msg.from] = std::max(peer_delivered_[msg.from], msg.delivered);
+    if (slot >= 0) peers_[slot].delivered = std::max(peers_[slot].delivered, msg.delivered);
     forward_order(msg);
   }
   OrderedMsg om{msg.gseq, msg.origin, msg.msg_id, msg.payload};
@@ -843,13 +857,11 @@ void GroupEndpoint::handle_install(const WireMsg& msg) {
     // progress floors and suspicion state must not leak into a later
     // re-admission (a rejoiner inheriting a stale last-heard entry would be
     // suspected the moment it is back).
-    last_heard_.clear();
-    peer_delivered_.clear();
-    hb_prev_delivered_.clear();
-    suspects_.clear();
+    // view_ stays the old view, so peers_ keeps its alignment with it.
+    std::fill(peers_.begin(), peers_.end(), Peer{});
+    suspect_count_ = 0;
     holdback_.clear();
     flush_waiting_.clear();
-    tree_index_ = -1;
     tree_children_.clear();
     tree_subtree_.clear();
     hb_table_.clear();
@@ -905,14 +917,10 @@ void GroupEndpoint::install_view(const View& v, const std::vector<OrderedMsg>&) 
   phase_ = Phase::kNormal;
   change_view_id_ = v.view_id;
   change_attempt_ = 0;
-  suspects_.clear();
-  last_heard_.clear();
-  peer_delivered_.clear();
-  hb_prev_delivered_.clear();
+  peers_.assign(view_.members.size(), Peer{.last_heard = net_.engine().now()});
+  suspect_count_ = 0;
   behind_since_ = 0;
-  const sim::Time now = net_.engine().now();
-  for (const auto& m : view_.members) last_heard_[m.id] = now;
-  rebuild_tree();
+  index_view();
   ++views_installed_;
   STARFISH_LOG(kInfo, kLog) << self_.to_string() << " installed " << view_.to_string();
   if (callbacks_.on_view) callbacks_.on_view(view_);
@@ -944,13 +952,6 @@ WireMsg GroupEndpoint::base_msg(MsgKind kind) const {
   return msg;
 }
 
-const Member* GroupEndpoint::member_by_id(MemberId id) const {
-  for (const auto& m : view_.members) {
-    if (m.id == id) return &m;
-  }
-  return nullptr;
-}
-
 bool GroupEndpoint::self_is_change_coordinator() const {
   return phase_ == Phase::kFlushing && change_coordinator_ == self_;
 }
@@ -963,16 +964,27 @@ uint32_t GroupEndpoint::node_depth(size_t index) const {
   return d;
 }
 
-void GroupEndpoint::rebuild_tree() {
-  tree_index_ = view_.index_of(self_);
+void GroupEndpoint::index_view() {
+  self_slot_ = view_.index_of(self_);
+  // Sized by the fabric, not by the ids a (possibly forged) INSTALL names;
+  // a member outside the table is found by slot_of's scan.
+  slot_by_host_.assign(net_.host_count(), 0);
+  for (size_t i = 0; i < view_.members.size(); ++i) {
+    const MemberId& id = view_.members[i].id;
+    if (id.host >= slot_by_host_.size()) continue;
+    uint32_t& s = slot_by_host_[id.host];
+    if (s == 0 || view_.members[s - 1].id.incarnation < id.incarnation) {
+      s = static_cast<uint32_t>(i + 1);
+    }
+  }
   tree_depth_ = 0;
   tree_children_.clear();
   tree_subtree_.clear();
   hb_table_.clear();
-  if (topology_ != Topology::kTree || tree_index_ < 0) return;
+  if (topology_ != Topology::kTree || self_slot_ < 0) return;
   const size_t n = view_.members.size();
   const size_t k = fanout_;
-  const size_t self_index = static_cast<size_t>(tree_index_);
+  const size_t self_index = static_cast<size_t>(self_slot_);
   tree_depth_ = node_depth(n - 1);
   for (size_t c = k * self_index + 1; c <= k * self_index + k && c < n; ++c) {
     tree_children_.push_back(view_.members[c]);
@@ -991,29 +1003,27 @@ void GroupEndpoint::rebuild_tree() {
 }
 
 const Member* GroupEndpoint::tree_parent() const {
-  if (topology_ != Topology::kTree || tree_index_ <= 0) return nullptr;
-  return &view_.members[(static_cast<size_t>(tree_index_) - 1) / fanout_];
+  if (topology_ != Topology::kTree || self_slot_ <= 0) return nullptr;
+  return &view_.members[(static_cast<size_t>(self_slot_) - 1) / fanout_];
 }
 
 const Member* GroupEndpoint::up_target() const {
-  if (topology_ != Topology::kTree || tree_index_ <= 0) return nullptr;
-  size_t i = static_cast<size_t>(tree_index_);
+  if (topology_ != Topology::kTree || self_slot_ <= 0) return nullptr;
+  size_t i = static_cast<size_t>(self_slot_);
   while (i > 0) {
     i = (i - 1) / fanout_;
-    const Member& m = view_.members[i];
     // Skip over crashed interior ancestors so our subtree's summaries keep
     // reaching the root while the view change is still in flight.
-    if (!suspects_.contains(m.id)) return &m;
+    if (!peers_[i].suspected) return &view_.members[i];
   }
   return nullptr;
 }
 
-bool GroupEndpoint::tree_neighbor(MemberId id) const {
-  if (const Member* p = tree_parent(); p != nullptr && p->id == id) return true;
-  for (const auto& c : tree_children_) {
-    if (c.id == id) return true;
-  }
-  return false;
+bool GroupEndpoint::tree_neighbor(size_t slot) const {
+  if (topology_ != Topology::kTree || self_slot_ < 0) return false;
+  const size_t self = static_cast<size_t>(self_slot_);
+  if (self > 0 && slot == (self - 1) / fanout_) return true;
+  return slot >= fanout_ * self + 1 && slot <= fanout_ * self + fanout_;
 }
 
 void GroupEndpoint::send_tree_heartbeats(const WireMsg& hb) {
@@ -1026,8 +1036,11 @@ void GroupEndpoint::send_tree_heartbeats(const WireMsg& hb) {
     it->second.delivered = delivered_gseq_;
     it->second.heard_at = now;
   }
-  for (const MemberId& s : suspects_) {
-    if (auto it = hb_table_.find(s); it != hb_table_.end()) it->second.suspected = true;
+  for (size_t i = 0; i < peers_.size(); ++i) {
+    if (!peers_[i].suspected) continue;
+    if (auto it = hb_table_.find(view_.members[i].id); it != hb_table_.end()) {
+      it->second.suspected = true;
+    }
   }
   obs_refresh();
   // Fragmentation fallback: a suspect means the tree is broken somewhere —
@@ -1038,15 +1051,15 @@ void GroupEndpoint::send_tree_heartbeats(const WireMsg& hb) {
   // member directly with the full table: connectivity degrades to flat for
   // the bounded failure window instead of shattering into
   // mutual-false-suspicion islands.
-  if (!suspects_.empty()) {
+  if (suspect_count_ > 0) {
     WireMsg m = hb;
     m.hb_entries.reserve(hb_table_.size());
     for (const auto& [id, e] : hb_table_) m.hb_entries.push_back(e);
     const util::SharedBytes bytes = m.encode();
     uint64_t sent = 0;
-    for (const auto& mem : view_.members) {
-      if (mem.id == self_ || suspects_.contains(mem.id)) continue;
-      send_to_member(mem, bytes);
+    for (size_t i = 0; i < view_.members.size(); ++i) {
+      if (static_cast<int>(i) == self_slot_ || peers_[i].suspected) continue;
+      send_to_member(view_.members[i], bytes);
       ++sent;
     }
     if (sent > 0 && obs_hb_down_ != nullptr) obs_hb_down_->add(sent);
@@ -1069,8 +1082,9 @@ void GroupEndpoint::send_tree_heartbeats(const WireMsg& hb) {
     for (const auto& [id, e] : hb_table_) m.hb_entries.push_back(e);
     const util::SharedBytes bytes = m.encode();
     uint64_t sent = 0;
+    size_t slot = fanout_ * static_cast<size_t>(self_slot_);  // children follow in order
     for (const auto& c : tree_children_) {
-      if (suspects_.contains(c.id)) continue;  // dead child: nothing to teach
+      if (peers_[++slot].suspected) continue;  // dead child: nothing to teach
       send_to_member(c, bytes);
       ++sent;
     }

@@ -100,7 +100,9 @@ class GroupEndpoint {
   Topology topology() const { return topology_; }
   /// Our depth in the dissemination tree of the current view (0 under kFlat
   /// or at the root).
-  uint32_t tree_depth() const { return tree_index_ <= 0 ? 0 : node_depth(tree_index_); }
+  uint32_t tree_depth() const {
+    return !in_view_ || self_slot_ <= 0 ? 0 : node_depth(self_slot_);
+  }
 
   /// Stops fibers and closes the control endpoint (used by tests; a host
   /// crash achieves the same through the fabric).
@@ -109,33 +111,60 @@ class GroupEndpoint {
  private:
   enum class Phase : uint8_t { kNormal, kFlushing };
 
+  /// Per-peer failure-detector and stability state. peers_[i] describes
+  /// view_.members[i] (our own slot is unused); every install rebuilds it,
+  /// so a datagram costs one slot lookup instead of a tree lookup per field.
+  struct Peer {
+    sim::Time last_heard = 0;
+    /// Latest delivered gseq the peer advertised (heartbeats, relayed
+    /// ORDERs); log entries below the view-wide minimum are stable and can
+    /// be pruned (messages everyone delivered are never needed in a flush).
+    uint64_t delivered = 0;
+    /// Sequencer-side stall detector: the peer's advertised delivered gseq
+    /// and our own at its previous heartbeat ({0, 0}: none, which never
+    /// reads as stalled). A peer whose advertised value repeats while it was
+    /// already behind us a full beat ago is stuck behind a lost ORDER and
+    /// gets the missing suffix resent.
+    uint64_t prev_advertised = 0;
+    uint64_t prev_ours = 0;
+    bool suspected = false;
+  };
+
   void rx_loop();
   void tick_loop();
   void handle(const WireMsg& msg);
-  void handle_heartbeat(const WireMsg& msg);
+  /// `slot` is the sender's index in view_.members, or -1 for a non-member.
+  void handle_heartbeat(const WireMsg& msg, int slot);
   void handle_join_req(const WireMsg& msg);
-  void handle_leave_req(const WireMsg& msg);
-  void handle_order_req(const WireMsg& msg);
-  void handle_order(const WireMsg& msg);
+  void handle_leave_req(const WireMsg& msg, int slot);
+  void handle_order_req(const WireMsg& msg, int slot);
+  void handle_order(const WireMsg& msg, int slot);
   void handle_prepare(const WireMsg& msg);
   void handle_flush_ok(const WireMsg& msg);
   void handle_install(const WireMsg& msg);
   void handle_install_req(const WireMsg& msg);
-  /// Upgrades a view member recorded under an older incarnation of the same
-  /// host/address when a message reveals the real one (founding views record
-  /// peers as incarnation 0 until first contact).
-  void resolve_incarnation(const WireMsg& msg);
+  /// The sender's slot in view_.members, or -1. An unknown sender that is
+  /// the live incarnation of a member recorded under an older one of the
+  /// same host/address upgrades that member first (founding views record
+  /// peers as incarnation 0 until first contact); only this path scans.
+  int resolve_sender(const WireMsg& msg);
   void adopt_incarnation(Member& m, MemberId fresh);
+  /// `id`'s slot in view_.members, or -1: one table read for every member
+  /// but an older incarnation still listed beside its host's newer one.
+  int slot_of(MemberId id) const;
+  /// Marks member `slot` suspected; false if it already was.
+  bool suspect(size_t slot);
 
   void deliver_ready();
   void deliver(const OrderedMsg& msg);
   void sequence_and_fanout(MemberId origin, uint64_t msg_id, util::Bytes payload);
   /// Tree mode: relay a freshly received ORDER to our tree children.
   void forward_order(const WireMsg& msg);
-  /// Updates peer progress bookkeeping and, on the sequencer, resends the
-  /// missing ORDER suffix to a member whose advertised delivered gseq is
-  /// stuck (the flat heartbeat repair path, shared with tree gossip).
-  void note_progress_and_repair(MemberId from, uint64_t advertised);
+  /// Updates member `slot`'s progress bookkeeping and, on the sequencer,
+  /// resends the missing ORDER suffix to a member whose advertised
+  /// delivered gseq is stuck (the flat heartbeat repair path, shared with
+  /// tree gossip). No-op for slot -1.
+  void note_progress_and_repair(int slot, uint64_t advertised);
   /// Prunes the retransmission log below the view-wide stable gseq.
   void gc_stable();
   /// Merges one gossiped liveness entry (tree mode); returns true when the
@@ -157,13 +186,16 @@ class GroupEndpoint {
     send_to(m.addr, std::move(bytes));
   }
   WireMsg base_msg(MsgKind kind) const;
-  const Member* member_by_id(MemberId id) const;
   bool self_is_change_coordinator() const;
+
+  /// Re-derives everything indexed by view position after the view or a
+  /// member id changed: our slot, the host -> slot table and, under kTree,
+  /// the dissemination tree. peers_ is sized by the caller.
+  void index_view();
 
   // --- dissemination tree (Topology::kTree) over the rank-sorted view ---
   // Array-heap layout: member index i has parent (i-1)/k and children
   // k*i+1 .. k*i+k; index 0 is the coordinator/sequencer at the root.
-  void rebuild_tree();
   uint32_t node_depth(size_t index) const;
   /// Our parent in the tree, or nullptr at the root / under kFlat.
   const Member* tree_parent() const;
@@ -171,7 +203,7 @@ class GroupEndpoint {
   /// interior nodes so orphaned subtrees stay visible at the root).
   const Member* up_target() const;
   /// Parent or direct child — members we exchange direct beats with.
-  bool tree_neighbor(MemberId id) const;
+  bool tree_neighbor(size_t slot) const;
   /// Lazily (re-)resolves cached metric handles when the engine's hub
   /// changes; one pointer compare on the hot path (net/vni.cpp idiom).
   void obs_refresh();
@@ -214,24 +246,20 @@ class GroupEndpoint {
   uint64_t next_gseq_ = 0;
   std::map<MemberId, uint64_t> last_sequenced_msg_id_;
 
-  // Failure detection.
-  std::map<MemberId, sim::Time> last_heard_;
-  std::set<MemberId> suspects_;
-  /// Latest delivered gseq each peer advertised via heartbeats; entries of
-  /// the retransmission log below the view-wide minimum are stable and can
-  /// be pruned (messages everyone delivered are never needed in a flush).
-  std::map<MemberId, uint64_t> peer_delivered_;
-  /// Sequencer-side stall detector: (peer's advertised delivered, our own
-  /// delivered) at that peer's previous heartbeat. A peer whose advertised
-  /// value repeats while it was already behind us a full beat ago is stuck
-  /// behind a lost ORDER and gets the missing suffix resent.
-  std::map<MemberId, std::pair<uint64_t, uint64_t>> hb_prev_delivered_;
+  // Failure detection and stability, one slot per view member.
+  std::vector<Peer> peers_;
+  size_t suspect_count_ = 0;  ///< slots of peers_ with `suspected` set
+  /// Our index in view_.members (-1 when not listed); under kTree also our
+  /// index in the dissemination tree while in_view_.
+  int self_slot_ = -1;
+  /// slot_by_host_[h] is 1 + the slot of host h's member (0: none); the
+  /// newest incarnation's when a view lists a host twice.
+  std::vector<uint32_t> slot_by_host_;
   /// Since when heartbeats advertise a view newer than ours (0 = not
   /// behind); after a beat of grace we ask a peer to resend the INSTALL.
   sim::Time behind_since_ = 0;
 
   // Dissemination tree (rebuilt on every view install; empty under kFlat).
-  int tree_index_ = -1;                 ///< our index in the rank-sorted view
   uint32_t tree_depth_ = 0;             ///< depth of the deepest tree node
   std::vector<Member> tree_children_;   ///< our direct children
   std::vector<MemberId> tree_subtree_;  ///< members at/below us (incl. self)
@@ -264,9 +292,10 @@ class GroupEndpoint {
   uint64_t messages_delivered_ = 0;
   uint64_t views_installed_ = 0;
 
-  // Cached observability handles. Registry lookups take a lock (and the
-  // histogram one re-parses its bucket spec), so per-message paths resolve
-  // them once per hub and re-resolve only when the hub pointer changes.
+  // Cached observability handles. Registry lookups are string-keyed map
+  // lookups (and the histogram one builds a bucket spec), so per-message
+  // paths resolve them once per hub and re-resolve only when the hub
+  // pointer changes.
   obs::Hub* obs_hub_ = nullptr;
   obs::Counter* obs_delivered_ = nullptr;
   obs::Histogram* obs_holdback_depth_ = nullptr;

@@ -19,9 +19,30 @@ uint64_t mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// A collective payload that fails to decode fails the rank: it is counted
+/// in `mpi.decode_errors` and thrown out of the application body.
+[[noreturn]] void fail_rank(Proc& proc, const char* what, const util::Error& error) {
+  proc.drop_undecodable(what, error);
+  throw std::runtime_error(std::string("undecodable ") + what + ": " + error.to_string());
+}
+
 template <typename T>
-void combine(std::vector<T>& acc, const std::vector<T>& in, ReduceOp op) {
-  assert(acc.size() == in.size());
+T decoded(Proc& proc, util::Result<T> r, const char* what) {
+  if (!r.ok()) [[unlikely]] fail_rank(proc, what, r.error());
+  return std::move(r).take();
+}
+
+/// Folds one contribution into `acc`. A contribution of another length
+/// fails the rank like an undecodable payload; the check runs in every
+/// build, since the loop would otherwise read past `in`.
+template <typename T>
+void combine(Proc& proc, std::vector<T>& acc, const std::vector<T>& in, ReduceOp op) {
+  if (acc.size() != in.size()) [[unlikely]] {
+    fail_rank(proc, "reduction payload",
+              util::Error::make("decode", "contribution of " + std::to_string(in.size()) +
+                                              " elements, expected " +
+                                              std::to_string(acc.size())));
+  }
   for (size_t i = 0; i < acc.size(); ++i) {
     switch (op) {
       case ReduceOp::kSum: acc[i] += in[i]; break;
@@ -39,17 +60,6 @@ util::Bytes encode_vec(const std::vector<T>& v) {
   } else {
     return encode_f64s(v);
   }
-}
-
-/// A collective payload that fails to decode fails the rank: it is counted
-/// in `mpi.decode_errors` and thrown out of the application body.
-template <typename T>
-T decoded(Proc& proc, util::Result<T> r, const char* what) {
-  if (!r.ok()) [[unlikely]] {
-    proc.drop_undecodable(what, r.error());
-    throw std::runtime_error(std::string("undecodable ") + what + ": " + r.error().to_string());
-  }
-  return std::move(r).take();
 }
 
 template <typename T>
@@ -215,7 +225,7 @@ std::vector<T> Comm::reduce_typed(int root, std::vector<T> data, ReduceOp op) {
   std::vector<T> acc = std::move(data);
   for (int r = 0; r < size(); ++r) {
     if (r == root) continue;
-    combine(acc, decode_vec<T>(*proc_, all[static_cast<size_t>(r)]), op);
+    combine(*proc_, acc, decode_vec<T>(*proc_, all[static_cast<size_t>(r)]), op);
   }
   return acc;
 }
@@ -244,7 +254,7 @@ std::vector<int64_t> Comm::scan(std::vector<int64_t> data, ReduceOp op) {
   if (rank() > 0) {
     auto prefix = decode_vec<int64_t>(*proc_, proc_->recv(
         id_, static_cast<int>(world_rank(rank() - 1)), tag));
-    combine(acc, prefix, op);
+    combine(*proc_, acc, prefix, op);
   }
   if (rank() + 1 < size()) {
     proc_->send(id_, world_rank(rank() + 1), tag, encode_vec(acc));
@@ -260,7 +270,7 @@ std::vector<int64_t> Comm::exscan(std::vector<int64_t> data, ReduceOp op) {
     auto prefix = decode_vec<int64_t>(*proc_, proc_->recv(
         id_, static_cast<int>(world_rank(rank() - 1)), tag));
     result = prefix;  // exclusive: everything before us
-    combine(inclusive, prefix, op);
+    combine(*proc_, inclusive, prefix, op);
   }
   if (rank() + 1 < size()) {
     proc_->send(id_, world_rank(rank() + 1), tag, encode_vec(inclusive));

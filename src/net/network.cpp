@@ -45,13 +45,13 @@ void Network::note_packet(const Packet& packet, sim::Duration latency, bool deli
   hn.obs_bytes->add(packet.payload.size());
   // Loopback and dropped packets have no meaningful wire latency.
   if (!delivered || packet.src.host == packet.dst.host) return;
-  auto [it, inserted] = hn.obs_links.try_emplace(packet.dst.host, nullptr);
-  if (inserted) {
-    it->second = &hub->metrics.histogram("net.link.host" + std::to_string(packet.src.host) +
-                                         "->host" + std::to_string(packet.dst.host) +
-                                         ".latency_ns");
+  if (packet.dst.host >= hn.obs_links.size()) hn.obs_links.resize(hosts_.size(), nullptr);
+  obs::Histogram*& link = hn.obs_links[packet.dst.host];
+  if (link == nullptr) {
+    link = &hub->metrics.histogram("net.link.host" + std::to_string(packet.src.host) + "->host" +
+                                   std::to_string(packet.dst.host) + ".latency_ns");
   }
-  it->second->record(static_cast<uint64_t>(latency));
+  link->record(static_cast<uint64_t>(latency));
 }
 
 void Network::transmit(TransportKind kind, Packet packet) {
@@ -85,9 +85,8 @@ void Network::transmit(TransportKind kind, Packet packet) {
   // sent earlier on the same pair — both TCP streams and BIP channels
   // deliver in order, and the gcs flush protocol relies on it. Injected
   // extra latency lands before this clamp, so faults never reorder a pair.
-  HostNet& src = per_host(packet.src.host);
   const sim::Time now = engine_.now();
-  sim::Time& last = src.last_delivery[{packet.src, packet.dst}];
+  sim::Time& last = last_arrival(per_host(packet.src.host), packet.src, packet.dst);
   const sim::Time arrival = std::max(now + delay, last + 1);
   last = arrival;
   ++packets_sent_;
@@ -108,6 +107,15 @@ void Network::transmit(TransportKind kind, Packet packet) {
       deliver_packet(std::move(packet));
     });
   }
+}
+
+sim::Time& Network::last_arrival(HostNet& src_net, NetAddr src, NetAddr dst) {
+  if (dst.host >= src_net.pair_clocks.size()) src_net.pair_clocks.resize(dst.host + 1);
+  std::vector<PairClock>& lanes = src_net.pair_clocks[dst.host];
+  for (PairClock& lane : lanes) {
+    if (lane.src_port == src.port && lane.dst_port == dst.port) return lane.last;
+  }
+  return lanes.emplace_back(PairClock{src.port, dst.port, 0}).last;
 }
 
 void Network::deliver_packet(Packet packet) {

@@ -212,13 +212,19 @@ class Network {
   friend class Connection;
   friend class Acceptor;
 
+  struct PairClock {
+    Port src_port;
+    Port dst_port;
+    sim::Time last;
+  };
   /// Mutable fabric state owned by one host.
   struct HostNet {
     std::map<Port, DatagramEndpoint*> bindings;
     std::map<Port, Acceptor*> listeners;
     /// Last scheduled arrival per (src, dst) address pair with src on this
-    /// host, enforcing per-pair FIFO.
-    std::map<std::pair<NetAddr, NetAddr>, sim::Time> last_delivery;
+    /// host, enforcing per-pair FIFO: indexed by destination host, then a
+    /// few port-pair lanes (a host talks to another on a handful of ports).
+    std::vector<std::vector<PairClock>> pair_clocks;
     Port next_auto_port = 1 << 16;
     /// Connections with an end on this host (clients at creation, servers
     /// at SYN arrival); crash_host scans these.
@@ -228,7 +234,7 @@ class Network {
     obs::Hub* obs_hub = nullptr;
     obs::Counter* obs_packets = nullptr;
     obs::Counter* obs_bytes = nullptr;
-    std::map<sim::HostId, obs::Histogram*> obs_links;
+    std::vector<obs::Histogram*> obs_links;  ///< by destination host; null until used
   };
 
   HostNet& per_host(sim::HostId id) {
@@ -236,6 +242,9 @@ class Network {
     return *per_host_[id];
   }
   bool host_alive(sim::HostId id) const;
+  /// The last scheduled arrival on the (src, dst) pair (0 before the
+  /// first); dst.host must be a host of this fabric.
+  static sim::Time& last_arrival(HostNet& src_net, NetAddr src, NetAddr dst);
   /// Observability: counts one wire packet and records its transit latency
   /// into the per-link histogram. No-op without an attached hub; resolved
   /// lazily so a hub attached after construction is still picked up.

@@ -15,18 +15,19 @@
 // via scripts/asan_ctest.sh).
 #pragma once
 
-#if defined(__x86_64__) && !defined(STARFISH_FORCE_UCONTEXT)
 #if defined(__SANITIZE_ADDRESS__)
-#define STARFISH_FAST_CONTEXT 0
+#define STARFISH_ASAN 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
-#define STARFISH_FAST_CONTEXT 0
-#else
-#define STARFISH_FAST_CONTEXT 1
+#define STARFISH_ASAN 1
 #endif
-#else
-#define STARFISH_FAST_CONTEXT 1
 #endif
+#ifndef STARFISH_ASAN
+#define STARFISH_ASAN 0
+#endif
+
+#if defined(__x86_64__) && !defined(STARFISH_FORCE_UCONTEXT) && !STARFISH_ASAN
+#define STARFISH_FAST_CONTEXT 1
 #else
 #define STARFISH_FAST_CONTEXT 0
 #endif

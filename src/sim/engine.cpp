@@ -9,6 +9,10 @@
 #include "util/log.hpp"
 #include "util/simd/simd.hpp"
 
+#if STARFISH_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace starfish::sim {
 
 namespace {
@@ -21,6 +25,22 @@ Fiber* unpack_fiber(unsigned hi, unsigned lo) {
   uintptr_t p = (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo);
   return reinterpret_cast<Fiber*>(p);
 }
+
+// ASan learns which stack runs only through its fiber API. Without it,
+// __asan_handle_no_return (run on every throw) cannot place a fiber's stack
+// and leaves stale poison below the thrower, which a later write by the
+// runtime reads as stack-use-after-scope. No-ops outside ASan builds.
+#if STARFISH_ASAN
+void switch_start(void** fake_stack_save, const void* bottom, size_t size) {
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+}
+void switch_finish(void* fake_stack, const void** bottom_old, size_t* size_old) {
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
+}
+#else
+void switch_start(void**, const void*, size_t) {}
+void switch_finish(void*, const void**, size_t*) {}
+#endif
 #endif
 }  // namespace
 
@@ -80,9 +100,12 @@ void Fiber::fast_entry(void* arg) {
 #else
 void Fiber::trampoline_entry(unsigned hi, unsigned lo) {
   Fiber* self = unpack_fiber(hi, lo);
+  Engine& engine = self->engine_;
+  switch_finish(nullptr, &engine.main_stack_bottom_, &engine.main_stack_size_);
   self->run_body();
   // Returning lets ucontext switch to uc_link (the engine's main context);
-  // the engine observes kFinished there.
+  // the engine observes kFinished there. This stack is left for good.
+  switch_start(nullptr, engine.main_stack_bottom_, engine.main_stack_size_);
 }
 #endif
 
@@ -102,44 +125,33 @@ void Fiber::run_body() {
 void EventPool::grow() {
   auto slab = std::make_unique<EventNode[]>(kSlabNodes);
   for (size_t i = 0; i < kSlabNodes; ++i) {
-    slab[i].next_free = free_;
+    slab[i].next = free_;
     free_ = &slab[i];
   }
   slabs_.push_back(std::move(slab));
 }
 
-TimerEntry TimerHeap::pop() {
-  const TimerEntry out = v_[0];
+void TimerHeap::remove_top() {
+  if (v_[0].event == tail_.event) tail_.event = nullptr;  // the run is gone: nothing joins it
   const TimerEntry last = v_.back();
   v_.pop_back();
-  if (!v_.empty()) {
-    // Sift the hole down, choosing the smallest of up to kArity children.
-    size_t i = 0;
-    const size_t n = v_.size();
-    for (;;) {
-      const size_t first = i * kArity + 1;
-      if (first >= n) break;
-      size_t best = first;
-      const size_t end = std::min(first + kArity, n);
-      for (size_t c = first + 1; c < end; ++c) {
-        if (before(v_[c], v_[best])) best = c;
-      }
-      if (!before(v_[best], last)) break;
-      v_[i] = v_[best];
-      i = best;
+  if (v_.empty()) return;
+  // Sift the hole down, choosing the smallest of up to kArity children.
+  size_t i = 0;
+  const size_t n = v_.size();
+  for (;;) {
+    const size_t first = i * kArity + 1;
+    if (first >= n) break;
+    size_t best = first;
+    const size_t end = std::min(first + kArity, n);
+    for (size_t c = first + 1; c < end; ++c) {
+      if (before(v_[c], v_[best])) best = c;
     }
-    v_[i] = last;
+    if (!before(v_[best], last)) break;
+    v_[i] = v_[best];
+    i = best;
   }
-  return out;
-}
-
-void ReadyQueue::grow() {
-  const size_t cap = buf_.empty() ? 64 : buf_.size() * 2;
-  std::vector<ReadyEntry> next(cap);
-  for (size_t i = 0; i < count_; ++i) next[i] = std::move(buf_[(head_ + i) & mask_]);
-  buf_ = std::move(next);
-  head_ = 0;
-  mask_ = cap - 1;
+  v_[i] = last;
 }
 
 // --------------------------------------------------------------- Engine ----
@@ -297,7 +309,10 @@ void Engine::resume(Fiber* fiber) {
 #if STARFISH_FAST_CONTEXT
   starfish_ctx_swap(&main_sp_, fiber->ctx_sp_);
 #else
+  void* main_fake_stack = nullptr;
+  switch_start(&main_fake_stack, fiber->context_.uc_stack.ss_sp, fiber->context_.uc_stack.ss_size);
   swapcontext(&main_context_, &fiber->context_);
+  switch_finish(main_fake_stack, nullptr, nullptr);
 #endif
   current_ = nullptr;
   // A finished fiber's context never runs again: recycle the stack now,
@@ -315,7 +330,9 @@ WakeReason Engine::block() {
 #if STARFISH_FAST_CONTEXT
   starfish_ctx_swap(&f->ctx_sp_, main_sp_);
 #else
+  switch_start(&f->fake_stack_, main_stack_bottom_, main_stack_size_);
   swapcontext(&f->context_, &main_context_);
+  switch_finish(f->fake_stack_, &main_stack_bottom_, &main_stack_size_);
 #endif
   // Resumed.
   if (f->wake_reason_ == WakeReason::kKilled || f->killed_) throw FiberKilled{};

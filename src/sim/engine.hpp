@@ -7,8 +7,8 @@
 // the goldens pin (DESIGN.md section 13).
 //
 // The hot path: slab-pooled events with inline callback storage (SmallFn)
-// ordered by a 4-ary min-heap of trivially-copyable (time, node, seq)
-// entries, same-timestamp wakeups through an order-preserving ready ring,
+// ordered by a 4-ary min-heap of runs of trivially-copyable (time, node, seq)
+// keys, same-timestamp wakeups through an order-preserving ready ring,
 // recycled guard-paged fiber stacks. The engine_golden_test goldens pin that
 // the dispatch order equals the old single priority queue's.
 #pragma once
@@ -22,6 +22,7 @@
 
 #include "obs/obs.hpp"
 #include "sim/fiber.hpp"
+#include "sim/ring.hpp"
 #include "sim/small_fn.hpp"
 #include "sim/stack_pool.hpp"
 #include "sim/time.hpp"
@@ -36,7 +37,9 @@ namespace starfish::sim {
 struct EventNode {
   SmallFn fn;
   NodeId exec_node = kControlNode;  ///< node context the callback runs under
-  EventNode* next_free = nullptr;
+  /// The free list's link while the node is free; while it is scheduled,
+  /// the next event of its run (TimerHeap), nullptr at the run's end.
+  EventNode* next = nullptr;
 };
 
 class EventPool {
@@ -44,14 +47,14 @@ class EventPool {
   EventNode* acquire() {
     if (free_ == nullptr) grow();
     EventNode* n = free_;
-    free_ = n->next_free;
-    n->next_free = nullptr;
+    free_ = n->next;
+    n->next = nullptr;
     return n;
   }
   /// Destroys the callable and returns the node to the free list.
   void release(EventNode* n) {
     n->fn.reset();
-    n->next_free = free_;
+    n->next = free_;
     free_ = n;
   }
 
@@ -62,7 +65,8 @@ class EventPool {
   EventNode* free_ = nullptr;
 };
 
-/// What the heap actually sifts: 32 trivially-copyable bytes per event.
+/// What the heap actually sifts: 32 trivially-copyable bytes per run, keyed
+/// by the run's first event.
 struct TimerEntry {
   Time at;
   NodeId node;   ///< origin node (allocated the seq)
@@ -78,14 +82,31 @@ inline bool event_key_before(Time a_at, NodeId a_node, uint64_t a_seq, Time b_at
   return a_seq < b_seq;
 }
 
-/// 4-ary min-heap on (at, node, seq): shallower than binary for the same
-/// size, pops move entries instead of copying callables.
+/// 4-ary min-heap of *runs* on (at, node, seq). A run is a chain of events
+/// with one time, one origin node and consecutive seqs, linked through
+/// EventNode::next; its entry carries the key of its first event. A push
+/// with the previous push's time and node and the next seq joins that
+/// push's run in O(1): a tick's fan-out of sends is one run. Keys are
+/// unique and no key lies strictly between two consecutive seqs of one
+/// node, so a run is contiguous in the total order: popping an event that
+/// has a successor in its run advances the root entry in place, with no
+/// sift, and the pops come out exactly as one entry per event would
+/// (DESIGN.md section 13). size() counts events, not runs.
 class TimerHeap {
  public:
   bool empty() const { return v_.empty(); }
-  size_t size() const { return v_.size(); }
+  size_t size() const { return events_; }
+  /// The first event: the key and event of the minimum run's head.
   const TimerEntry& top() const { return v_[0]; }
   void push(TimerEntry e) {
+    ++events_;
+    if (tail_.event != nullptr && e.seq == tail_.seq + 1 && e.at == tail_.at &&
+        e.node == tail_.node) {
+      tail_.event->next = e.event;  // joins the previous push's run
+      tail_ = e;
+      return;
+    }
+    tail_ = e;
     size_t i = v_.size();
     v_.push_back(e);  // placeholder; the hole walks up
     while (i > 0) {
@@ -96,14 +117,35 @@ class TimerHeap {
     }
     v_[i] = e;
   }
-  TimerEntry pop();
+  /// Removes and returns the first event.
+  TimerEntry pop() {
+    --events_;
+    const TimerEntry out = v_[0];
+    if (EventNode* next = out.event->next) {
+      // The run goes on with its next seq and stays the minimum: every
+      // other key is above `out`'s and none equals the advanced one. Keys
+      // the popped event's callback pushes below it sift up past it.
+      v_[0].seq = out.seq + 1;
+      v_[0].event = next;
+      return out;
+    }
+    remove_top();
+    return out;
+  }
 
  private:
   static constexpr size_t kArity = 4;
   static bool before(const TimerEntry& a, const TimerEntry& b) {
     return event_key_before(a.at, a.node, a.seq, b.at, b.node, b.seq);
   }
+  /// Drops the root entry, whose run has been popped empty.
+  void remove_top();
+
   std::vector<TimerEntry> v_;
+  size_t events_ = 0;
+  /// The previous push: the last event of the run it joined or started
+  /// (event nullptr once that run has been popped empty).
+  TimerEntry tail_{0, kControlNode, 0, nullptr};
 };
 
 /// A woken fiber waiting its turn; carries the keep-alive the old wake
@@ -116,42 +158,31 @@ struct ReadyEntry {
   uint64_t epoch = 0;
 };
 
-/// Power-of-two ring buffer; push/pop never allocate at steady state.
-/// Pushes insert in (at, node, seq) order from the back: wakes from one
-/// node arrive already ordered (zero shifts, the dominant case), and the
-/// rare same-time wake from a lower node shifts a handful of entries —
-/// keeping the front the minimum, which the multi-node total order requires
-/// (a FIFO ring is only sorted when all wakes share one counter).
+/// The ready ring. Pushes insert in (at, node, seq) order from the back:
+/// wakes from one node arrive already ordered, so a push shifts only the
+/// pending wakes of higher nodes — keeping the front the minimum, which the
+/// multi-node total order requires (a FIFO ring is only sorted when all
+/// wakes share one counter).
 class ReadyQueue {
  public:
-  bool empty() const { return count_ == 0; }
-  size_t size() const { return count_; }
-  const ReadyEntry& front() const { return buf_[head_]; }
+  bool empty() const { return q_.empty(); }
+  size_t size() const { return q_.size(); }
+  const ReadyEntry& front() const { return q_.front(); }
   void push(ReadyEntry e) {
-    if (count_ == buf_.size()) grow();
-    size_t pos = count_;
+    size_t pos = q_.size();
+    q_.push_back(ReadyEntry{});  // placeholder; the hole walks forward
     while (pos > 0) {
-      ReadyEntry& prev = buf_[(head_ + pos - 1) & mask_];
+      ReadyEntry& prev = q_[pos - 1];
       if (!event_key_before(e.at, e.node, e.seq, prev.at, prev.node, prev.seq)) break;
-      buf_[(head_ + pos) & mask_] = std::move(prev);
+      q_[pos] = std::move(prev);
       --pos;
     }
-    buf_[(head_ + pos) & mask_] = std::move(e);
-    ++count_;
+    q_[pos] = std::move(e);
   }
-  ReadyEntry pop() {
-    ReadyEntry e = std::move(buf_[head_]);
-    head_ = (head_ + 1) & mask_;
-    --count_;
-    return e;
-  }
+  ReadyEntry pop() { return q_.pop_front(); }
 
  private:
-  void grow();
-  std::vector<ReadyEntry> buf_;
-  size_t head_ = 0;
-  size_t count_ = 0;
-  size_t mask_ = 0;
+  Ring<ReadyEntry> q_;
 };
 
 class Engine {
@@ -303,6 +334,9 @@ class Engine {
   void* main_sp_ = nullptr;
 #else
   ucontext_t main_context_{};
+  /// The main context's stack as ASan last reported it, for switches back.
+  const void* main_stack_bottom_ = nullptr;
+  size_t main_stack_size_ = 0;
 #endif
   uint64_t events_ = 0;  ///< events dispatched, ever
   /// Keeps fibers alive; swept opportunistically when finished.

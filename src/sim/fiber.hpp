@@ -85,6 +85,9 @@ class Fiber : public std::enable_shared_from_this<Fiber> {
   void* ctx_sp_ = nullptr;
 #else
   ucontext_t context_{};
+  /// ASan's fake stack of this fiber while it is switched out (the
+  /// sanitizer's fiber API; unused in other builds).
+  void* fake_stack_ = nullptr;
 #endif
   /// Owns the recycling pool jointly with the engine: a FiberPtr held by
   /// user code can outlive the engine, and ~Fiber must still release.

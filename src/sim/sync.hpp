@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 
 namespace starfish::sim {
 
@@ -109,17 +109,13 @@ class Channel {
         return {RecvStatus::kTimeout, std::nullopt};
       }
     }
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return {RecvStatus::kOk, std::move(v)};
+    return {RecvStatus::kOk, items_.pop_front()};
   }
 
   /// Non-blocking poll.
   std::optional<T> try_recv() {
     if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
+    return items_.pop_front();
   }
 
   void close() {
@@ -132,7 +128,7 @@ class Channel {
 
  private:
   Engine& engine_;
-  std::deque<T> items_;
+  Ring<T> items_;
   WaitList readers_;
   bool closed_ = false;
 };

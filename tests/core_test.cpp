@@ -11,6 +11,7 @@
 #include "core/bus.hpp"
 #include "core/cluster.hpp"
 #include "core/cr.hpp"
+#include "obs/obs.hpp"
 
 namespace starfish::core {
 namespace {
@@ -395,6 +396,40 @@ TEST(Checkpointing, UncoordinatedRestartUsesRecoveryLine) {
   ASSERT_TRUE(f.cluster.run_until_done("unco"));
   EXPECT_TRUE(
       output_contains(f.cluster.output("unco"), std::to_string(expected_ring_token(4, 40))));
+}
+
+TEST(Checkpointing, UncoordinatedLineSkipsACheckpointWithACorruptTrackerMeta) {
+  // Rank 0's newest checkpoint loses its dependency tracker to corruption.
+  // Read as "no recorded constraints" it would be a line candidate the
+  // dependencies never supported; it must be counted and the rank rolled
+  // back below it, and the job must still finish with the right token.
+  obs::Hub hub;  // outlives the cluster
+  Fixture f(3);
+  f.cluster.engine().set_obs(&hub);
+  auto job = ring_job("unco2", 2);
+  job.policy = FtPolicy::kRestart;
+  job.protocol = CrProtocol::kUncoordinated;
+  job.level = CkptLevel::kVm;
+  job.ckpt_interval = milliseconds(60);
+  f.cluster.submit(job);
+  f.cluster.run_for(milliseconds(200));
+  const auto newest = f.cluster.store().latest_stored("unco2", 0);
+  ASSERT_TRUE(newest.has_value());
+  ASSERT_GE(*newest, 2u);
+  const ckpt::CkptKey key{"unco2", 0, *newest};
+  ASSERT_TRUE(f.cluster.store().checkpoint_meta(key).has_value());
+  f.cluster.store().put_meta(key, util::Bytes(3, std::byte{0xff}));  // a truncated tracker
+  f.cluster.crash_node(1);
+  ASSERT_TRUE(f.cluster.run_until_done("unco2"));
+  EXPECT_TRUE(
+      output_contains(f.cluster.output("unco2"), std::to_string(expected_ring_token(2, 40))));
+  const obs::Counter* errors = hub.metrics.find_counter("ckpt.decode_errors");
+  ASSERT_NE(errors, nullptr);
+  EXPECT_GE(errors->value(), 1u);
+  // Rolled back at least from the corrupt checkpoint to the one below it.
+  const obs::Counter* rollback = hub.metrics.find_counter("ckpt.rollback_intervals");
+  ASSERT_NE(rollback, nullptr);
+  EXPECT_GE(rollback->value(), 1u);
 }
 
 TEST(Checkpointing, NativeLevelHomogeneousRestart) {

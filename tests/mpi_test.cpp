@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "mpi/datatype.hpp"
 #include "mpi/proc.hpp"
 #include "net/network.hpp"
+#include "obs/obs.hpp"
 #include "sim/engine.hpp"
 
 namespace starfish::mpi {
@@ -382,6 +384,38 @@ TEST_P(CollectiveSizes, AllreduceSumAndMax) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveSizes, ::testing::Values(1u, 2u, 3u, 4u, 7u, 8u));
+
+TEST(Collectives, ContributionOfAnotherLengthFailsTheRank) {
+  // A contribution shorter (or longer) than the root's own fails the root
+  // the way an undecodable payload does, in every build: counted in
+  // mpi.decode_errors and thrown, never read past its end.
+  for (const size_t other : {size_t{1}, size_t{7}}) {
+    obs::Hub hub;  // outlives the world
+    World w(2);
+    w.eng.set_obs(&hub);
+    bool root_returned = false;
+    std::string root_error;
+    w.run_app([&](uint32_t rank, Proc& p) {
+      Comm comm = Comm::world(p);
+      std::vector<int64_t> mine(rank == 0 ? 4 : other, 1);
+      if (rank != 0) {
+        (void)comm.reduce(0, std::move(mine), ReduceOp::kSum);
+        return;
+      }
+      try {
+        (void)comm.reduce(0, std::move(mine), ReduceOp::kSum);
+        root_returned = true;
+      } catch (const std::runtime_error& e) {
+        root_error = e.what();
+      }
+    });
+    EXPECT_FALSE(root_returned) << "contribution of " << other;
+    EXPECT_NE(root_error.find("undecodable reduction payload"), std::string::npos) << root_error;
+    const obs::Counter* errors = hub.metrics.find_counter("mpi.decode_errors");
+    ASSERT_NE(errors, nullptr);
+    EXPECT_EQ(errors->value(), 1u);
+  }
+}
 
 TEST(Collectives, ReduceDoubleSum) {
   World w(4);
